@@ -10,17 +10,6 @@ from .staircase import StaircaseTable
 DERIVATIVE_STEP_FRACTION = 1e-4
 
 
-def _call_f(f, points):
-    """Evaluate f on an (m, n) block of points, vectorized when f allows."""
-    try:
-        vals = np.asarray(f(points), dtype=float)
-        if vals.shape == (len(points),):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(f(p)) for p in points])
-
-
 def falpha_derivative(f, table: StaircaseTable, theta, h: float = None) -> float:
     """Symmetric difference quotient of f in the mass coordinate.
 
@@ -45,28 +34,57 @@ def falpha_derivative(f, table: StaircaseTable, theta, h: float = None) -> float
     return num / (j_hi - j_lo)
 
 
-def _rs_sum(f, table, a, b, k):
+def midpoint_tags(table: StaircaseTable, a: float, b: float, k: int):
+    """The k-panel partition of [a, b] that every staircase sum uses:
+    uniform panels in the parameter, tagged at their midpoints.
+
+    Returns the tag parameters, their mass coordinates J = S(t), and the
+    staircase increment over each panel.
+    """
     t = np.linspace(a, b, k + 1)
-    s = table.value(t)
-    mids = 0.5 * (t[:-1] + t[1:])
-    fv = _call_f(f, table.curve.point(mids))
-    if not np.all(np.isfinite(fv)):
+    t_mid = 0.5 * (t[:-1] + t[1:])
+    return t_mid, table.value(t_mid), np.diff(table.value(t))
+
+
+def _rs_sum(g, table, a, b, k):
+    t_mid, j_mid, ds = midpoint_tags(table, a, b, k)
+    vals = np.asarray(g(table.curve.point(t_mid), j_mid), dtype=float)
+    if vals.ndim == 0:
+        vals = np.full(k, float(vals))
+    elif vals.shape != (k,):
+        raise EvaluationError(
+            f"integrand returned shape {vals.shape} for {k} tags; "
+            f"expected ({k},) or a scalar"
+        )
+    if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand produced non-finite samples")
-    return float(np.dot(fv, np.diff(s)))
+    return float(np.dot(vals, ds))
 
 
-def falpha_integral(f, table: StaircaseTable, a: float, b: float,
-                    k: int = 256) -> float:
-    """Riemann-Stieltjes sum of f against the staircase over [a, b].
+def rs_integral(g, table: StaircaseTable, a: float, b: float, k: int) -> float:
+    """Riemann-Stieltjes integral of g(points, J) against the staircase
+    over [a, b].
 
-    Midpoint tags in parameter give second-order accuracy; one Richardson
-    step over k and 2k panels standardizes the convergence claim.
+    ``g`` receives the (m, n) block of tag points and their (m,) mass
+    coordinates, and returns m values or one scalar. Midpoint tags in
+    parameter give second-order accuracy; one Richardson step over k
+    and 2k panels standardizes the convergence claim.
     """
     if not a < b:
         raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
     if k < 1:
         raise CurveDomainError("panel count must be >= 1")
     table.curve.check_domain([a, b])
-    coarse = _rs_sum(f, table, a, b, k)
-    fine = _rs_sum(f, table, a, b, 2 * k)
+    coarse = _rs_sum(g, table, a, b, k)
+    fine = _rs_sum(g, table, a, b, 2 * k)
     return fine + (fine - coarse) / 3.0
+
+
+def falpha_integral(f, table: StaircaseTable, a: float, b: float,
+                    k: int = 256) -> float:
+    """Riemann-Stieltjes integral of f against the staircase over [a, b].
+
+    ``f`` takes the (m, n) block of tag points and returns m values, or
+    one scalar for a constant; any other shape raises EvaluationError.
+    """
+    return rs_integral(lambda pts, j: f(pts), table, a, b, k)

@@ -79,7 +79,9 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _resolve_curve(cfg):
+def _load_curve(cfg):
+    """The configured curve. Under ``alpha = auto`` a polyline is loaded
+    with order 1; commands pass the order ``_resolve_curve`` resolves."""
     kind = cfg["curve"]
     if kind == "koch":
         return build_koch(int(cfg["level"]))
@@ -87,11 +89,7 @@ def _resolve_curve(cfg):
         return build_line(float(cfg["line_a"]), float(cfg["line_b"]))
     if str(kind).endswith(".csv"):
         alpha = cfg["alpha"]
-        if alpha == "auto":
-            curve = load_polyline_csv(kind, 1.0)
-            est = gamma_dimension(curve).value
-            return load_polyline_csv(kind, _snap_alpha(est))
-        return load_polyline_csv(kind, float(alpha))
+        return load_polyline_csv(kind, 1.0 if alpha == "auto" else float(alpha))
     raise CurveDomainError(f"unknown curve kind {kind!r} (koch, line, or *.csv)")
 
 
@@ -102,18 +100,19 @@ def _snap_alpha(estimate: float, tol: float = 0.02) -> float:
     return estimate
 
 
-def _resolve_alpha(cfg, curve) -> float:
+def _resolve_curve(cfg):
+    """The configured curve and its order alpha. ``auto`` runs the
+    dimension estimate once, except on straight curves, whose order is 1."""
+    curve = _load_curve(cfg)
     raw = cfg["alpha"]
-    if raw == "auto":
-        if curve.kind == "line":
-            return 1.0
-        if curve.kind == "koch" and curve.level == 0:
-            return 1.0
-        return _snap_alpha(gamma_dimension(curve).value)
-    alpha = float(raw)
-    if alpha <= 0.0:
-        raise CurveDomainError("alpha must be positive")
-    return alpha
+    if raw != "auto":
+        alpha = float(raw)
+        if alpha <= 0.0:
+            raise CurveDomainError("alpha must be positive")
+        return curve, alpha
+    if curve.kind == "line" or (curve.kind == "koch" and curve.level == 0):
+        return curve, 1.0
+    return curve, _snap_alpha(gamma_dimension(curve).value)
 
 
 def write_csv(out_path, meta: dict, header, rows, trailing_comments=()):
@@ -215,11 +214,20 @@ def _base_meta(cfg, curve, alpha):
     }
 
 
+def _output_grid(cfg, curve):
+    """Parameters of the output rows: ``grid`` uniform cells over the
+    curve's domain."""
+    cells = int(cfg["grid"])
+    if cells < 1:
+        raise CurveDomainError(f"grid needs at least one cell, got {cells}")
+    return np.linspace(*curve.domain, cells + 1)
+
+
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_dimension(cfg, out):
-    curve = _resolve_curve(cfg)
+    curve = _load_curve(cfg)
     tol = float(cfg["tol"])
     result = gamma_dimension(curve, tol=tol)
     meta = _base_meta(cfg, curve, cfg["alpha"])
@@ -236,8 +244,7 @@ def cmd_dimension(cfg, out):
 
 
 def cmd_staircase(cfg, out):
-    curve = _resolve_curve(cfg)
-    alpha = _resolve_alpha(cfg, curve)
+    curve, alpha = _resolve_curve(cfg)
     a, b = curve.domain
     p0 = float(cfg["p0"]) if cfg["p0"] else a
     grid = int(cfg["grid"]) if cfg["grid"] else None
@@ -250,16 +257,13 @@ def cmd_staircase(cfg, out):
 
 
 def cmd_cdf(cfg, out):
-    curve = _resolve_curve(cfg)
-    alpha = _resolve_alpha(cfg, curve)
+    curve, alpha = _resolve_curve(cfg)
     lam = float(cfg["lam"])
     if lam <= 0.0:
         raise CurveDomainError("lam must be positive")
-    grid = int(cfg["grid"])
+    t = _output_grid(cfg, curve)
     table = build_staircase(curve, alpha)
     dist = DistributionOnCurve.memoryless(table, lam)
-    a, b = curve.domain
-    t = np.linspace(a, b, grid + 1)
     j = table.value(t)
     f = dist.cdf_at_j(j)
     meta = _base_meta(cfg, curve, alpha)
@@ -271,8 +275,7 @@ def cmd_cdf(cfg, out):
 
 
 def cmd_sample(cfg, out):
-    curve = _resolve_curve(cfg)
-    alpha = _resolve_alpha(cfg, curve)
+    curve, alpha = _resolve_curve(cfg)
     table = build_staircase(curve, alpha)
     family = cfg["family"]
     if family == "uniform":
@@ -302,8 +305,7 @@ def cmd_sample(cfg, out):
 
 
 def cmd_correlation(cfg, out):
-    curve = _resolve_curve(cfg)
-    alpha = _resolve_alpha(cfg, curve)
+    curve, alpha = _resolve_curve(cfg)
     table = build_staircase(curve, alpha)
     fixture = cfg["fixture"]
     if fixture not in BUILTIN_FIXTURES:
@@ -327,16 +329,13 @@ def cmd_correlation(cfg, out):
 
 
 def _make_fixture(name, sigma2):
-    if name == "linear-amplitude":
-        return BUILTIN_FIXTURES[name](sigma2)
-    if name == "white-noise":
+    if name in ("linear-amplitude", "white-noise"):
         return BUILTIN_FIXTURES[name](sigma2)
     return BUILTIN_FIXTURES[name]()
 
 
 def cmd_msdiag(cfg, out):
-    curve = _resolve_curve(cfg)
-    alpha = _resolve_alpha(cfg, curve)
+    curve, alpha = _resolve_curve(cfg)
     fixture = cfg["fixture"]
     names = sorted(BUILTIN_FIXTURES) if fixture == "all" else [fixture]
     for name in names:
@@ -377,8 +376,7 @@ def _a2_provider(cfg):
 
 
 def cmd_sde(cfg, out):
-    curve = _resolve_curve(cfg)
-    alpha = _resolve_alpha(cfg, curve)
+    curve, alpha = _resolve_curve(cfg)
     table = build_staircase(curve, alpha)
     a2 = _a2_provider(cfg)
     ex0 = float(cfg["ex0"])
@@ -389,8 +387,7 @@ def cmd_sde(cfg, out):
     spec = MomentSpec(ex0, ex1, ex0sq, ex1sq, ex01, a2)
     order = int(cfg["order"])
     solution = solve_series(spec, order)
-    a, b = curve.domain
-    t = np.linspace(a, b, int(cfg["grid"]) + 1)
+    t = _output_grid(cfg, curve)
     j = np.asarray(table.value(t), dtype=float)
     mean = solution.mean(j)
     second = solution.second_moment(j)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .calculus import falpha_integral
+from .calculus import rs_integral
 from .errors import CurveDomainError, EstimationError
 from .staircase import StaircaseTable
 
@@ -155,56 +155,41 @@ class DistributionOnCurve:
 
     # -- moments ---------------------------------------------------------------
 
-    def _support_parameters(self):
+    def _expectation(self, g, k):
+        """E[g(X, J)]: the staircase integral of g(points, J) * pdf(J) over
+        the support, evaluated at the quadrature's own (t, J) tags."""
         lo, hi = self.support
-        return self.table.t_from_mass(lo), self.table.t_from_mass(hi)
+        ta, tb = self.table.t_from_mass(lo), self.table.t_from_mass(hi)
+        return rs_integral(lambda pts, j: g(pts, j) * self.pdf_at_j(j),
+                           self.table, ta, tb, k)
+
+    def _moments_about(self, m, center, k):
+        out = np.array([
+            self._expectation(lambda pts, j, c=c: (pts[:, c] - center[c]) ** m, k)
+            for c in range(self.table.curve.ndim)
+        ])
+        if not np.all(np.isfinite(out)):
+            raise EstimationError("moment quadrature did not converge")
+        return out
 
     def moment(self, m: int, k: int = 512) -> np.ndarray:
         """Componentwise m-th moment, integrating theta^m * pdf against
         the staircase."""
         if m < 1:
             raise CurveDomainError("moment order must be >= 1")
-        ta, tb = self._support_parameters()
-        out = np.empty(self.table.curve.ndim)
-        for c in range(len(out)):
-            def integrand(pts, _c=c):
-                pts = np.atleast_2d(pts)
-                dens = self.pdf_at_j(self.table.j_of_many(pts))
-                return pts[:, _c] ** m * dens
-            out[c] = falpha_integral(integrand, self.table, ta, tb, k)
-        if not np.all(np.isfinite(out)):
-            raise EstimationError("moment quadrature did not converge")
-        return out
+        return self._moments_about(m, np.zeros(self.table.curve.ndim), k)
 
     def mean(self, k: int = 512) -> np.ndarray:
         return self.moment(1, k)
 
     def variance(self, k: int = 512) -> np.ndarray:
         """Componentwise variance about the mean."""
-        mu = self.mean(k)
-        ta, tb = self._support_parameters()
-        out = np.empty_like(mu)
-        for c in range(len(out)):
-            def integrand(pts, _c=c):
-                pts = np.atleast_2d(pts)
-                dens = self.pdf_at_j(self.table.j_of_many(pts))
-                return (pts[:, _c] - mu[_c]) ** 2 * dens
-            out[c] = falpha_integral(integrand, self.table, ta, tb, k)
-        if not np.all(np.isfinite(out)):
-            raise EstimationError("variance quadrature did not converge")
-        return out
+        return self._moments_about(2, self.mean(k), k)
 
     def moment_of_j(self, m: int, k: int = 512) -> float:
         """m-th moment of the mass coordinate itself (scalar reading of
         the moment definition, exposed as an option)."""
-        ta, tb = self._support_parameters()
-
-        def integrand(pts):
-            pts = np.atleast_2d(pts)
-            j = self.table.j_of_many(pts)
-            return j ** m * self.pdf_at_j(j)
-
-        return falpha_integral(integrand, self.table, ta, tb, k)
+        return self._expectation(lambda pts, j: j ** m, k)
 
 
 def sampling_cdf(dist: DistributionOnCurve):

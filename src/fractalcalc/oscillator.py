@@ -24,6 +24,16 @@ from .errors import CurveDomainError
 DEFAULT_ORDER = 20
 
 
+def _fact(k: int) -> float:
+    """k! as a float. Series weights divide by one factorial at a time, so
+    no intermediate leaves the float range below order 85."""
+    if k > 170:
+        raise CurveDomainError(
+            f"truncation order too high: {k}! exceeds the float range"
+        )
+    return float(math.factorial(k))
+
+
 def beta_raw_moment(mu: float, nu: float, m: int) -> float:
     """E[B^m] for B ~ Beta(mu, nu): the product of (mu+k)/(mu+nu+k)."""
     if mu <= 0.0 or nu <= 0.0:
@@ -121,8 +131,8 @@ def mean_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarra
     for m in range(order + 1):
         am = spec.a2.moment(m)
         sign = -1.0 if m % 2 else 1.0
-        coeffs[2 * m] += spec.ex0 * sign * am / math.factorial(2 * m)
-        coeffs[2 * m + 1] += spec.ex1 * sign * am / math.factorial(2 * m + 1)
+        coeffs[2 * m] += spec.ex0 * sign * am / _fact(2 * m)
+        coeffs[2 * m + 1] += spec.ex1 * sign * am / _fact(2 * m + 1)
     return coeffs
 
 
@@ -145,14 +155,14 @@ def second_moment_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> 
     coeffs = np.zeros(4 * order + 3)
     for m in range(order + 1):
         a2m = spec.a2.moment(2 * m)
-        coeffs[4 * m] += spec.ex0_sq * a2m / math.factorial(2 * m) ** 2
-        coeffs[4 * m + 2] += spec.ex1_sq * a2m / math.factorial(2 * m + 1) ** 2
+        coeffs[4 * m] += spec.ex0_sq * a2m / _fact(2 * m) / _fact(2 * m)
+        coeffs[4 * m + 2] += spec.ex1_sq * a2m / _fact(2 * m + 1) / _fact(2 * m + 1)
     for n_idx in range(order + 1):
         for m in range(order + 1):
             sign = -1.0 if (n_idx + m) % 2 else 1.0
             coeffs[2 * (n_idx + m) + 1] += (
                 2.0 * spec.ex01 * sign * spec.a2.moment(n_idx + m)
-                / (math.factorial(2 * n_idx) * math.factorial(2 * m + 1))
+                / _fact(2 * n_idx) / _fact(2 * m + 1)
             )
     return coeffs
 
@@ -173,16 +183,13 @@ def squared_series_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) ->
             sign = -1.0 if (n_idx + m) % 2 else 1.0
             anm = spec.a2.moment(n_idx + m)
             coeffs[2 * (n_idx + m)] += (
-                spec.ex0_sq * sign * anm
-                / (math.factorial(2 * n_idx) * math.factorial(2 * m))
+                spec.ex0_sq * sign * anm / _fact(2 * n_idx) / _fact(2 * m)
             )
             coeffs[2 * (n_idx + m) + 2] += (
-                spec.ex1_sq * sign * anm
-                / (math.factorial(2 * n_idx + 1) * math.factorial(2 * m + 1))
+                spec.ex1_sq * sign * anm / _fact(2 * n_idx + 1) / _fact(2 * m + 1)
             )
             coeffs[2 * (n_idx + m) + 1] += (
-                2.0 * spec.ex01 * sign * anm
-                / (math.factorial(2 * n_idx) * math.factorial(2 * m + 1))
+                2.0 * spec.ex01 * sign * anm / _fact(2 * n_idx) / _fact(2 * m + 1)
             )
     return coeffs
 

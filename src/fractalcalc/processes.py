@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
+from .calculus import midpoint_tags
 from .errors import (
     CurveDomainError,
     ExistenceError,
@@ -168,7 +169,7 @@ def correlation_mc(proc: FractalProcess, j1: float, j2: float, n: int,
     paths = proc.draw_paths(_rng.stream(seed), np.array([j1, j2], dtype=float), n)
     prod = paths[:, 0] * paths[:, 1]
     r = float(prod.mean())
-    stderr = float(prod.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    stderr = float(prod.std(ddof=1) / math.sqrt(n))
     return CorrelationEstimate(r, stderr, n)
 
 
@@ -184,6 +185,10 @@ def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
                               seed: int = 0) -> CorrelationGrid:
     """Estimate R on a grid of index pairs from shared realizations."""
     j = np.asarray(j_values, dtype=float)
+    if len(j) < 1:
+        raise CurveDomainError("correlation grid needs at least one index point")
+    if n < 2:
+        raise CurveDomainError("need at least 2 realizations for a standard error")
     paths = proc.draw_paths(_rng.stream(seed), j, n)
     m = len(j)
     r = paths.T @ paths / n
@@ -191,8 +196,7 @@ def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
     for i in range(m):
         for l in range(i, m):
             prod = paths[:, i] * paths[:, l]
-            se = float(prod.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-            stderr[i, l] = stderr[l, i] = se
+            stderr[i, l] = stderr[l, i] = float(prod.std(ddof=1) / math.sqrt(n))
     return CorrelationGrid(j, r, stderr, n)
 
 
@@ -332,10 +336,7 @@ class MsIntegralResult:
 
 
 def _double_rs_sum(weight, proc, u, table, a, b, k, n, seed):
-    t = np.linspace(a, b, k + 1)
-    s = np.asarray(table.value(t), dtype=float)
-    mids = np.asarray(table.value(0.5 * (t[:-1] + t[1:])), dtype=float)
-    ds = np.diff(s)
+    _, mids, ds = midpoint_tags(table, a, b, k)
     w = np.asarray(weight(mids, u), dtype=float) * ds
     if proc.correlation is not None:
         rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
@@ -383,10 +384,8 @@ def ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
         raise ExistenceError(
             f"double-integral pre-check failed: sums {pre.sums} are not Cauchy"
         )
-    t = np.linspace(a, b, k + 1)
-    s = np.asarray(table.value(t), dtype=float)
-    mids = np.asarray(table.value(0.5 * (t[:-1] + t[1:])), dtype=float)
-    coeff = np.asarray(weight(mids, u), dtype=float) * np.diff(s)
+    _, mids, ds = midpoint_tags(table, a, b, k)
+    coeff = np.asarray(weight(mids, u), dtype=float) * ds
     paths = proc.draw_paths(_rng.stream(seed, 1), mids, n)
     realizations = paths @ coeff
     y = float(realizations.mean())

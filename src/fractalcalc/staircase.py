@@ -19,7 +19,6 @@ from .errors import (
     EstimationError,
     GeometryError,
 )
-from .special import lanczos_gamma
 
 #: Classification thresholds for the resolution limit. A geometric trend
 #: in the coarse-mass ladder is extrapolated before thresholding, since a
@@ -45,7 +44,7 @@ def _sigma_points(curve, points, alpha):
     pts = curve.point(points)
     seg = np.diff(pts, axis=0)
     chords = np.sqrt((seg * seg).sum(axis=1))
-    return float((chords ** alpha).sum() / lanczos_gamma(alpha + 1.0))
+    return float((chords ** alpha).sum() / math.gamma(alpha + 1.0))
 
 
 def _lattice_points(a, b, j):
@@ -252,7 +251,6 @@ class StaircaseTable:
         self.p0 = float(p0)
         self.t = t
         self.s = s
-        self.gamma_const = lanczos_gamma(alpha + 1.0)
         ds = np.diff(s)
         flat = ds == 0.0
         self.plateau_cells = int(np.count_nonzero(flat))
@@ -391,13 +389,15 @@ def build_staircase(curve: FractalCurve, alpha: float = None, p0: float = None,
         raise CurveDomainError(f"p0 must lie in the domain [{a}, {b}]")
     if grid_size is None:
         grid_size = 4 ** max(1, min(curve.level, 6)) if curve.kind == "koch" else 1024
+    if grid_size < 1:
+        raise CurveDomainError(f"grid_size must be >= 1, got {grid_size}")
     t = _staircase_grid(curve, grid_size)
     if p0 not in t:
         t = np.sort(np.append(t, p0))
     pts = curve.point(t)
     seg = np.diff(pts, axis=0)
     chords = np.sqrt((seg * seg).sum(axis=1))
-    inc = np.maximum(chords ** alpha, 0.0) / lanczos_gamma(alpha + 1.0)
+    inc = np.maximum(chords ** alpha, 0.0) / math.gamma(alpha + 1.0)
     cum = np.concatenate(([0.0], np.cumsum(inc)))
     s = cum - cum[np.searchsorted(t, p0)]
     return StaircaseTable(curve, alpha, p0, t, s)

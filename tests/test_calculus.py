@@ -138,6 +138,11 @@ class TestIntegral:
         with pytest.raises(EvaluationError):
             falpha_integral(bad, line_table, 0, 1, k=64)
 
+    def test_wrong_shape_integrand_rejected(self, koch_table):
+        # one row per tag point is the contract; the whole block is not
+        with pytest.raises(EvaluationError):
+            falpha_integral(lambda pts: np.atleast_2d(pts), koch_table, 0, 1, k=16)
+
     def test_bad_bounds_rejected(self, line_table):
         with pytest.raises(CurveDomainError):
             falpha_integral(lambda p: 1.0, line_table, 0.7, 0.2)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fractalcalc import KOCH_DIMENSION
+from fractalcalc import KOCH_DIMENSION, build_koch
+from fractalcalc import cli
 from fractalcalc.cli import main, read_csv
 
 
@@ -200,6 +201,52 @@ class TestSdeCommand:
     def test_missing_amplitude_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "x.csv", "sde", "--curve", "line")
         assert code == 2
+
+    def test_high_order_stays_finite(self, tmp_path):
+        code, out = run(tmp_path, "sde.csv", "sde", "--curve", "line", "--mu", "2",
+                        "--nu", "1", "--order", "60", "--grid", "16", "--n", "100")
+        assert code == 0
+        _, header, rows = read_csv(out)
+        for name in ("mean", "second_moment", "variance"):
+            assert np.all(np.isfinite(column(header, rows, name)))
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("args", [
+        ["staircase", "--grid", "0"],
+        ["cdf", "--grid", "0"],
+        ["sde", "--curve", "line", "--a2", "1", "--grid", "0"],
+        ["correlation", "--curve", "line", "--points", "0"],
+        ["correlation", "--curve", "line", "--n", "1"],
+        ["sde", "--curve", "line", "--a2", "1", "--order", "85"],
+    ], ids=["staircase-grid-0", "cdf-grid-0", "sde-grid-0", "correlation-points-0",
+            "correlation-n-1", "sde-order-85"])
+    def test_exits_2_with_message(self, tmp_path, capsys, args):
+        code, out = run(tmp_path, "d.csv", *args)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestCurveResolution:
+    @pytest.mark.parametrize("command", ["dimension", "staircase", "cdf"])
+    def test_auto_alpha_estimates_dimension_once(self, tmp_path, monkeypatch, command):
+        koch = build_koch(3)
+        path = tmp_path / "koch3.csv"
+        path.write_text("t,x,y\n" + "".join(
+            f"{t!r},{x!r},{y!r}\n"
+            for t, (x, y) in zip(koch.knots.tolist(), koch.vertices.tolist())))
+        calls = []
+        real = cli.gamma_dimension
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "gamma_dimension", counting)
+        code, _ = run(tmp_path, "o.csv", command, "--curve", str(path), "--alpha", "auto")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestConfigAndDeterminism:

@@ -16,7 +16,6 @@ from fractalcalc import (
     sampling_cdf,
 )
 from fractalcalc.errors import CurveDomainError
-from fractalcalc.special import lanczos_gamma
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +44,7 @@ class TestUniform:
             [dist.pdf(koch_table.curve.point(t)) for t in rng.uniform(0.02, 0.98, 100)]
         )
         assert np.ptp(vals) / vals.mean() < 1e-12
-        assert vals[0] == pytest.approx(lanczos_gamma(KOCH_DIMENSION + 1.0), rel=1e-9)
+        assert vals[0] == pytest.approx(math.gamma(KOCH_DIMENSION + 1.0), rel=1e-9)
 
     def test_cdf_reaches_one_at_curve_end(self, koch_table):
         dist = DistributionOnCurve.uniform(koch_table)
@@ -220,3 +219,25 @@ class TestMoments:
     def test_moment_of_j_option(self, unit_line_table):
         dist = DistributionOnCurve.uniform(unit_line_table)
         assert dist.moment_of_j(1) == pytest.approx(0.5, abs=1e-9)
+
+
+class TestRetrace:
+    """A polyline that runs out along the x axis and back to its start:
+    every point of the curve sits at two mass coordinates, so moments
+    must be taken at the quadrature's (t, J) tags, not recovered from
+    points."""
+
+    @pytest.fixture(scope="class")
+    def retrace_table(self):
+        curve = build_polyline([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], 1.0)
+        return build_staircase(curve)
+
+    def test_uniform_mass_moment(self, retrace_table):
+        dist = DistributionOnCurve.uniform(retrace_table)
+        assert dist.moment_of_j(1) == pytest.approx(1.0, abs=1e-6)
+
+    def test_memoryless_mean(self, retrace_table):
+        # x = J out to J = 1 and 2 - J on the way back, against exp(-J)
+        dist = DistributionOnCurve.memoryless(retrace_table, 1.0)
+        expected = 1.0 - 2.0 / math.e + math.exp(-2.0)
+        assert dist.mean()[0] == pytest.approx(expected, abs=1e-6)

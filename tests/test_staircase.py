@@ -15,10 +15,9 @@ from fractalcalc import (
     sigma_alpha,
 )
 from fractalcalc.errors import CurveDomainError, EstimationError, GeometryError
-from fractalcalc.special import lanczos_gamma
 from fractalcalc import staircase as sc
 
-GAMMA_DIM = lanczos_gamma(KOCH_DIMENSION + 1.0)
+GAMMA_DIM = math.gamma(KOCH_DIMENSION + 1.0)
 
 
 def test_koch_dimension_identity():
