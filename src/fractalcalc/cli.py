@@ -158,34 +158,68 @@ def _is_number(text):
         return False
 
 
-# -- command configuration -------------------------------------------------
+# -- options -----------------------------------------------------------------
+# Each option is declared once, as key: (flag type, default, help). The key
+# is the config-file key and, with "-" for "_", the flag; the default is the
+# string a config file would give, and an empty one means unset.
 
-_GLOBAL_DEFAULTS = {
-    "curve": "koch",
-    "level": "6",
-    "alpha": "auto",
-    "seed": "0",
-    "line_a": "0",
-    "line_b": "1",
+_SHARED_OPTIONS = {
+    "curve": (str, "koch", "koch | line | <polyline.csv>"),
+    "level": (int, "6", "koch recursion level"),
+    "alpha": (str, "auto", "auto or a positive real"),
+    "seed": (int, "0", "stream seed"),
+    "line_a": (float, "0", "line domain start"),
+    "line_b": (float, "1", "line domain end"),
 }
 
-_COMMAND_DEFAULTS = {
-    "dimension": {"tol": "0.01"},
-    "staircase": {"p0": "", "grid": ""},
-    "cdf": {"lam": "1.0", "grid": "256"},
-    "sample": {"family": "memoryless", "lam": "1.0", "count": "1000"},
-    "correlation": {"fixture": "linear-amplitude", "sigma2": "1.0",
-                    "points": "5", "n": "4000"},
-    "msdiag": {"fixture": "all", "sigma2": "1.0", "tau": "0.0", "n": "10000"},
-    "sde": {"mu": "", "nu": "", "a2": "", "ex0": "1", "ex1": "0",
-            "ex0sq": "", "ex1sq": "", "ex01": "", "order": "20",
-            "grid": "64", "n": "10000"},
+_COMMAND_OPTIONS = {
+    "dimension": ("dimension estimate with mass ladders", {
+        "tol": (float, "0.01", "bisection tolerance"),
+    }),
+    "staircase": ("cumulative mass table t,S", {
+        "p0": (float, "", "staircase origin; unset: the domain start"),
+        "grid": (int, "", "grid cell count; unset: build_staircase's default"),
+    }),
+    "cdf": ("memoryless cdf curve t,J,F_X", {
+        "lam": (float, "1.0", "rate of the exponential law"),
+        "grid": (int, "256", "grid cell count"),
+    }),
+    "sample": ("draw points on the curve", {
+        "family": (str, "memoryless", "uniform | memoryless"),
+        "lam": (float, "1.0", "memoryless rate"),
+        "count": (int, "1000", "number of draws"),
+    }),
+    "correlation": ("correlation grid J1,J2,R,stderr", {
+        "fixture": (str, "linear-amplitude", "process fixture name"),
+        "sigma2": (float, "1.0", "fixture variance parameter"),
+        "points": (int, "5", "grid points per axis"),
+        "n": (int, "4000", "realizations"),
+    }),
+    "msdiag": ("mean-square diagnostics verdict table", {
+        "fixture": (str, "all", "fixture name or 'all'"),
+        "sigma2": (float, "1.0", "fixture variance parameter"),
+        "tau": (float, "0.0", "index point in mass coordinate"),
+        "n": (int, "10000", "realizations"),
+    }),
+    "sde": ("oscillator series and ensemble moments", {
+        "mu": (float, "", "Beta mu for A^2; give mu and nu, or a2"),
+        "nu": (float, "", "Beta nu for A^2"),
+        "a2": (float, "", "deterministic A^2"),
+        "ex0": (float, "1", "E[X0]"),
+        "ex1": (float, "0", "E[X1]"),
+        "ex0sq": (float, "", "E[X0^2]; unset: E[X0]^2"),
+        "ex1sq": (float, "", "E[X1^2]; unset: E[X1]^2"),
+        "ex01": (float, "", "E[X0 X1]; unset: E[X0] E[X1]"),
+        "order": (int, "20", "truncation order N"),
+        "grid": (int, "64", "grid cell count"),
+        "n": (int, "10000", "Monte Carlo realizations"),
+    }),
 }
 
 
 def _effective_config(args) -> dict:
-    cfg = dict(_GLOBAL_DEFAULTS)
-    cfg.update(_COMMAND_DEFAULTS[args.command])
+    options = {**_SHARED_OPTIONS, **_COMMAND_OPTIONS[args.command][1]}
+    cfg = {key: default for key, (_, default, _) in options.items()}
     if args.config:
         file_cfg = load_config_file(args.config)
         unknown = set(file_cfg) - set(cfg)
@@ -195,7 +229,7 @@ def _effective_config(args) -> dict:
             )
         cfg.update(file_cfg)
     for key in cfg:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = str(flag)
     cfg["command"] = args.command
@@ -259,8 +293,6 @@ def cmd_staircase(cfg, out):
 def cmd_cdf(cfg, out):
     curve, alpha = _resolve_curve(cfg)
     lam = float(cfg["lam"])
-    if lam <= 0.0:
-        raise CurveDomainError("lam must be positive")
     t = _output_grid(cfg, curve)
     table = build_staircase(curve, alpha)
     dist = DistributionOnCurve.memoryless(table, lam)
@@ -307,17 +339,12 @@ def cmd_sample(cfg, out):
 def cmd_correlation(cfg, out):
     curve, alpha = _resolve_curve(cfg)
     table = build_staircase(curve, alpha)
-    fixture = cfg["fixture"]
-    if fixture not in BUILTIN_FIXTURES:
-        raise CurveDomainError(
-            f"unknown fixture {fixture!r}; pick from {sorted(BUILTIN_FIXTURES)}"
-        )
-    proc = _make_fixture(fixture, float(cfg["sigma2"]))
+    proc = _make_fixture(cfg["fixture"], cfg)
     lo, hi = table.mass_bounds
     j_values = np.linspace(max(lo, 0.0), hi, int(cfg["points"]))
     grid = estimate_correlation_grid(proc, j_values, int(cfg["n"]), int(cfg["seed"]))
     meta = _base_meta(cfg, curve, alpha)
-    meta["fixture"] = fixture
+    meta["fixture"] = cfg["fixture"]
     meta["n"] = grid.n
     rows = (
         (grid.j_values[i], grid.j_values[l], grid.r[i, l], grid.stderr[i, l])
@@ -328,7 +355,13 @@ def cmd_correlation(cfg, out):
     return 0
 
 
-def _make_fixture(name, sigma2):
+def _make_fixture(name, cfg):
+    """The named builtin process, with the configured sigma2 if it takes one."""
+    if name not in BUILTIN_FIXTURES:
+        raise CurveDomainError(
+            f"unknown fixture {name!r}; pick from {sorted(BUILTIN_FIXTURES)}"
+        )
+    sigma2 = float(cfg["sigma2"])
     if name in ("linear-amplitude", "white-noise"):
         return BUILTIN_FIXTURES[name](sigma2)
     return BUILTIN_FIXTURES[name]()
@@ -336,20 +369,13 @@ def _make_fixture(name, sigma2):
 
 def cmd_msdiag(cfg, out):
     curve, alpha = _resolve_curve(cfg)
-    fixture = cfg["fixture"]
-    names = sorted(BUILTIN_FIXTURES) if fixture == "all" else [fixture]
-    for name in names:
-        if name not in BUILTIN_FIXTURES:
-            raise CurveDomainError(
-                f"unknown fixture {name!r}; pick from {sorted(BUILTIN_FIXTURES)}"
-            )
+    names = sorted(BUILTIN_FIXTURES) if cfg["fixture"] == "all" else [cfg["fixture"]]
+    procs = [_make_fixture(name, cfg) for name in names]
     tau = float(cfg["tau"])
     n = int(cfg["n"])
     seed = int(cfg["seed"])
-    sigma2 = float(cfg["sigma2"])
     rows = []
-    for name in names:
-        proc = _make_fixture(name, sigma2)
+    for name, proc in zip(names, procs):
         check = ms_derivative_check(proc, tau, n=n, seed=seed)
         cont = check.continuity
         value = check.value if check.differentiable else math.nan
@@ -428,66 +454,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (summary, own) in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--seed", type=int, help="stream seed (default 0)")
         p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--curve", help="koch | line | <polyline.csv>")
-        p.add_argument("--level", type=int, help="koch recursion level")
-        p.add_argument("--alpha", help="auto or a positive real")
-        p.add_argument("--line-a", dest="line_a", type=float,
-                       help="line domain start")
-        p.add_argument("--line-b", dest="line_b", type=float,
-                       help="line domain end")
-
-    p = sub.add_parser("dimension", help="dimension estimate with mass ladders")
-    add_common(p)
-    p.add_argument("--tol", type=float, help="bisection tolerance")
-
-    p = sub.add_parser("staircase", help="cumulative mass table t,S")
-    add_common(p)
-    p.add_argument("--p0", type=float, help="staircase origin (default domain start)")
-    p.add_argument("--grid", type=int, help="grid cell count")
-
-    p = sub.add_parser("cdf", help="memoryless cdf curve t,J,F_X")
-    add_common(p)
-    p.add_argument("--lam", type=float, help="rate of the exponential law")
-    p.add_argument("--grid", type=int, help="grid cell count")
-
-    p = sub.add_parser("sample", help="draw points on the curve")
-    add_common(p)
-    p.add_argument("--family", choices=["uniform", "memoryless"])
-    p.add_argument("--lam", type=float, help="memoryless rate")
-    p.add_argument("--count", type=int, help="number of draws")
-
-    p = sub.add_parser("correlation", help="correlation grid J1,J2,R,stderr")
-    add_common(p)
-    p.add_argument("--fixture", help="process fixture name")
-    p.add_argument("--sigma2", type=float, help="fixture variance parameter")
-    p.add_argument("--points", type=int, help="grid points per axis")
-    p.add_argument("--n", type=int, help="realizations")
-
-    p = sub.add_parser("msdiag", help="mean-square diagnostics verdict table")
-    add_common(p)
-    p.add_argument("--fixture", help="fixture name or 'all'")
-    p.add_argument("--sigma2", type=float, help="fixture variance parameter")
-    p.add_argument("--tau", type=float, help="index point in mass coordinate")
-    p.add_argument("--n", type=int, help="realizations")
-
-    p = sub.add_parser("sde", help="oscillator series and ensemble moments")
-    add_common(p)
-    p.add_argument("--mu", type=float, help="Beta mu for A^2")
-    p.add_argument("--nu", type=float, help="Beta nu for A^2")
-    p.add_argument("--a2", type=float, help="deterministic A^2")
-    p.add_argument("--ex0", type=float, help="E[X0]")
-    p.add_argument("--ex1", type=float, help="E[X1]")
-    p.add_argument("--ex0sq", type=float, help="E[X0^2]")
-    p.add_argument("--ex1sq", type=float, help="E[X1^2]")
-    p.add_argument("--ex01", type=float, help="E[X0 X1]")
-    p.add_argument("--order", type=int, help="truncation order N")
-    p.add_argument("--grid", type=int, help="grid cell count")
-    p.add_argument("--n", type=int, help="Monte Carlo realizations")
+        for key, (kind, default, text) in {**_SHARED_OPTIONS, **own}.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                           help=f"{text} (default {default})" if default else text)
     return parser
 
 

@@ -190,13 +190,11 @@ def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
     if n < 2:
         raise CurveDomainError("need at least 2 realizations for a standard error")
     paths = proc.draw_paths(_rng.stream(seed), j, n)
-    m = len(j)
     r = paths.T @ paths / n
-    stderr = np.empty((m, m))
-    for i in range(m):
-        for l in range(i, m):
-            prod = paths[:, i] * paths[:, l]
-            stderr[i, l] = stderr[l, i] = float(prod.std(ddof=1) / math.sqrt(n))
+    pt = np.ascontiguousarray(paths.T)
+    stderr = np.empty_like(r)
+    for i in range(len(j)):
+        stderr[i, i:] = stderr[i:, i] = (pt[i] * pt[i:]).std(axis=1, ddof=1) / math.sqrt(n)
     return CorrelationGrid(j, r, stderr, n)
 
 
@@ -379,6 +377,8 @@ def ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
     """
     if not a < b:
         raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
+    if n < 2:
+        raise CurveDomainError("need at least 2 realizations for a standard error")
     pre = ms_integral_precheck(proc, weight, table, a, b, u, precheck_k, n, seed)
     if not pre.exists:
         raise ExistenceError(
@@ -389,7 +389,7 @@ def ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
     paths = proc.draw_paths(_rng.stream(seed, 1), mids, n)
     realizations = paths @ coeff
     y = float(realizations.mean())
-    stderr = float(realizations.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    stderr = float(realizations.std(ddof=1) / math.sqrt(n))
     return MsIntegralResult(y, stderr, realizations, pre)
 
 
@@ -439,6 +439,8 @@ def product_limit_check(pair_sampler, target: float, index_ladder, n: int,
     m. Returns (ok, estimates, stderrs): ok means the final estimate sits
     within ``sigmas`` standard errors of the target.
     """
+    if n < 2:
+        raise CurveDomainError("need at least 2 realizations for a standard error")
     estimates, stderrs = [], []
     for i, m in enumerate(index_ladder):
         gen = _rng.stream(seed, i)

@@ -105,6 +105,18 @@ class TestSampleCommand:
         assert len(rows) == 50
         assert header[:2] == ["t", "J"]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_family_exits_2_with_message(self, tmp_path, capsys, source):
+        args = ["--family", "bogus"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("family = bogus\n")
+            args = ["--config", str(cfg)]
+        code, out = run(tmp_path, "s.csv", "sample", "--level", "2", *args)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: unknown family")
+
     def test_memoryless_reports_truncation(self, tmp_path):
         code, out = run(tmp_path, "s.csv", "sample", "--family", "memoryless",
                         "--level", "4", "--count", "10")
@@ -294,3 +306,45 @@ class TestConfigAndDeterminism:
         assert main(["cdf", "--level", "2", "--grid", "4"]) == 0
         captured = capsys.readouterr()
         assert "t,J,F_X" in captured.out
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_flags_are_the_config_keys(self, command):
+        args = cli.build_parser().parse_args([command])
+        flags = set(vars(args)) - {"config", "out", "command"}
+        assert flags == set(cli._effective_config(args)) - {"command"}
+
+    @pytest.mark.parametrize("command, digest", [
+        ("dimension", "90be0c3479bd9556"),
+        ("staircase", "267a59b660159f0b"),
+        ("cdf", "3b19ee8e363c0676"),
+        ("sample", "e8307b30fa73892c"),
+        ("correlation", "423dda26096c85da"),
+        ("msdiag", "e664626e40fcd103"),
+        ("sde", "7f3e4cc5692a08db"),
+    ])
+    def test_default_config_hash(self, command, digest):
+        args = cli.build_parser().parse_args([command])
+        assert cli._config_hash(cli._effective_config(args)) == digest
+
+    @pytest.mark.parametrize("args, digest", [
+        (["cdf", "--level", "2", "--grid", "4"], "21456e0555c878cf"),
+        (["sde", "--curve", "line", "--a2", "4", "--grid", "4", "--n", "100"],
+         "0f46ace090809089"),
+        (["msdiag", "--fixture", "cosine-phase", "--n", "2000"], "68026202d62881f6"),
+    ], ids=["cdf", "sde", "msdiag"])
+    def test_config_hash_of_a_run(self, tmp_path, args, digest):
+        code, out = run(tmp_path, "o.csv", *args)
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        assert meta["config_sha256"] == digest
+
+    def test_help_lists_each_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sde", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for fragment in ("--line-b LINE_B line domain end (default 1)",
+                         "--order ORDER truncation order N (default 20)",
+                         "--ex0sq EX0SQ E[X0^2]; unset: E[X0]^2"):
+            assert fragment in text

@@ -52,6 +52,35 @@ def amplitude_only(sigma2=1.0):
     return FractalProcess("amplitude-only", draw, corr)
 
 
+class TestCorrelationOrEstimate:
+    # cos(j1 + phi) cos(j2 + phi) = cos(j1 - j2) / 2 + cos(j1 + j2 + 2 phi) / 2,
+    # so each product has variance 1/8 whatever the pair.
+    N = 20000
+
+    def estimated(self):
+        proc = FractalProcess("cosine-estimated", cosine_phase().draw_paths)
+        return proc.correlation_or_estimate(n=self.N, seed=4)
+
+    def test_scalar_in_float_out_and_arrays_broadcast(self):
+        corr = self.estimated()
+        value = corr(0.2, 0.5)
+        assert type(value) is float
+        grid = corr(np.array([0.2, 0.7, 1.5])[:, None], np.array([0.5, 0.0])[None, :])
+        assert grid.shape == (3, 2)
+        assert grid[0, 0] == value  # same stream for the first pair
+
+    def test_estimates_within_band_of_analytic(self):
+        corr = self.estimated()
+        pairs = [(0.0, 0.0), (0.2, 0.5), (1.0, 0.0), (0.3, 2.5), (3.0, 1.0)]
+        j1, j2 = np.array(pairs).T
+        band = 4.89 * math.sqrt(0.125 / self.N)
+        np.testing.assert_array_less(np.abs(corr(j1, j2) - 0.5 * np.cos(j1 - j2)), band)
+
+    def test_analytic_correlation_returned_as_is(self):
+        proc = cosine_phase()
+        assert proc.correlation_or_estimate() is proc.correlation
+
+
 class TestSecondOrder:
     def test_builtin_fixtures_are_second_order(self):
         from fractalcalc.processes import second_order_check
@@ -335,3 +364,17 @@ class TestProductLimits:
         ok, _, _ = product_limit_check(pair, 2.0, [1, 4, 16, 64, 256],
                                        40000, seed=10)
         assert ok
+
+
+@pytest.mark.parametrize("call", [
+    lambda table: ms_integral(linear_amplitude(1.0), lambda j, u: np.ones_like(j),
+                              table, 0.0, 1.0, n=1),
+    lambda table: improper_ms_integral(linear_amplitude(1.0),
+                                       lambda j, u: np.ones_like(j), table,
+                                       0.0, [0.5, 1.0], n=1),
+    lambda table: product_limit_check(lambda gen, count, m: (gen.normal(size=count),) * 2,
+                                      1.0, [1, 4], 1),
+], ids=["ms_integral", "improper_ms_integral", "product_limit_check"])
+def test_one_realization_has_no_standard_error(unit_table, call):
+    with pytest.raises(CurveDomainError, match="at least 2 realizations"):
+        call(unit_table)
