@@ -22,13 +22,8 @@ from .curves import KOCH_DIMENSION, build_koch, build_line, load_polyline_csv
 from .distributions import DistributionOnCurve
 from .errors import (
     CurveDomainError,
-    EstimationError,
-    EvaluationError,
-    ExistenceError,
     FractalCalcError,
     GeometryError,
-    InvariantViolationError,
-    ResolutionError,
     ResourceError,
 )
 from .oscillator import (
@@ -48,8 +43,6 @@ from .staircase import build_staircase, gamma_dimension
 
 _USAGE_ERRORS = (CurveDomainError, ResourceError, GeometryError, ValueError,
                  KeyError, OSError)
-_NUMERIC_ERRORS = (EstimationError, ExistenceError, EvaluationError,
-                   ResolutionError, InvariantViolationError)
 
 
 def _fmt(value) -> str:
@@ -115,11 +108,17 @@ def _resolve_curve(cfg):
     return curve, _snap_alpha(gamma_dimension(curve).value)
 
 
-def write_csv(out_path, meta: dict, header, rows, trailing_comments=()):
+def write_csv(out_path, meta: dict, columns: dict, trailing_comments=()):
+    """Write ``meta`` as comment lines, then ``columns`` (header name: 1-D
+    values, all of one length) as rows; returns the text written."""
+    cells = []
+    for col in map(np.asarray, columns.values()):
+        float_col = col.dtype.kind == "f"
+        cells.append([format(v, ".17g") if float_col else _fmt(v)
+                      for v in col.tolist()])
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.append(",".join(columns))
+    lines.extend(map(",".join, zip(*cells, strict=True)))
     lines.extend(f"# {c}" for c in trailing_comments)
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -232,6 +231,10 @@ def _effective_config(args) -> dict:
         flag = getattr(args, key)
         if flag is not None:
             cfg[key] = str(flag)
+    for key, (kind, _, _) in options.items():
+        if (kind is float or key == "alpha") and cfg[key] not in ("", "auto") \
+                and not math.isfinite(float(cfg[key])):
+            raise CurveDomainError(f"{key} must be a finite number, got {cfg[key]}")
     cfg["command"] = args.command
     return cfg
 
@@ -266,12 +269,11 @@ def cmd_dimension(cfg, out):
     result = gamma_dimension(curve, tol=tol)
     meta = _base_meta(cfg, curve, cfg["alpha"])
     meta["tol"] = tol
-    rows = []
-    for alpha, est in result.trace:
-        for delta, mass in zip(est.deltas, est.masses):
-            rows.append((alpha, delta, mass))
-    write_csv(out, meta, ["alpha", "delta", "mass"], rows,
-              trailing_comments=[f"dimension={_fmt(result.value)}"])
+    write_csv(out, meta, {
+        "alpha": [alpha for alpha, est in result.trace for _ in est.masses],
+        "delta": [d for _, est in result.trace for d in est.deltas],
+        "mass": [m for _, est in result.trace for m in est.masses],
+    }, trailing_comments=[f"dimension={_fmt(result.value)}"])
     if out:
         print(f"dimension={_fmt(result.value)}")
     return 0
@@ -285,8 +287,7 @@ def cmd_staircase(cfg, out):
     table = build_staircase(curve, alpha, p0, grid)
     meta = _base_meta(cfg, curve, alpha)
     meta["p0"] = p0
-    rows = list(zip(table.t, table.s))
-    write_csv(out, meta, ["t", "S"], rows)
+    write_csv(out, meta, {"t": table.t, "S": table.s})
     return 0
 
 
@@ -302,7 +303,7 @@ def cmd_cdf(cfg, out):
     meta["lam"] = lam
     meta["j_range"] = f"[{_fmt(float(j[0]))},{_fmt(float(j[-1]))}]"
     meta["f_max"] = float(f[-1])
-    write_csv(out, meta, ["t", "J", "F_X"], zip(t, j, f))
+    write_csv(out, meta, {"t": t, "J": j, "F_X": f})
     return 0
 
 
@@ -328,11 +329,8 @@ def cmd_sample(cfg, out):
     meta["plateau_hits"] = sample.plateau_hits
     coords = [f"x{i}" for i in range(curve.ndim)] if curve.ndim > 2 else \
         ["x", "y"][: curve.ndim]
-    rows = (
-        (t, jv, *pt)
-        for t, jv, pt in zip(sample.t, sample.j, sample.points)
-    )
-    write_csv(out, meta, ["t", "J", *coords], rows)
+    write_csv(out, meta, {"t": sample.t, "J": sample.j,
+                          **dict(zip(coords, sample.points.T))})
     return 0
 
 
@@ -346,12 +344,10 @@ def cmd_correlation(cfg, out):
     meta = _base_meta(cfg, curve, alpha)
     meta["fixture"] = cfg["fixture"]
     meta["n"] = grid.n
-    rows = (
-        (grid.j_values[i], grid.j_values[l], grid.r[i, l], grid.stderr[i, l])
-        for i in range(len(j_values))
-        for l in range(len(j_values))
-    )
-    write_csv(out, meta, ["J1", "J2", "R", "stderr"], rows)
+    m = len(grid.j_values)
+    write_csv(out, meta, {"J1": np.repeat(grid.j_values, m),
+                          "J2": np.tile(grid.j_values, m),
+                          "R": grid.r.ravel(), "stderr": grid.stderr.ravel()})
     return 0
 
 
@@ -374,18 +370,17 @@ def cmd_msdiag(cfg, out):
     tau = float(cfg["tau"])
     n = int(cfg["n"])
     seed = int(cfg["seed"])
-    rows = []
-    for name, proc in zip(names, procs):
-        check = ms_derivative_check(proc, tau, n=n, seed=seed)
-        cont = check.continuity
-        value = check.value if check.differentiable else math.nan
-        rows.append((name, cont.continuous, check.differentiable, value))
+    checks = [ms_derivative_check(proc, tau, n=n, seed=seed) for proc in procs]
     meta = _base_meta(cfg, curve, alpha)
     meta["tau"] = tau
     meta["n"] = n
-    write_csv(out, meta,
-              ["fixture", "continuous", "differentiable", "second_derivative"],
-              rows)
+    write_csv(out, meta, {
+        "fixture": names,
+        "continuous": [c.continuity.continuous for c in checks],
+        "differentiable": [c.differentiable for c in checks],
+        "second_derivative": [c.value if c.differentiable else math.nan
+                              for c in checks],
+    })
     return 0
 
 
@@ -428,11 +423,9 @@ def cmd_sde(cfg, out):
         "ex0": ex0, "ex1": ex1, "ex0sq": ex0sq, "ex1sq": ex1sq, "ex01": ex01,
         "order": order, "n": mc.n,
     })
-    rows = zip(t, j, mean, second, var, mc.mean, mc.mean_stderr)
-    write_csv(out, meta,
-              ["t", "J", "mean", "second_moment", "variance", "mc_mean",
-               "mc_stderr"],
-              rows)
+    write_csv(out, meta, {"t": t, "J": j, "mean": mean, "second_moment": second,
+                          "variance": var, "mc_mean": mc.mean,
+                          "mc_stderr": mc.mean_stderr})
     return 0
 
 
@@ -470,15 +463,9 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         return _COMMANDS[args.command](cfg, args.out)
-    except _NUMERIC_ERRORS as exc:
+    except (FractalCalcError, *_USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FractalCalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 3
 
 
 if __name__ == "__main__":

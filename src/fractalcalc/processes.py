@@ -46,14 +46,15 @@ class FractalProcess:
             return self.correlation
 
         def estimated(j1, j2, _self=self):
-            j1a = np.atleast_1d(np.asarray(j1, dtype=float))
-            j2a = np.atleast_1d(np.asarray(j2, dtype=float))
-            out = np.empty(np.broadcast(j1a, j2a).shape)
-            b1, b2 = np.broadcast_arrays(j1a, j2a)
-            for i, (x, y) in enumerate(zip(b1.ravel(), b2.ravel())):
-                paths = _self.draw_paths(_rng.stream(seed, i), np.array([x, y]), n)
-                out.ravel()[i] = float((paths[:, 0] * paths[:, 1]).mean())
-            return out if np.ndim(j1) or np.ndim(j2) else float(out.ravel()[0])
+            b1, b2 = np.broadcast_arrays(np.asarray(j1, dtype=float),
+                                         np.asarray(j2, dtype=float))
+            # one draw over the distinct indices, so equal indices share a column
+            uniq, inv = np.unique(np.concatenate([b1.ravel(), b2.ravel()]),
+                                  return_inverse=True)
+            pt = np.ascontiguousarray(
+                _self.draw_paths(_rng.stream(seed, 0), uniq, n).T)
+            out = (pt[inv[:b1.size]] * pt[inv[b1.size:]]).mean(axis=1)
+            return out.reshape(b1.shape) if b1.ndim else float(out[0])
 
         return estimated
 

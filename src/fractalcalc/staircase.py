@@ -195,7 +195,7 @@ def gamma_dimension(curve: FractalCurve, a: float = None, b: float = None,
     above; a finite positive limit means alpha sits at the dimension and
     ends the search early.
     """
-    if tol < 1e-4:
+    if not tol >= 1e-4:
         raise CurveDomainError("tol below 1e-4 exceeds the estimator resolution")
     a1, b1 = curve.domain
     a = a1 if a is None else a

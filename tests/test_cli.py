@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -238,6 +239,50 @@ class TestDegenerateInputs:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("args", [
+        ["dimension", "--level", "3", "--tol", "nan"],
+        ["msdiag", "--curve", "line", "--tau", "nan"],
+        ["staircase", "--alpha", "nan"],
+        ["staircase", "--alpha", "inf"],
+        ["cdf", "--lam", "nan"],
+        ["sample", "--lam", "nan"],
+        ["correlation", "--sigma2", "nan"],
+        ["sde", "--a2", "nan"],
+    ], ids=lambda args: "-".join(args).replace("--", ""))
+    def test_exits_2_with_message(self, tmp_path, capsys, args):
+        code, out = run(tmp_path, "n.csv", *args)
+        assert code == 2
+        assert not out.exists()
+        assert "must be a finite number" in capsys.readouterr().err
+
+    def test_config_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("curve = line\nlam = inf\n")
+        code, out = run(tmp_path, "n.csv", "cdf", "--config", str(cfg))
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: lam must be a finite number, got inf\n"
+
+
+class TestCsvBytes:
+    # sha256 prefixes of the stdout CSVs; any change to a printed byte moves them
+    @pytest.mark.parametrize("args, digest", [
+        ("dimension --level 4", "d9fbf82b772dd2f6"),
+        ("staircase --curve line --line-b 2 --p0 0.5 --grid 10", "dcdaaca34d5ec961"),
+        ("cdf --level 3 --grid 16 --lam 1.3", "283aed1d1738b6a6"),
+        ("sample --level 3 --count 200 --seed 9", "3356c5e0cbf7c9ac"),
+        ("correlation --curve line --points 6 --n 500 --fixture brownian-like --seed 3",
+         "3e1f1999b493b51d"),
+        ("msdiag --curve line --n 2000", "8e9069ab2cca0086"),
+        ("sde --curve line --a2 4 --grid 8 --n 200", "275733c1a301688c"),
+    ], ids=lambda v: v.split()[0] if " " in v else None)
+    def test_digest(self, capsys, args, digest):
+        assert main(args.split()) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestCurveResolution:

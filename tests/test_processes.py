@@ -80,6 +80,20 @@ class TestCorrelationOrEstimate:
         proc = cosine_phase()
         assert proc.correlation_or_estimate() is proc.correlation
 
+    def test_white_noise_estimate_shares_draws_at_equal_indices(self):
+        # Z^2 has variance 2; distinct indices draw independent columns
+        proc = FractalProcess("wn-estimated", white_noise().draw_paths)
+        corr = proc.correlation_or_estimate(n=self.N, seed=4)
+        band = 4.89 * math.sqrt(2.0 / self.N)
+        assert abs(corr(0.3, 0.3) - 1.0) < band
+        assert abs(corr(0.3, 0.7)) < 4.89 * math.sqrt(1.0 / self.N)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_white_noise_estimate_neither_continuous_nor_differentiable(self, seed):
+        proc = FractalProcess("wn-estimated", white_noise().draw_paths)
+        chk = ms_derivative_check(proc, 0.4, n=10000, seed=seed)
+        assert (chk.continuity.continuous, chk.differentiable) == (False, False)
+
 
 class TestSecondOrder:
     def test_builtin_fixtures_are_second_order(self):

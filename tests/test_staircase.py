@@ -131,6 +131,10 @@ class TestGammaDimension:
         with pytest.raises(CurveDomainError):
             gamma_dimension(build_koch(3), tol=1e-5)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(CurveDomainError):
+            gamma_dimension(build_koch(3), tol=math.nan)
+
     def test_non_bracketing_raises(self, monkeypatch):
         from fractalcalc.staircase import MassEstimate
 
