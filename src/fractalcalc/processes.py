@@ -53,7 +53,9 @@ class FractalProcess:
                                   return_inverse=True)
             pt = np.ascontiguousarray(
                 _self.draw_paths(_rng.stream(seed, 0), uniq, n).T)
-            out = (pt[inv[:b1.size]] * pt[inv[b1.size:]]).mean(axis=1)
+            # pair by pair, so memory stays O(n) however many pairs are asked
+            out = np.array([(pt[a] * pt[b]).mean()
+                            for a, b in zip(inv[:b1.size], inv[b1.size:])])
             return out.reshape(b1.shape) if b1.ndim else float(out[0])
 
         return estimated
