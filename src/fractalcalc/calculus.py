@@ -46,9 +46,9 @@ def midpoint_tags(table: StaircaseTable, a: float, b: float, k: int):
     return t_mid, table.value(t_mid), np.diff(table.value(t))
 
 
-def _rs_sum(g, table, a, b, k):
-    t_mid, j_mid, ds = midpoint_tags(table, a, b, k)
-    vals = np.asarray(g(table.curve.point(t_mid), j_mid), dtype=float)
+def _rs_sum(f, table, a, b, k):
+    t_mid, _, ds = midpoint_tags(table, a, b, k)
+    vals = np.asarray(f(table.curve.point(t_mid)), dtype=float)
     if vals.ndim == 0:
         vals = np.full(k, float(vals))
     elif vals.shape != (k,):
@@ -61,30 +61,20 @@ def _rs_sum(g, table, a, b, k):
     return float(np.dot(vals, ds))
 
 
-def rs_integral(g, table: StaircaseTable, a: float, b: float, k: int) -> float:
-    """Riemann-Stieltjes integral of g(points, J) against the staircase
-    over [a, b].
-
-    ``g`` receives the (m, n) block of tag points and their (m,) mass
-    coordinates, and returns m values or one scalar. Midpoint tags in
-    parameter give second-order accuracy; one Richardson step over k
-    and 2k panels standardizes the convergence claim.
-    """
-    if not a < b:
-        raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
-    if k < 1:
-        raise CurveDomainError("panel count must be >= 1")
-    table.curve.check_domain([a, b])
-    coarse = _rs_sum(g, table, a, b, k)
-    fine = _rs_sum(g, table, a, b, 2 * k)
-    return fine + (fine - coarse) / 3.0
-
-
 def falpha_integral(f, table: StaircaseTable, a: float, b: float,
                     k: int = 256) -> float:
     """Riemann-Stieltjes integral of f against the staircase over [a, b].
 
     ``f`` takes the (m, n) block of tag points and returns m values, or
     one scalar for a constant; any other shape raises EvaluationError.
+    Midpoint tags in parameter give second-order accuracy; one Richardson
+    step over k and 2k panels standardizes the convergence claim.
     """
-    return rs_integral(lambda pts, j: f(pts), table, a, b, k)
+    if not a < b:
+        raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
+    if k < 1:
+        raise CurveDomainError("panel count must be >= 1")
+    table.curve.check_domain([a, b])
+    coarse = _rs_sum(f, table, a, b, k)
+    fine = _rs_sum(f, table, a, b, 2 * k)
+    return fine + (fine - coarse) / 3.0

@@ -90,14 +90,19 @@ class FractalCurve:
         self.check_domain(t)
         a, b = self.domain
         tc = np.clip(t, a, b)
-        idx = np.searchsorted(self.knots, tc, side="right") - 1
-        idx = np.clip(idx, 0, self.edge_count - 1)
+        # gathered per query and combined in place: w(t0) + frac * (w(t1) - w(t0))
+        idx = np.searchsorted(self.knots, tc, side="right")
+        idx -= 1
+        np.clip(idx, 0, self.edge_count - 1, out=idx)
         t0 = self.knots[idx]
-        t1 = self.knots[idx + 1]
-        frac = (tc - t0) / (t1 - t0)
-        pts = self.vertices[idx] + frac[:, None] * (
-            self.vertices[idx + 1] - self.vertices[idx]
-        )
+        frac = tc
+        frac -= t0
+        frac /= self.knots[idx + 1] - t0
+        v0 = self.vertices[idx]
+        pts = self.vertices[idx + 1]
+        pts -= v0
+        pts *= frac[:, None]
+        pts += v0
         return pts[0] if scalar else pts
 
 

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .calculus import rs_integral
 from .errors import CurveDomainError, EstimationError
 from .staircase import StaircaseTable
+
+#: 3-point Gauss-Legendre rule on [-1, 1], exact through degree 5, in closed
+#: form: np.polynomial.legendre.leggauss(3) would import numpy.polynomial.
+_GAUSS_X = np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 9.0
 
 
 @dataclass
@@ -155,41 +159,46 @@ class DistributionOnCurve:
 
     # -- moments ---------------------------------------------------------------
 
-    def _expectation(self, g, k):
-        """E[g(X, J)]: the staircase integral of g(points, J) * pdf(J) over
-        the support, evaluated at the quadrature's own (t, J) tags."""
+    def _expectation(self, g):
+        """E[g(X, J)], with ``g(points, J)`` giving one value or one row per
+        node: the Gauss rule in J on each cell between table and curve knots,
+        where J and the point are affine in t, as the sampler draws them."""
         lo, hi = self.support
-        ta, tb = self.table.t_from_mass(lo), self.table.t_from_mass(hi)
-        return rs_integral(lambda pts, j: g(pts, j) * self.pdf_at_j(j),
-                           self.table, ta, tb, k)
-
-    def _moments_about(self, m, center, k):
-        out = np.array([
-            self._expectation(lambda pts, j, c=c: (pts[:, c] - center[c]) ** m, k)
-            for c in range(self.table.curve.ndim)
-        ])
+        table = self.table
+        ta, tb = table.t_from_mass(lo), table.t_from_mass(hi)
+        cuts = np.union1d(table.t, table.curve.knots)
+        t = np.concatenate(([ta], cuts[(cuts > ta) & (cuts < tb)], [tb]))
+        j, pts = table.value(t), table.curve.point(t)
+        # nodes interpolate each cell's end values; rows are (node, cell)
+        at = 0.5 * (1.0 + _GAUSS_X)[:, None]
+        dj = np.diff(j)
+        jn = (j[:-1] + dj * at).ravel()
+        pn = (pts[:-1] + np.diff(pts, axis=0) * at[:, :, None]).reshape(-1, pts.shape[1])
+        w = (0.5 * dj * _GAUSS_W[:, None]).ravel() * self.pdf_at_j(jn)
+        out = w @ np.asarray(g(pn, jn), dtype=float)
         if not np.all(np.isfinite(out)):
-            raise EstimationError("moment quadrature did not converge")
+            raise EstimationError("moment integrand produced non-finite values")
         return out
 
-    def moment(self, m: int, k: int = 512) -> np.ndarray:
+    def moment(self, m: int) -> np.ndarray:
         """Componentwise m-th moment, integrating theta^m * pdf against
         the staircase."""
         if m < 1:
             raise CurveDomainError("moment order must be >= 1")
-        return self._moments_about(m, np.zeros(self.table.curve.ndim), k)
+        return self._expectation(lambda pts, j: pts ** m)
 
-    def mean(self, k: int = 512) -> np.ndarray:
-        return self.moment(1, k)
+    def mean(self) -> np.ndarray:
+        return self.moment(1)
 
-    def variance(self, k: int = 512) -> np.ndarray:
+    def variance(self) -> np.ndarray:
         """Componentwise variance about the mean."""
-        return self._moments_about(2, self.mean(k), k)
+        mu = self.mean()
+        return self._expectation(lambda pts, j: (pts - mu) ** 2)
 
-    def moment_of_j(self, m: int, k: int = 512) -> float:
+    def moment_of_j(self, m: int) -> float:
         """m-th moment of the mass coordinate itself (scalar reading of
         the moment definition, exposed as an option)."""
-        return self._expectation(lambda pts, j: j ** m, k)
+        return float(self._expectation(lambda pts, j: j ** m))
 
 
 def sampling_cdf(dist: DistributionOnCurve):

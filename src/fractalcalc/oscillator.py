@@ -118,8 +118,7 @@ def frobenius_coefficients(x0: float, x1: float, a2: float, n_max: int) -> np.nd
         raise CurveDomainError("need n_max >= 2 for the recurrence to act")
     c = np.zeros(n_max + 1)
     c[0] = x0
-    if n_max >= 1:
-        c[1] = x1
+    c[1] = x1
     for m in range(n_max - 1):
         c[m + 2] = -a2 * c[m] / ((m + 2) * (m + 1))
     return c
@@ -277,16 +276,23 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     a2 = np.asarray(a2_provider.sample(gen, n), dtype=float)
     x0, x1 = initial_sampler(_rng.stream(seed, 1), n)
     a = np.sqrt(a2)
-    safe_a = np.where(a == 0.0, 1.0, a)
-    sin_term = np.where(
-        (a == 0.0)[:, None], j[None, :],
-        np.sin(a[:, None] * j[None, :]) / safe_a[:, None],
-    )
-    paths = x0[:, None] * np.cos(a[:, None] * j[None, :]) + x1[:, None] * sin_term
+    zero = a == 0.0
+    # one (n, len(j)) block built in place: x0 cos(a j) + x1 sin(a j) / a,
+    # with the a -> 0 limit j for the sine term
+    aj = np.multiply.outer(a, j)
+    paths = np.sin(aj)
+    paths /= np.where(zero, 1.0, a)[:, None]
+    paths[zero] = j
+    paths *= x1[:, None]
+    np.cos(aj, out=aj)
+    aj *= x0[:, None]
+    paths += aj
+    del aj
     mean = paths.mean(axis=0)
-    second = (paths ** 2).mean(axis=0)
     mean_se = paths.std(axis=0, ddof=1) / math.sqrt(n)
-    second_se = (paths ** 2).std(axis=0, ddof=1) / math.sqrt(n)
+    np.square(paths, out=paths)
+    second = paths.mean(axis=0)
+    second_se = paths.std(axis=0, ddof=1) / math.sqrt(n)
     return EnsembleMoments(mean, second, mean_se, second_se, n)
 
 

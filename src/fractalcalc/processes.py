@@ -46,19 +46,27 @@ class FractalProcess:
             return self.correlation
 
         def estimated(j1, j2, _self=self):
-            b1, b2 = np.broadcast_arrays(np.asarray(j1, dtype=float),
-                                         np.asarray(j2, dtype=float))
-            # one draw over the distinct indices, so equal indices share a column
-            uniq, inv = np.unique(np.concatenate([b1.ravel(), b2.ravel()]),
-                                  return_inverse=True)
-            pt = np.ascontiguousarray(
-                _self.draw_paths(_rng.stream(seed, 0), uniq, n).T)
-            # pair by pair, so memory stays O(n) however many pairs are asked
-            out = np.array([(pt[a] * pt[b]).mean()
-                            for a, b in zip(inv[:b1.size], inv[b1.size:])])
-            return out.reshape(b1.shape) if b1.ndim else float(out[0])
+            shape = np.broadcast_shapes(np.shape(j1), np.shape(j2))
+            out = np.array([p.mean() for p in _pair_products(_self, j1, j2, n, seed)])
+            return out.reshape(shape) if shape else float(out[0])
 
         return estimated
+
+
+def _pair_products(proc, j1, j2, n, seed):
+    """Yield X(j1) * X(j2) over n realizations for each broadcast pair.
+
+    One draw from stream (seed, 0) covers the distinct indices, so equal
+    indices share a column; pairs come one at a time, so memory stays
+    O(n) however many pairs are asked.
+    """
+    b1, b2 = np.broadcast_arrays(np.asarray(j1, dtype=float),
+                                 np.asarray(j2, dtype=float))
+    uniq, inv = np.unique(np.concatenate([b1.ravel(), b2.ravel()]),
+                          return_inverse=True)
+    pt = np.ascontiguousarray(proc.draw_paths(_rng.stream(seed, 0), uniq, n).T)
+    for a, b in zip(inv[:b1.size], inv[b1.size:]):
+        yield pt[a] * pt[b]
 
 
 def second_order_check(proc: FractalProcess, j_values, n: int = 4000,
@@ -169,8 +177,7 @@ def correlation_mc(proc: FractalProcess, j1: float, j2: float, n: int,
     """Monte Carlo estimate of R(j1, j2) = E[X(j1) X(j2)]."""
     if n < 100:
         raise CurveDomainError("need at least 100 realizations")
-    paths = proc.draw_paths(_rng.stream(seed), np.array([j1, j2], dtype=float), n)
-    prod = paths[:, 0] * paths[:, 1]
+    prod, = _pair_products(proc, j1, j2, n, seed)
     r = float(prod.mean())
     stderr = float(prod.std(ddof=1) / math.sqrt(n))
     return CorrelationEstimate(r, stderr, n)

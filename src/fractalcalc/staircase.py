@@ -293,15 +293,25 @@ class StaircaseTable:
         s_arr = np.clip(s_arr, lo, hi)
         if len(self._plateau_values):
             self.plateau_hits += int(np.isin(s_arr, self._plateau_values).sum())
-        # side="right" lands queries at a plateau value on its right edge
+        # side="right" lands queries at a plateau value on its right edge;
+        # idx then steps back to the cell's left end
         idx = np.searchsorted(self.s, s_arr, side="right")
-        idx = np.clip(idx, 1, len(self.s) - 1)
-        s0 = self.s[idx - 1]
-        s1 = self.s[idx]
-        ds = s1 - s0
+        np.clip(idx, 1, len(self.s) - 1, out=idx)
+        idx -= 1
+        s0 = self.s[idx]
+        ds = self.s[idx + 1]
+        ds -= s0
         flat = ds <= 0.0
-        frac = np.where(flat, 1.0, (s_arr - s0) / np.where(flat, 1.0, ds))
-        out = self.t[idx - 1] + frac * (self.t[idx] - self.t[idx - 1])
+        ds[flat] = 1.0
+        frac = s_arr
+        frac -= s0
+        frac /= ds
+        frac[flat] = 1.0
+        t0 = self.t[idx]
+        out = self.t[idx + 1]
+        out -= t0
+        out *= frac
+        out += t0
         return float(out[0]) if np.ndim(s) == 0 else out
 
     def j_of_theta(self, theta, snap_tol: float = 1e-9) -> float:
@@ -311,27 +321,29 @@ class StaircaseTable:
         return float(self.value(t))
 
     def parameter_of(self, theta, snap_tol: float = 1e-9) -> float:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if len(theta) != self.curve.ndim:
-            raise GeometryError(
-                f"point has {len(theta)} coordinates, curve is in R^{self.curve.ndim}"
-            )
-        t, dist = _project_points(self.curve, theta[None, :])
-        if dist[0] > snap_tol:
-            raise GeometryError(
-                f"point is {dist[0]:.3e} away from the curve (tolerance {snap_tol:g})"
-            )
-        return float(t[0])
+        theta = np.asarray(theta, dtype=float).reshape(1, -1)
+        return float(self._parameters(theta, snap_tol)[0])
 
     def j_of_many(self, thetas, snap_tol: float = 1e-9):
+        return self.value(self._parameters(thetas, snap_tol))
+
+    def _parameters(self, thetas, snap_tol):
+        """Parameters of an (m, n) block of curve points, by
+        nearest-segment projection onto the polyline."""
         thetas = np.asarray(thetas, dtype=float)
+        n = self.curve.ndim
+        if thetas.ndim != 2 or thetas.shape[1] != n:
+            raise GeometryError(
+                f"points must form an (m, {n}) array for a curve in R^{n}, "
+                f"got shape {thetas.shape}"
+            )
         t, dist = _project_points(self.curve, thetas)
         if np.any(dist > snap_tol):
-            worst = float(dist.max())
             raise GeometryError(
-                f"points up to {worst:.3e} away from the curve (tolerance {snap_tol:g})"
+                f"points up to {dist.max():.3e} away from the curve "
+                f"(tolerance {snap_tol:g})"
             )
-        return self.value(t)
+        return t
 
     def j_inverse(self, s):
         """Curve point whose mass coordinate is s."""

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalcalc import (
     KOCH_DIMENSION,
@@ -152,6 +154,12 @@ class TestSampling:
         sample = dist.sample(31, 10 ** 5)
         assert abs(sample.j.mean() - 1.0) < 3.0 / math.sqrt(10 ** 5)
 
+    def test_sample_bytes(self, koch_table):
+        # sha256 prefix of points, t and J; any moved bit changes it
+        smp = DistributionOnCurve.memoryless(koch_table, 1.3).sample(7, 10 ** 4)
+        data = b"".join(v.tobytes() for v in (smp.points, smp.t, smp.j))
+        assert hashlib.sha256(data).hexdigest()[:16] == "46fa2a9534315615"
+
     def test_count_floor(self, koch_table):
         with pytest.raises(CurveDomainError):
             DistributionOnCurve.uniform(koch_table).sample(0, 0)
@@ -195,7 +203,7 @@ class TestMoments:
         # the oscillatory coordinate functions
         dist = DistributionOnCurve.uniform(koch_table)
         sample = dist.sample(100, 10 ** 6)
-        mu = dist.mean(k=4096)
+        mu = dist.mean()
         se = sample.points.std(axis=0, ddof=1) / math.sqrt(len(sample.t))
         assert np.all(np.abs(sample.points.mean(axis=0) - mu) <= 3.0 * se)
 
@@ -208,7 +216,7 @@ class TestMoments:
                 lambda j, w=width: math.exp(-(((j - 0.5) / w) ** 2)),
                 grid=4096,
             )
-            sizes.append(float(dist.variance(k=1024)[0]))
+            sizes.append(float(dist.variance()[0]))
         assert sizes[0] > sizes[1] > sizes[2]
         assert sizes[2] < 1e-3
 
@@ -219,6 +227,53 @@ class TestMoments:
     def test_moment_of_j_option(self, unit_line_table):
         dist = DistributionOnCurve.uniform(unit_line_table)
         assert dist.moment_of_j(1) == pytest.approx(0.5, abs=1e-9)
+
+    def test_koch5_uniform_mean_y(self):
+        # exact: equal mass on every edge, each traversed linearly in J, so the
+        # mean is the average of the edge midpoints
+        dist = DistributionOnCurve.uniform(build_staircase(build_koch(5)))
+        assert dist.mean()[1] == pytest.approx(0.0961311, abs=1e-7)
+
+
+#: Two-sided z band with false-alarm rate 1e-6 per check.
+Z_BAND = 4.89
+
+
+def _lognormal_walk(seed, edges, dim):
+    """Gaussian-step walk whose knot spacing is lognormal(0, 3), so the
+    parameter speed varies by orders of magnitude from edge to edge."""
+    rng = np.random.default_rng(seed)
+    verts = np.vstack([np.zeros(dim), np.cumsum(rng.normal(size=(edges, dim)), axis=0)])
+    knots = np.concatenate([[0.0], np.cumsum(rng.lognormal(0.0, 3.0, edges))])
+    return build_polyline(knots / knots[-1], verts, 1.0)
+
+
+def _assert_within_band(value, stat, se):
+    assert np.all(np.abs(np.asarray(value) - stat) <= Z_BAND * se), (value, stat, se)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), edges=st.integers(8, 256),
+       dim=st.sampled_from([2, 3]), lam_per_mass=st.floats(0.5, 3.0))
+def test_moments_agree_with_same_seed_sample(seed, edges, dim, lam_per_mass):
+    # the quadrature integrates the law the sampler draws, on any polyline
+    table = build_staircase(_lognormal_walk(seed, edges, dim))
+    n = 2 * 10 ** 5
+    uniform = DistributionOnCurve.uniform(table)
+    x = uniform.sample(seed, n).points
+    var = x.var(axis=0, ddof=1)
+    m4 = ((x - x.mean(axis=0)) ** 4).mean(axis=0)
+    _assert_within_band(uniform.mean(), x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(n))
+    _assert_within_band(uniform.variance(), var, np.sqrt((m4 - var ** 2) / n))
+    # the analytic law is not renormalized over the truncated tail
+    memoryless = DistributionOnCurve.memoryless(table, lam_per_mass / table.total_mass)
+    scale = 1.0 - memoryless.truncated_mass
+    smp = memoryless.sample(seed, n)
+    _assert_within_band(memoryless.mean(), scale * smp.points.mean(axis=0),
+                        scale * smp.points.std(axis=0, ddof=1) / math.sqrt(n))
+    j2 = smp.j ** 2
+    _assert_within_band(memoryless.moment_of_j(2), scale * j2.mean(),
+                        scale * j2.std(ddof=1) / math.sqrt(n))
 
 
 class TestRetrace:

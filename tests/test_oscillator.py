@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -228,6 +229,21 @@ class TestMonteCarlo:
             10 ** 4, 11, [0.0],
         )
         assert mc.mean[0] == 1.0
+
+
+    @pytest.mark.parametrize("a2, initial, digest", [
+        (BetaSquaredAmplitude(2.0, 1.0),
+         lambda gen, size: (gen.normal(1.0, 0.5, size), gen.normal(0.0, 1.0, size)),
+         "e4db5a9786f79aa2"),
+        (FixedSquaredAmplitude(0.0), deterministic_initial_data(1.0, 2.0),
+         "3a229dfffe7e1d82"),
+    ], ids=["beta-normal-data", "zero-amplitude"])
+    def test_ensemble_bytes(self, a2, initial, digest):
+        # sha256 prefix of the four ensemble curves; any moved bit changes it
+        mc = mc_solution_moments(a2, initial, 500, 5, np.linspace(0.0, 2.0, 9))
+        data = b"".join(v.tobytes() for v in
+                        (mc.mean, mc.second, mc.mean_stderr, mc.second_stderr))
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 class TestResidual:

@@ -134,6 +134,12 @@ class TestCorrelationMC:
         est = correlation_mc(cosine_phase(), 0.5, 0.5, 20000, seed=3)
         assert abs(est.r - 0.5) <= 3 * est.stderr
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_white_noise_diagonal_reads_one_column(self, seed):
+        # R(x, x) = E[Z^2] = 1
+        est = correlation_mc(white_noise(), 0.3, 0.3, 10000, seed=seed)
+        assert abs(est.r - 1.0) <= 4.89 * est.stderr
+
     def test_sample_floor(self):
         with pytest.raises(CurveDomainError):
             correlation_mc(cosine_phase(), 0.1, 0.2, 50)

@@ -211,6 +211,13 @@ class TestChart:
         with pytest.raises(GeometryError):
             table.j_of_theta(np.array([0.5, -0.3]))
 
+    @pytest.mark.parametrize("thetas", [[[0.0]], [[0.0], [0.5], [1.0]], [0.0, 0.0]],
+                             ids=["one-coordinate", "three-one-coordinate", "flat"])
+    def test_j_of_many_checks_coordinate_count(self, thetas):
+        table = build_staircase(build_koch(3))
+        with pytest.raises(GeometryError, match=r"\(m, 2\)"):
+            table.j_of_many(thetas)
+
     def test_out_of_range_mass_rejected(self):
         table = build_staircase(build_line(0, 1))
         with pytest.raises(CurveDomainError):
