@@ -9,6 +9,11 @@ from .staircase import StaircaseTable
 #: Default differencing step, as a fraction of the table's mass range.
 DERIVATIVE_STEP_FRACTION = 1e-4
 
+#: 3-point Gauss-Legendre rule on [-1, 1], exact through degree 5, in closed
+#: form: np.polynomial.legendre.leggauss(3) would import numpy.polynomial.
+_GAUSS_X = np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 9.0
+
 
 def falpha_derivative(f, table: StaircaseTable, theta, h: float = None) -> float:
     """Symmetric difference quotient of f in the mass coordinate.
@@ -34,47 +39,41 @@ def falpha_derivative(f, table: StaircaseTable, theta, h: float = None) -> float
     return num / (j_hi - j_lo)
 
 
-def midpoint_tags(table: StaircaseTable, a: float, b: float, k: int):
-    """The k-panel partition of [a, b] that every staircase sum uses:
-    uniform panels in the parameter, tagged at their midpoints.
-
-    Returns the tag parameters, their mass coordinates J = S(t), and the
-    staircase increment over each panel.
-    """
-    t = np.linspace(a, b, k + 1)
-    t_mid = 0.5 * (t[:-1] + t[1:])
-    return t_mid, table.value(t_mid), np.diff(table.value(t))
-
-
-def _rs_sum(f, table, a, b, k):
-    t_mid, _, ds = midpoint_tags(table, a, b, k)
-    vals = np.asarray(f(table.curve.point(t_mid)), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(k, float(vals))
-    elif vals.shape != (k,):
-        raise EvaluationError(
-            f"integrand returned shape {vals.shape} for {k} tags; "
-            f"expected ({k},) or a scalar"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("integrand produced non-finite samples")
-    return float(np.dot(vals, ds))
+def cell_nodes(table: StaircaseTable, a: float, b: float):
+    """(points, J, weights) of the rule every staircase integral uses:
+    [a, b] cut at each table and curve knot, where J and the point are
+    affine in t, and a 3-point Gauss rule in J on each cell."""
+    cuts = np.union1d(table.t, table.curve.knots)
+    t = np.concatenate(([a], cuts[(cuts > a) & (cuts < b)], [b]))
+    j, pts = table.value(t), table.curve.point(t)
+    # nodes interpolate each cell's end values; rows are (node, cell)
+    at = 0.5 * (1.0 + _GAUSS_X)[:, None]
+    dj = np.diff(j)
+    jn = (j[:-1] + dj * at).ravel()
+    pn = (pts[:-1] + np.diff(pts, axis=0) * at[:, :, None]).reshape(-1, pts.shape[1])
+    return pn, jn, (0.5 * dj * _GAUSS_W[:, None]).ravel()
 
 
-def falpha_integral(f, table: StaircaseTable, a: float, b: float,
-                    k: int = 256) -> float:
+def falpha_integral(f, table: StaircaseTable, a: float, b: float) -> float:
     """Riemann-Stieltjes integral of f against the staircase over [a, b].
 
-    ``f`` takes the (m, n) block of tag points and returns m values, or
-    one scalar for a constant; any other shape raises EvaluationError.
-    Midpoint tags in parameter give second-order accuracy; one Richardson
-    step over k and 2k panels standardizes the convergence claim.
+    ``f`` takes the (m, n) block of node points from ``cell_nodes`` and
+    returns m values, or one scalar for a constant; any other shape raises
+    EvaluationError. The rule is exact for integrands polynomial of degree
+    up to 5 in the point on each cell.
     """
     if not a < b:
         raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
-    if k < 1:
-        raise CurveDomainError("panel count must be >= 1")
-    table.curve.check_domain([a, b])
-    coarse = _rs_sum(f, table, a, b, k)
-    fine = _rs_sum(f, table, a, b, 2 * k)
-    return fine + (fine - coarse) / 3.0
+    pts, _, w = cell_nodes(table, a, b)
+    m = len(w)
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.ndim == 0:
+        vals = np.full(m, float(vals))
+    elif vals.shape != (m,):
+        raise EvaluationError(
+            f"integrand returned shape {vals.shape} for {m} nodes; "
+            f"expected ({m},) or a scalar"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("integrand produced non-finite samples")
+    return float(w @ vals)

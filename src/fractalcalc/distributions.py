@@ -12,17 +12,14 @@ is reported as ``truncated_mass``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import rng as _rng
+from .calculus import cell_nodes
 from .errors import CurveDomainError, EstimationError
 from .staircase import StaircaseTable
-
-#: 3-point Gauss-Legendre rule on [-1, 1], exact through degree 5, in closed
-#: form: np.polynomial.legendre.leggauss(3) would import numpy.polynomial.
-_GAUSS_X = np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
-_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 9.0
 
 
 @dataclass
@@ -159,23 +156,19 @@ class DistributionOnCurve:
 
     # -- moments ---------------------------------------------------------------
 
-    def _expectation(self, g):
-        """E[g(X, J)], with ``g(points, J)`` giving one value or one row per
-        node: the Gauss rule in J on each cell between table and curve knots,
-        where J and the point are affine in t, as the sampler draws them."""
+    @cached_property
+    def _nodes(self):
+        """``cell_nodes`` over the support, with the density folded into the
+        weights; built once per law, so a custom pdf runs once per node."""
         lo, hi = self.support
-        table = self.table
-        ta, tb = table.t_from_mass(lo), table.t_from_mass(hi)
-        cuts = np.union1d(table.t, table.curve.knots)
-        t = np.concatenate(([ta], cuts[(cuts > ta) & (cuts < tb)], [tb]))
-        j, pts = table.value(t), table.curve.point(t)
-        # nodes interpolate each cell's end values; rows are (node, cell)
-        at = 0.5 * (1.0 + _GAUSS_X)[:, None]
-        dj = np.diff(j)
-        jn = (j[:-1] + dj * at).ravel()
-        pn = (pts[:-1] + np.diff(pts, axis=0) * at[:, :, None]).reshape(-1, pts.shape[1])
-        w = (0.5 * dj * _GAUSS_W[:, None]).ravel() * self.pdf_at_j(jn)
-        out = w @ np.asarray(g(pn, jn), dtype=float)
+        pts, j, w = cell_nodes(self.table, self.table.t_from_mass(lo),
+                               self.table.t_from_mass(hi))
+        return pts, j, w * self.pdf_at_j(j)
+
+    def _expectation(self, g):
+        """E[g(X, J)], with ``g(points, J)`` giving one value or row per node."""
+        pts, j, w = self._nodes
+        out = w @ np.asarray(g(pts, j), dtype=float)
         if not np.all(np.isfinite(out)):
             raise EstimationError("moment integrand produced non-finite values")
         return out

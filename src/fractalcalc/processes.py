@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .calculus import midpoint_tags
 from .errors import (
     CurveDomainError,
     ExistenceError,
@@ -22,6 +21,9 @@ from .staircase import StaircaseTable, DIVERGENCE_CAP, CAUCHY_RTOL
 
 #: Offsets (in mass units) used by the limit diagnostics.
 DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
+
+#: Panels in J of a mean-square integral and of an improper one's first rung.
+MS_PANELS = 256
 
 
 @dataclass
@@ -331,7 +333,7 @@ def ms_derivative_check(proc, tau: float, eps_ladder=DEFAULT_EPS_LADDER,
 
 @dataclass
 class ExistencePrecheck:
-    sums: list            # double chord-sums at panel counts k, 2k, 4k
+    sums: list            # double midpoint sums at panel counts k, 2k, 4k
     exists: bool
 
 
@@ -343,9 +345,16 @@ class MsIntegralResult:
     precheck: ExistencePrecheck
 
 
+def _mass_panels(table, a, b, k):
+    """Midpoints and widths of k uniform panels in J: the integrands depend
+    on J alone, and g(S(t)) dS(t) over [a, b] is g(j) dj over [S(a), S(b)]."""
+    j = np.linspace(*table.value([a, b]), k + 1)
+    return 0.5 * (j[:-1] + j[1:]), np.diff(j)
+
+
 def _double_rs_sum(weight, proc, u, table, a, b, k, n, seed):
-    _, mids, ds = midpoint_tags(table, a, b, k)
-    w = np.asarray(weight(mids, u), dtype=float) * ds
+    mids, dj = _mass_panels(table, a, b, k)
+    w = np.asarray(weight(mids, u), dtype=float) * dj
     if proc.correlation is not None:
         rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
     else:
@@ -357,10 +366,10 @@ def _double_rs_sum(weight, proc, u, table, a, b, k, n, seed):
 def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
                          a: float, b: float, u: float = 0.0, k: int = 128,
                          n: int = 20000, seed: int = 0) -> ExistencePrecheck:
-    """Evaluate the double chord-sum of f(j,u) f(j',u) R(j,j') at panel
-    counts k, 2k, 4k; the limit exists when the sums are finite and
-    Cauchy (tight relative agreement, or gaps contracting geometrically
-    toward a finite value)."""
+    """Evaluate the double midpoint sum of f(j,u) f(j',u) R(j,j') over k,
+    2k and 4k uniform panels in J; the limit exists when the sums are
+    finite and Cauchy (tight relative agreement, or gaps contracting
+    geometrically toward a finite value)."""
     sums = [
         _double_rs_sum(weight, proc, u, table, a, b, kk, n, seed)
         for kk in (k, 2 * k, 4 * k)
@@ -375,27 +384,26 @@ def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
 
 
 def ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
-                a: float, b: float, u: float = 0.0, k: int = 256,
-                n: int = 2000, seed: int = 0,
-                precheck_k: int = 128) -> MsIntegralResult:
+                a: float, b: float, u: float = 0.0, k: int = MS_PANELS,
+                n: int = 2000, seed: int = 0) -> MsIntegralResult:
     """Mean-square integral of f(tau, u) X(tau) against the staircase.
 
     The existence pre-check runs first; failure raises without forming
-    the integral. The estimate averages per-realization chord sums with
-    midpoint tags, and the realizations are returned for downstream
-    statistics.
+    the integral. The estimate averages per-realization midpoint sums over
+    k uniform panels in J, and the realizations are returned for
+    downstream statistics.
     """
     if not a < b:
         raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
     if n < 2:
         raise CurveDomainError("need at least 2 realizations for a standard error")
-    pre = ms_integral_precheck(proc, weight, table, a, b, u, precheck_k, n, seed)
+    pre = ms_integral_precheck(proc, weight, table, a, b, u, n=n, seed=seed)
     if not pre.exists:
         raise ExistenceError(
             f"double-integral pre-check failed: sums {pre.sums} are not Cauchy"
         )
-    _, mids, ds = midpoint_tags(table, a, b, k)
-    coeff = np.asarray(weight(mids, u), dtype=float) * ds
+    mids, dj = _mass_panels(table, a, b, k)
+    coeff = np.asarray(weight(mids, u), dtype=float) * dj
     paths = proc.draw_paths(_rng.stream(seed, 1), mids, n)
     realizations = paths @ coeff
     y = float(realizations.mean())
@@ -412,7 +420,7 @@ class ImproperIntegralResult:
 
 
 def improper_ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
-                         a: float, b_ladder, u: float = 0.0, k: int = 256,
+                         a: float, b_ladder, u: float = 0.0,
                          n: int = 2000, seed: int = 0) -> ImproperIntegralResult:
     """Mean-square integral along a growing upper-limit ladder.
 
@@ -421,15 +429,14 @@ def improper_ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
     flagged and the partial result returned.
     """
     ladder = list(b_ladder)
-    if len(ladder) < 2 or not all(
-        ladder[i] < ladder[i + 1] for i in range(len(ladder) - 1)
-    ):
-        raise CurveDomainError("upper-limit ladder must be increasing")
+    if len(ladder) < 2 or not all(lo < hi for lo, hi in zip([a, *ladder], ladder)):
+        raise CurveDomainError("upper-limit ladder must increase from a")
+    s = table.value([a, *ladder])
     values, stderrs = [], []
     converged = False
-    for b in ladder:
-        # constant panel density, so quadrature drift cannot mask the tail
-        k_b = max(k, math.ceil(k * (b - a) / (ladder[0] - a)))
+    for b, s_b in zip(ladder, s[1:]):
+        # constant panel density in J, so quadrature drift cannot mask the tail
+        k_b = max(MS_PANELS, math.ceil(MS_PANELS * (s_b - s[0]) / (s[1] - s[0])))
         res = ms_integral(proc, weight, table, a, b, u, k_b, n, seed)
         values.append(res.y)
         stderrs.append(res.stderr)

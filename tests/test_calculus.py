@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalcalc import (
     build_koch,
@@ -9,6 +10,7 @@ from fractalcalc import (
     falpha_integral,
 )
 from fractalcalc.errors import CurveDomainError, EvaluationError, ResolutionError
+from walks import lognormal_walk
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +64,7 @@ class TestDerivative:
 
 class TestIntegral:
     def test_constant_telescopes_exactly(self, koch_table):
-        val = falpha_integral(lambda p: 1.0, koch_table, 0.25, 0.75, k=97)
+        val = falpha_integral(lambda p: 1.0, koch_table, 0.25, 0.75)
         expected = koch_table.value(0.75) - koch_table.value(0.25)
         assert val == pytest.approx(expected, abs=1e-14)
 
@@ -74,7 +76,7 @@ class TestIntegral:
         def f(pts):
             return np.asarray(koch_table.j_of_many(np.atleast_2d(pts)))
 
-        val = falpha_integral(f, koch_table, 0, 1, k=256)
+        val = falpha_integral(f, koch_table, 0, 1)
         assert val == pytest.approx(koch_table.s[-1] ** 2 / 2.0, abs=1e-6)
 
     def test_linearity(self, line_table):
@@ -112,7 +114,7 @@ class TestIntegral:
 
         def antiderivative(p):
             t = koch_table.parameter_of(p)
-            return falpha_integral(f, koch_table, 1e-12, t, k=64)
+            return falpha_integral(f, koch_table, 1e-12, t)
 
         h = 1e-3
         curve = koch_table.curve
@@ -136,13 +138,39 @@ class TestIntegral:
                 return np.sqrt(pts[:, 0] - 0.5)
 
         with pytest.raises(EvaluationError):
-            falpha_integral(bad, line_table, 0, 1, k=64)
+            falpha_integral(bad, line_table, 0, 1)
 
     def test_wrong_shape_integrand_rejected(self, koch_table):
         # one row per tag point is the contract; the whole block is not
         with pytest.raises(EvaluationError):
-            falpha_integral(lambda pts: np.atleast_2d(pts), koch_table, 0, 1, k=16)
+            falpha_integral(lambda pts: np.atleast_2d(pts), koch_table, 0, 1)
 
     def test_bad_bounds_rejected(self, line_table):
         with pytest.raises(CurveDomainError):
             falpha_integral(lambda p: 1.0, line_table, 0.7, 0.2)
+
+    def test_koch5_nonlinear_integrand(self):
+        # pins the rule on an integrand it does not integrate exactly
+        table = build_staircase(build_koch(5))
+        val = falpha_integral(lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2, table, 0, 1)
+        assert val == pytest.approx(0.65160075596926, abs=1e-12)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), edges=st.integers(8, 256),
+       dim=st.sampled_from([2, 3]), a=st.floats(0.0, 0.4), b=st.floats(0.6, 1.0),
+       coef=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+def test_affine_integrand_is_exact_on_walks(seed, edges, dim, a, b, coef):
+    # the point and J are affine in t between knots, so an affine integrand
+    # integrates to its cell-midpoint value times each cell's mass
+    table = build_staircase(lognormal_walk(seed, edges, dim))
+    c = np.asarray(coef)
+
+    def f(pts):
+        return c[0] + pts @ c[1:dim + 1]
+
+    t = np.union1d(table.t, table.curve.knots)
+    t = np.concatenate(([a], t[(t > a) & (t < b)], [b]))
+    p, dj = table.curve.point(t), np.diff(table.value(t))
+    mid = f(0.5 * (p[:-1] + p[1:]))
+    assert abs(falpha_integral(f, table, a, b) - mid @ dj) <= 1e-12 * (np.abs(mid) @ dj)

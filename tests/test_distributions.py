@@ -18,6 +18,7 @@ from fractalcalc import (
     sampling_cdf,
 )
 from fractalcalc.errors import CurveDomainError
+from walks import lognormal_walk
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +120,7 @@ class TestNormalization:
         def integrand(pts):
             return dist.pdf_at_j(table.j_of_many(np.atleast_2d(pts)))
 
-        total = falpha_integral(integrand, table, ta, tb, k=512)
+        total = falpha_integral(integrand, table, ta, tb)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -228,6 +229,19 @@ class TestMoments:
         dist = DistributionOnCurve.uniform(unit_line_table)
         assert dist.moment_of_j(1) == pytest.approx(0.5, abs=1e-9)
 
+    def test_custom_pdf_runs_once_per_node(self, unit_line_table):
+        # the normalizing grid once, then three Gauss nodes per cell once per law
+        calls = []
+
+        def pdf(j):
+            calls.append(j)
+            return math.exp(-j)
+
+        dist = DistributionOnCurve.custom(unit_line_table, pdf, grid=64)
+        dist.mean(), dist.variance(), dist.moment(2), dist.moment_of_j(1)
+        cells = len(np.union1d(unit_line_table.t, unit_line_table.curve.knots)) - 1
+        assert len(calls) == 65 + 3 * cells
+
     def test_koch5_uniform_mean_y(self):
         # exact: equal mass on every edge, each traversed linearly in J, so the
         # mean is the average of the edge midpoints
@@ -239,15 +253,6 @@ class TestMoments:
 Z_BAND = 4.89
 
 
-def _lognormal_walk(seed, edges, dim):
-    """Gaussian-step walk whose knot spacing is lognormal(0, 3), so the
-    parameter speed varies by orders of magnitude from edge to edge."""
-    rng = np.random.default_rng(seed)
-    verts = np.vstack([np.zeros(dim), np.cumsum(rng.normal(size=(edges, dim)), axis=0)])
-    knots = np.concatenate([[0.0], np.cumsum(rng.lognormal(0.0, 3.0, edges))])
-    return build_polyline(knots / knots[-1], verts, 1.0)
-
-
 def _assert_within_band(value, stat, se):
     assert np.all(np.abs(np.asarray(value) - stat) <= Z_BAND * se), (value, stat, se)
 
@@ -257,7 +262,7 @@ def _assert_within_band(value, stat, se):
        dim=st.sampled_from([2, 3]), lam_per_mass=st.floats(0.5, 3.0))
 def test_moments_agree_with_same_seed_sample(seed, edges, dim, lam_per_mass):
     # the quadrature integrates the law the sampler draws, on any polyline
-    table = build_staircase(_lognormal_walk(seed, edges, dim))
+    table = build_staircase(lognormal_walk(seed, edges, dim))
     n = 2 * 10 ** 5
     uniform = DistributionOnCurve.uniform(table)
     x = uniform.sample(seed, n).points

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalcalc import (
     brownian_like,
@@ -23,6 +24,7 @@ from fractalcalc import (
 from fractalcalc import rng as frng
 from fractalcalc.errors import CurveDomainError, ExistenceError
 from fractalcalc.processes import FractalProcess, constant_process
+from walks import lognormal_walk
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +321,26 @@ class TestMsIntegral:
             assert pre.exists == empirically_cauchy, proc.name
 
 
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), edges=st.integers(8, 256),
+       dim=st.sampled_from([2, 3]), a=st.floats(0.0, 0.4), b=st.floats(0.6, 1.0))
+def test_linear_amplitude_integral_is_exact_on_walks(seed, edges, dim, a, b):
+    # X = A J integrates to A (S(b)^2 - S(a)^2) / 2 on any polyline
+    table = build_staircase(lognormal_walk(seed, edges, dim))
+    amplitudes = []
+
+    def draw(gen, j, n):
+        amp = gen.normal(0.0, 1.0, n)
+        amplitudes.append(amp)
+        return amp[:, None] * np.asarray(j)[None, :]
+
+    proc = FractalProcess("linear-amplitude", draw, linear_amplitude(1.0).correlation)
+    res = ms_integral(proc, lambda j, u: np.ones_like(j), table, a, b, n=50, seed=seed)
+    sa, sb = table.value([a, b])
+    np.testing.assert_allclose(res.realizations / amplitudes[-1], (sb ** 2 - sa ** 2) / 2.0,
+                               rtol=1e-12)
+
+
 class TestImproperIntegral:
     def test_exponential_weight_converges_to_one(self, long_table):
         res = improper_ms_integral(
@@ -349,6 +371,13 @@ class TestImproperIntegral:
             improper_ms_integral(constant_process(1.0),
                                  lambda j, u: np.ones_like(j), long_table,
                                  0.0, [10, 5], n=300)
+
+    def test_ladder_starts_above_a(self, long_table):
+        # the first rung's mass span sets the panel density
+        with pytest.raises(CurveDomainError):
+            improper_ms_integral(constant_process(1.0),
+                                 lambda j, u: np.ones_like(j), long_table,
+                                 0.0, [0, 5], n=300)
 
 
 class TestProductLimits:
