@@ -32,6 +32,9 @@ class FractalCurve:
     Immutable after construction; safe to share across workers.
     ``alpha`` is the calculus order attached to the curve (the ideal
     object's dimension for the Koch family, 1 for straight segments).
+    ``_ladder`` is a private cache that ``staircase.coarse_mass`` fills
+    with the knot-spacing facts and the chord arrays of the ladder rungs
+    of the most recent segment; it lives and dies with the curve.
     """
 
     kind: str                      # "koch" | "line" | "polyline"
@@ -57,6 +60,7 @@ class FractalCurve:
         verts.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_ladder", {})
 
     @property
     def domain(self) -> tuple[float, float]:

@@ -92,6 +92,8 @@ def constant_process(value: float = 1.0) -> FractalProcess:
 def linear_amplitude(sigma2: float = 1.0) -> FractalProcess:
     """X(tau) = A * J(tau) with E[A] = 0 and Var[A] = sigma2; the
     correlation is the bilinear sigma2 * j1 * j2."""
+    if not sigma2 >= 0.0:
+        raise CurveDomainError(f"sigma2 must be non-negative, got {sigma2}")
     sd = math.sqrt(sigma2)
 
     def draw(gen, j, n):
@@ -120,6 +122,8 @@ def cosine_phase() -> FractalProcess:
 
 def white_noise(variance: float = 1.0) -> FractalProcess:
     """A fresh independent draw at every queried index."""
+    if not variance >= 0.0:
+        raise CurveDomainError(f"variance must be non-negative, got {variance}")
     sd = math.sqrt(variance)
 
     def draw(gen, j, n):

@@ -37,13 +37,15 @@ def sigma_alpha(curve: FractalCurve, sub: Subdivision, alpha: float) -> float:
     if alpha <= 0.0:
         raise CurveDomainError(f"alpha must be positive, got {alpha}")
     curve.check_domain(sub.points)
-    return _sigma_points(curve, sub.points, alpha)
+    return _power_sum(_chords(curve, sub.points), alpha)
 
 
-def _sigma_points(curve, points, alpha):
-    pts = curve.point(points)
-    seg = np.diff(pts, axis=0)
-    chords = np.sqrt((seg * seg).sum(axis=1))
+def _chords(curve, points):
+    seg = np.diff(curve.point(points), axis=0)
+    return np.sqrt((seg * seg).sum(axis=1))
+
+
+def _power_sum(chords, alpha):
     return float((chords ** alpha).sum() / math.gamma(alpha + 1.0))
 
 
@@ -69,14 +71,17 @@ def _uniform_candidate_safe(curve, a, b, k):
     the estimator; such candidates are excluded from the minimum.
     """
     knots = curve.knots
-    inside = knots[(knots > a + 1e-15) & (knots < b - 1e-15)]
-    if len(inside) == 0:
-        return True
-    cell = (b - a) / k
-    spacing = np.diff(knots)
-    g = float(spacing.min())
-    if abs(spacing.max() - g) > 1e-12 * g:
+    if np.searchsorted(knots, a + 1e-15, side="right") >= \
+            np.searchsorted(knots, b - 1e-15, side="left"):
+        return True  # no knot strictly inside (a, b)
+    if "spacing" not in curve._ladder:
+        spacing = np.diff(knots)
+        g = float(spacing.min())
+        curve._ladder["spacing"] = g, bool(abs(spacing.max() - g) <= 1e-12 * g)
+    g, uniform = curve._ladder["spacing"]
+    if not uniform:
         return False  # non-uniform knots: only sub-edge splits are safe
+    cell = (b - a) / k
     if cell <= g * (1.0 + 1e-9):
         # each cell within one edge, provided the split hits the knots
         ratio = g / cell
@@ -102,6 +107,10 @@ def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
     when it respects the polyline's edge structure). On self-similar
     curves these coarsest members attain the infimum in the self-similar
     regime.
+
+    A rung's chord arrays depend on the segment and delta but not on alpha,
+    so they are built once and kept on the curve for its most recent
+    segment; each call is then a power sum over them.
     """
     if delta <= 0.0:
         raise CurveDomainError(f"delta must be positive, got {delta}")
@@ -115,21 +124,28 @@ def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
     j = max(0, math.ceil(math.log(1.0 / delta, 4.0) - 1e-9))
     while 4.0 ** (-j) > delta * (1.0 + 1e-12):
         j += 1
-    lattice = _lattice_points(a, b, j)
-    if len(lattice) > _MAX_DIRECT_POINTS:
-        raise CurveDomainError(
-            f"delta={delta} needs {len(lattice)} lattice points; "
-            f"cap is {_MAX_DIRECT_POINTS}"
-        )
-    best = _sigma_points(curve, lattice, alpha)
-
     m = max(0, math.ceil(math.log2(width / delta) - 1e-9))
     while width / (1 << m) > delta * (1.0 + 1e-12):
         m += 1
-    k = 1 << m
-    if k + 1 <= _MAX_DIRECT_POINTS and _uniform_candidate_safe(curve, a, b, k):
-        best = min(best, _sigma_points(curve, np.linspace(a, b, k + 1), alpha))
-    return best
+    # (segment, rungs) is swapped in whole, so a rung never lands in the
+    # dict of another segment
+    segment, rungs = curve._ladder.get("rungs", (None, None))
+    if segment != (a, b):
+        rungs = {}
+        curve._ladder["rungs"] = (a, b), rungs
+    if (j, m) not in rungs:
+        lattice = _lattice_points(a, b, j)
+        if len(lattice) > _MAX_DIRECT_POINTS:
+            raise CurveDomainError(
+                f"delta={delta} needs {len(lattice)} lattice points; "
+                f"cap is {_MAX_DIRECT_POINTS}"
+            )
+        rung = [_chords(curve, lattice)]
+        k = 1 << m
+        if k + 1 <= _MAX_DIRECT_POINTS and _uniform_candidate_safe(curve, a, b, k):
+            rung.append(_chords(curve, np.linspace(a, b, k + 1)))
+        rungs[j, m] = rung
+    return min(_power_sum(chords, alpha) for chords in rungs[j, m])
 
 
 @dataclass
@@ -210,8 +226,10 @@ def gamma_dimension(curve: FractalCurve, a: float = None, b: float = None,
         return est.verdict
 
     lo, hi = 1.0, float(curve.ndim)
-    if hi - lo < tol:
+    if hi == lo:
         return DimensionEstimate(lo, trace)
+    if tol > hi - lo:
+        raise CurveDomainError(f"tol={tol} exceeds the alpha bracket [1, {curve.ndim}]")
     v_lo = classify(lo)
     if v_lo == "finite":
         return DimensionEstimate(lo, trace)

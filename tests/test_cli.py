@@ -41,6 +41,12 @@ class TestDimensionCommand:
         meta, _, _ = read_csv(out)
         assert float(meta["dimension"]) == pytest.approx(1.0, abs=1e-2)
 
+    def test_tol_wider_than_bracket_exits_2(self, tmp_path, capsys):
+        code, out = run(tmp_path, "dim.csv", "dimension", "--level", "3", "--tol", "5")
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: tol=5.0 exceeds")
+
 
 class TestCdfCommand:
     def test_monotone_and_analytic(self, tmp_path):
@@ -137,6 +143,13 @@ class TestCorrelationCommand:
         r = {(row[0], row[1]): row[2] for row in rows}
         for (a, b), v in r.items():
             assert v == r[(b, a)]
+
+    def test_negative_sigma2_exits_2_naming_it(self, tmp_path, capsys):
+        code, out = run(tmp_path, "c.csv", "correlation", "--curve", "line",
+                        "--sigma2", "-1")
+        assert code == 2
+        assert not out.exists()
+        assert "sigma2 must be non-negative" in capsys.readouterr().err
 
 
 class TestMsdiagCommand:

@@ -106,6 +106,12 @@ class TestSecondOrder:
                      brownian_like()):
             assert second_order_check(proc, j)
 
+    @pytest.mark.parametrize("make, name", [(linear_amplitude, "sigma2"),
+                                            (white_noise, "variance")])
+    def test_negative_variance_rejected_by_name(self, make, name):
+        with pytest.raises(CurveDomainError, match=f"{name} must be non-negative"):
+            make(-1.0)
+
     def test_heavy_tailed_sampler_flagged(self):
         from fractalcalc.processes import second_order_check
 

@@ -1,12 +1,16 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fractalcalc import (
     KOCH_DIMENSION,
+    FractalCurve,
     build_koch,
     build_line,
+    build_polyline,
     build_staircase,
     coarse_mass,
     gamma_dimension,
@@ -16,6 +20,7 @@ from fractalcalc import (
 )
 from fractalcalc.errors import CurveDomainError, EstimationError, GeometryError
 from fractalcalc import staircase as sc
+from walks import lognormal_walk
 
 GAMMA_DIM = math.gamma(KOCH_DIMENSION + 1.0)
 
@@ -135,6 +140,16 @@ class TestGammaDimension:
         with pytest.raises(CurveDomainError):
             gamma_dimension(build_koch(3), tol=math.nan)
 
+    def test_tol_wider_than_bracket_raises(self):
+        # a tolerance above n - 1 would end the bisection before any step
+        with pytest.raises(CurveDomainError, match="tol"):
+            gamma_dimension(build_koch(3), tol=5.0)
+        gamma_dimension(build_koch(3), tol=1.0)  # exactly n - 1 still bisects once
+
+    def test_r1_curve_is_one_at_any_tol(self):
+        est = gamma_dimension(build_line(0, 1), tol=5.0)
+        assert est.value == 1.0 and est.trace == []
+
     def test_non_bracketing_raises(self, monkeypatch):
         from fractalcalc.staircase import MassEstimate
 
@@ -144,6 +159,63 @@ class TestGammaDimension:
         monkeypatch.setattr(sc, "mass_function", fake)
         with pytest.raises(EstimationError):
             sc.gamma_dimension(build_koch(3))
+
+
+def _rotated_koch6():
+    koch = build_koch(6)
+    c, s = math.cos(0.3), math.sin(0.3)
+    return build_polyline(koch.knots, koch.vertices @ np.array([[c, s], [-s, c]]),
+                          koch.alpha)
+
+
+class TestLadderCache:
+    """coarse_mass keeps each rung's chords on the curve; results must not
+    depend on what was asked before."""
+
+    TRACES = json.loads((Path(__file__).parent / "data" / "dimension_traces.json").read_text())
+
+    @pytest.mark.parametrize("name, make", [
+        ("koch7", lambda: build_koch(7)),
+        ("rotated_koch6", _rotated_koch6),
+        ("walk3d", lambda: lognormal_walk(3, 4096, 3)),
+    ])
+    def test_traces_are_pinned(self, name, make):
+        # recorded before the rung cache existed; compared exactly
+        pinned = self.TRACES[name]
+        est = gamma_dimension(make())
+        assert est.value == pinned["value"]
+        assert [[alpha, m.verdict, m.masses] for alpha, m in est.trace] == pinned["trace"]
+
+    @pytest.mark.parametrize("make", [lambda: build_koch(6),
+                                      lambda: lognormal_walk(0, 256, 2)],
+                             ids=["koch6", "walk"])
+    def test_segment_switches_match_fresh_curves(self, make):
+        curve = make()
+        for a, b in [(0.0, 1.0), (0.0, 0.25), (0.0, 1.0)]:
+            for alpha in (1.0, KOCH_DIMENSION, 1.7):
+                for delta in (0.3 * (b - a), 4.0 ** -5):
+                    assert coarse_mass(curve, a, b, alpha, delta) == \
+                        coarse_mass(make(), a, b, alpha, delta)
+                assert mass_function(curve, a, b, alpha).masses == \
+                    mass_function(make(), a, b, alpha).masses
+
+    def test_bisection_reuses_rung_chords(self, monkeypatch):
+        calls = []
+        point = FractalCurve.point
+
+        def counting(self, t):
+            calls.append(len(np.atleast_1d(t)))
+            return point(self, t)
+
+        monkeypatch.setattr(FractalCurve, "point", counting)
+        est = gamma_dimension(build_koch(6))
+        assert len(est.trace) > 2
+        # one lattice and at most one uniform split per rung, over 6 rungs
+        assert len(calls) <= 2 * 6
+
+    def test_lattice_cap_names_delta(self):
+        with pytest.raises(CurveDomainError, match="delta=1e-06"):
+            coarse_mass(build_koch(3), 0.0, 1.0, 1.0, 1e-6)
 
 
 class TestStaircase:
