@@ -359,6 +359,8 @@ def _make_fixture(name, cfg):
         )
     sigma2 = float(cfg["sigma2"])
     if name in ("linear-amplitude", "white-noise"):
+        if not sigma2 >= 0.0:
+            raise CurveDomainError(f"sigma2 must be non-negative, got {sigma2}")
         return BUILTIN_FIXTURES[name](sigma2)
     return BUILTIN_FIXTURES[name]()
 

@@ -23,6 +23,11 @@ from .errors import CurveDomainError
 
 DEFAULT_ORDER = 20
 
+#: Rows of the Monte Carlo path matrix handled per step of
+#: ``mc_solution_moments``; its temporaries are this many rows, whatever
+#: the ensemble size.
+MC_BLOCK_ROWS = 1024
+
 
 def _fact(k: int) -> float:
     """k! as a float. Series weights divide by one factorial at a time, so
@@ -124,11 +129,19 @@ def frobenius_coefficients(x0: float, x1: float, a2: float, n_max: int) -> np.nd
     return c
 
 
+def _a2_moments(spec: MomentSpec, top: int) -> list:
+    """E[(A^2)^k] for k = 0..top. A provider's moment can cost O(k) (a
+    Beta moment is a product), so the coefficient builders ask once per
+    order rather than once per term."""
+    return [spec.a2.moment(k) for k in range(top + 1)]
+
+
 def mean_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Polynomial coefficients (in J) of the truncated ensemble mean."""
+    moments = _a2_moments(spec, order)
     coeffs = np.zeros(2 * order + 2)
     for m in range(order + 1):
-        am = spec.a2.moment(m)
+        am = moments[m]
         sign = -1.0 if m % 2 else 1.0
         coeffs[2 * m] += spec.ex0 * sign * am / _fact(2 * m)
         coeffs[2 * m + 1] += spec.ex1 * sign * am / _fact(2 * m + 1)
@@ -151,16 +164,17 @@ def second_moment_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> 
     ``squared_series_coefficients``; the two agree through order J but
     differ from J^2 on.
     """
+    moments = _a2_moments(spec, 2 * order)
     coeffs = np.zeros(4 * order + 3)
     for m in range(order + 1):
-        a2m = spec.a2.moment(2 * m)
+        a2m = moments[2 * m]
         coeffs[4 * m] += spec.ex0_sq * a2m / _fact(2 * m) / _fact(2 * m)
         coeffs[4 * m + 2] += spec.ex1_sq * a2m / _fact(2 * m + 1) / _fact(2 * m + 1)
     for n_idx in range(order + 1):
         for m in range(order + 1):
             sign = -1.0 if (n_idx + m) % 2 else 1.0
             coeffs[2 * (n_idx + m) + 1] += (
-                2.0 * spec.ex01 * sign * spec.a2.moment(n_idx + m)
+                2.0 * spec.ex01 * sign * moments[n_idx + m]
                 / _fact(2 * n_idx) / _fact(2 * m + 1)
             )
     return coeffs
@@ -176,11 +190,12 @@ def squared_series_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) ->
     termwise (all even-even and odd-odd pairings kept). Used as the
     diagnostic cross-check: with deterministic data it collapses to the
     squared mean exactly."""
+    moments = _a2_moments(spec, 2 * order)
     coeffs = np.zeros(4 * order + 3)
     for n_idx in range(order + 1):
         for m in range(order + 1):
             sign = -1.0 if (n_idx + m) % 2 else 1.0
-            anm = spec.a2.moment(n_idx + m)
+            anm = moments[n_idx + m]
             coeffs[2 * (n_idx + m)] += (
                 spec.ex0_sq * sign * anm / _fact(2 * n_idx) / _fact(2 * m)
             )
@@ -261,6 +276,16 @@ class EnsembleMoments:
     n: int
 
 
+def _carry_sum(block, acc):
+    """Column sums of the rows summed so far (``acc``, None before the
+    first block) followed by the rows of ``block``, added one row at a
+    time in order, as numpy's axis-0 sum adds the rows of one matrix.
+    Overwrites ``block[0]``."""
+    if acc is not None:
+        block[0] += acc
+    return block.sum(axis=0)
+
+
 def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
                         j_values) -> EnsembleMoments:
     """Monte Carlo moments of the pathwise closed form.
@@ -268,6 +293,15 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     Draws (A^2, X0, X1) with A^2 independent of the initial data,
     evaluates the closed form per path, and returns ensemble mean and
     second-moment curves with their standard errors.
+
+    The one (n, len(j_values)) path matrix is filled in blocks of
+    ``MC_BLOCK_ROWS`` rows, and every temporary is one block. Each mean is
+    one pass of column sums carried from block to block; each standard
+    error is one more pass of squared deviations from that mean. For
+    grids of two or more points the column sums add the rows in order, so
+    the four curves are bit-identical to ``mean(axis=0)`` and
+    ``std(axis=0, ddof=1)`` of the whole matrix. A one-point grid may
+    differ in the last bits, since numpy sums a single column pairwise.
     """
     if n < 2:
         raise CurveDomainError("need at least 2 realizations")
@@ -277,22 +311,40 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     x0, x1 = initial_sampler(_rng.stream(seed, 1), n)
     a = np.sqrt(a2)
     zero = a == 0.0
-    # one (n, len(j)) block built in place: x0 cos(a j) + x1 sin(a j) / a,
-    # with the a -> 0 limit j for the sine term
-    aj = np.multiply.outer(a, j)
-    paths = np.sin(aj)
-    paths /= np.where(zero, 1.0, a)[:, None]
-    paths[zero] = j
-    paths *= x1[:, None]
-    np.cos(aj, out=aj)
-    aj *= x0[:, None]
-    paths += aj
-    del aj
-    mean = paths.mean(axis=0)
-    mean_se = paths.std(axis=0, ddof=1) / math.sqrt(n)
-    np.square(paths, out=paths)
-    second = paths.mean(axis=0)
-    second_se = paths.std(axis=0, ddof=1) / math.sqrt(n)
+    a_div = np.where(zero, 1.0, a)
+    paths = np.empty((n, len(j)))
+    scratch = np.empty((min(n, MC_BLOCK_ROWS), len(j)))
+    blocks = [slice(lo, min(lo + MC_BLOCK_ROWS, n)) for lo in range(0, n, MC_BLOCK_ROWS)]
+    total = total_sq = None
+    for rows in blocks:
+        blk, tmp = paths[rows], scratch[:rows.stop - rows.start]
+        # x0 cos(a j) + x1 sin(a j) / a, with the a -> 0 limit j for the sine term
+        np.multiply.outer(a[rows], j, out=tmp)
+        np.sin(tmp, out=blk)
+        blk /= a_div[rows, None]
+        blk[zero[rows]] = j
+        blk *= x1[rows, None]
+        np.cos(tmp, out=tmp)
+        tmp *= x0[rows, None]
+        blk += tmp
+        tmp[...] = blk  # _carry_sum overwrites its first row
+        total = _carry_sum(tmp, total)
+        np.square(blk, out=tmp)
+        total_sq = _carry_sum(tmp, total_sq)
+    mean = total / n
+    second = total_sq / n
+    dev = dev_sq = None
+    for rows in blocks:
+        blk, tmp = paths[rows], scratch[:rows.stop - rows.start]
+        np.subtract(blk, mean, out=tmp)
+        np.square(tmp, out=tmp)
+        dev = _carry_sum(tmp, dev)
+        np.square(blk, out=tmp)
+        tmp -= second
+        np.square(tmp, out=tmp)
+        dev_sq = _carry_sum(tmp, dev_sq)
+    mean_se = np.sqrt(dev / (n - 1)) / math.sqrt(n)
+    second_se = np.sqrt(dev_sq / (n - 1)) / math.sqrt(n)
     return EnsembleMoments(mean, second, mean_se, second_se, n)
 
 

@@ -209,8 +209,13 @@ def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
     r = paths.T @ paths / n
     pt = np.ascontiguousarray(paths.T)
     stderr = np.empty_like(r)
+    buf = np.empty_like(pt)
     for i in range(len(j)):
-        stderr[i, i:] = stderr[i:, i] = (pt[i] * pt[i:]).std(axis=1, ddof=1) / math.sqrt(n)
+        # std(axis=1, ddof=1) of the pair products, step for step, in one buffer
+        prod = np.multiply(pt[i], pt[i:], out=buf[i:])
+        prod -= prod.sum(axis=1, keepdims=True) / n
+        np.square(prod, out=prod)
+        stderr[i, i:] = stderr[i:, i] = np.sqrt(prod.sum(axis=1) / (n - 1)) / math.sqrt(n)
     return CorrelationGrid(j, r, stderr, n)
 
 
@@ -361,10 +366,10 @@ def _double_rs_sum(weight, proc, u, table, a, b, k, n, seed):
     w = np.asarray(weight(mids, u), dtype=float) * dj
     if proc.correlation is not None:
         rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
-    else:
-        paths = proc.draw_paths(_rng.stream(seed, 7), mids, n)
-        rmat = paths.T @ paths / n
-    return float(w @ rmat @ w)
+        return float(w @ rmat @ w)
+    # w (P^T P / n) w in its realization form: O(n k), no k-by-k matrix
+    paths = proc.draw_paths(_rng.stream(seed, 7), mids, n)
+    return float(np.mean((paths @ w) ** 2))
 
 
 def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
@@ -373,7 +378,13 @@ def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
     """Evaluate the double midpoint sum of f(j,u) f(j',u) R(j,j') over k,
     2k and 4k uniform panels in J; the limit exists when the sums are
     finite and Cauchy (tight relative agreement, or gaps contracting
-    geometrically toward a finite value)."""
+    geometrically toward a finite value).
+
+    Without an analytic R, the sum over an estimated R is taken in its
+    realization form: the mean over n paths of (sum_j w_j X(j))^2, with
+    w_j = f(j, u) dj. It equals w R_n w for the sample correlation
+    R_n = P^T P / n in exact arithmetic and can differ from that Gram form
+    in the last bits."""
     sums = [
         _double_rs_sum(weight, proc, u, table, a, b, kk, n, seed)
         for kk in (k, 2 * k, 4 * k)

@@ -151,6 +151,15 @@ class TestCorrelationCommand:
         assert not out.exists()
         assert "sigma2 must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["correlation", "msdiag"])
+    def test_negative_sigma2_for_white_noise_names_the_option(self, tmp_path, capsys,
+                                                              command):
+        code, out = run(tmp_path, "w.csv", command, "--curve", "line",
+                        "--fixture", "white-noise", "--sigma2", "-1")
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: sigma2 must be non-negative, got -1.0\n"
+
 
 class TestMsdiagCommand:
     def test_verdict_table(self, tmp_path):

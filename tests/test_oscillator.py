@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from fractalcalc import (
     truncated_second_moment,
 )
 from fractalcalc.errors import CurveDomainError
+from fractalcalc import rng as frng
 from fractalcalc.oscillator import (
+    MC_BLOCK_ROWS,
+    EnsembleMoments,
     deterministic_initial_data,
     mean_coefficients,
     second_moment_coefficients,
@@ -244,6 +248,92 @@ class TestMonteCarlo:
         data = b"".join(v.tobytes() for v in
                         (mc.mean, mc.second, mc.mean_stderr, mc.second_stderr))
         assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+class CountingAmplitude(BetaSquaredAmplitude):
+    """Beta(2, 1) amplitude that counts its moment calls."""
+
+    def __init__(self):
+        super().__init__(2.0, 1.0)
+        self.calls = 0
+
+    def moment(self, m):
+        self.calls += 1
+        return super().moment(m)
+
+
+@pytest.mark.parametrize("build", [
+    mean_coefficients, second_moment_coefficients, squared_series_coefficients,
+])
+def test_a2_moments_built_once_per_call(build):
+    order = 24
+    a2 = CountingAmplitude()
+    spec = MomentSpec(1.0, 0.5, 1.5, 0.5, 0.3, a2)
+    a2.calls = 0
+    build(spec, order)
+    assert a2.calls <= 2 * order + 1
+
+
+class ZeroMixedBeta(BetaSquaredAmplitude):
+    """Beta(2, 1) draws with every fifth one set to A^2 = 0."""
+
+    def __init__(self):
+        super().__init__(2.0, 1.0)
+
+    def sample(self, gen, size):
+        a2 = gen.beta(self.mu, self.nu, size)
+        a2[::5] = 0.0
+        return a2
+
+
+def correlated_initial_data(gen, size):
+    x0 = gen.normal(1.0, 0.5, size)
+    return x0, 0.6 * x0 + gen.normal(0.0, 0.8, size)
+
+
+def one_shot_moments(a2_provider, initial_sampler, n, seed, j_values):
+    """Reference: the whole path matrix at once, then numpy's mean and
+    std(ddof=1) over it."""
+    j = np.asarray(j_values, dtype=float)
+    a = np.sqrt(np.asarray(a2_provider.sample(frng.stream(seed, 0), n), dtype=float))
+    x0, x1 = initial_sampler(frng.stream(seed, 1), n)
+    zero = a == 0.0
+    aj = np.multiply.outer(a, j)
+    paths = np.sin(aj) / np.where(zero, 1.0, a)[:, None]
+    paths[zero] = j
+    paths = x0[:, None] * np.cos(aj) + x1[:, None] * paths
+    sq = paths ** 2
+    return EnsembleMoments(paths.mean(axis=0), sq.mean(axis=0),
+                           paths.std(axis=0, ddof=1) / math.sqrt(n),
+                           sq.std(axis=0, ddof=1) / math.sqrt(n), n)
+
+
+class TestBlockedMonteCarlo:
+    @pytest.mark.parametrize("points", [2, 9, 129])
+    @pytest.mark.parametrize("n", [2, MC_BLOCK_ROWS - 1, MC_BLOCK_ROWS,
+                                   MC_BLOCK_ROWS + 1, 5000])
+    @pytest.mark.parametrize("a2, initial", [
+        (ZeroMixedBeta(), correlated_initial_data),
+        (BetaSquaredAmplitude(2.0, 1.0), deterministic_initial_data(1.0, 2.0)),
+    ], ids=["zero-mixed-correlated", "beta-deterministic"])
+    def test_bit_identical_to_one_shot(self, a2, initial, n, points):
+        j = np.linspace(0.0, 2.5, points)
+        got = mc_solution_moments(a2, initial, n, 17, j)
+        want = one_shot_moments(a2, initial, n, 17, j)
+        for name in ("mean", "second", "mean_stderr", "second_stderr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_peak_memory_is_one_path_matrix(self):
+        n, points = 20000, 129
+        tracemalloc.start()
+        try:
+            mc_solution_moments(BetaSquaredAmplitude(2.0, 1.0),
+                                correlated_initial_data, n, 3,
+                                np.linspace(0.0, 2.0, points))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * n * points * 8
 
 
 class TestResidual:

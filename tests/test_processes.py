@@ -167,6 +167,22 @@ class TestCorrelationGrid:
                 assert abs(grid.r[i, l]) <= bound + slack
 
 
+    @pytest.mark.parametrize("make", [brownian_like, white_noise])
+    @pytest.mark.parametrize("points, n", [(1, 2), (7, 3001), (40, 1200)])
+    def test_bit_identical_to_numpy_std(self, make, points, n):
+        # reference: each pair-product row through numpy's std(ddof=1)
+        proc, j = make(), np.linspace(0.1, 2.0, points)
+        grid = estimate_correlation_grid(proc, j, n, seed=5)
+        paths = proc.draw_paths(frng.stream(5), j, n)
+        pt = np.ascontiguousarray(paths.T)
+        stderr = np.empty((points, points))
+        for i in range(points):
+            stderr[i, i:] = stderr[i:, i] = (
+                (pt[i] * pt[i:]).std(axis=1, ddof=1) / math.sqrt(n))
+        assert np.array_equal(grid.r, paths.T @ paths / n)
+        assert np.array_equal(grid.stderr, stderr)
+
+
 class TestGeneralizedSecondDerivative:
     def test_bilinear_collapses_to_sigma2(self):
         proc = linear_amplitude(2.0)
@@ -310,6 +326,9 @@ class TestMsIntegral:
             (white_noise(1.0), lambda j, u: np.ones_like(j)),
             (amplitude_only(1.0), lambda j, u: 1.0 / np.maximum(j, 1e-300)),
         ]
+        # the same processes without an analytic R take the estimated branch
+        fixtures += [(FractalProcess(proc.name, proc.draw_paths), weight)
+                     for proc, weight in fixtures]
         for proc, weight in fixtures:
             pre = ms_integral_precheck(proc, weight, unit_table, 0, 1, n=4000, seed=6)
             sums = []
@@ -325,6 +344,27 @@ class TestMsIntegral:
             ]
             empirically_cauchy = gaps[1] <= max(0.75 * gaps[0], 1e-9)
             assert pre.exists == empirically_cauchy, proc.name
+
+
+@pytest.mark.parametrize("make, weight", [
+    (constant_process, lambda j, u: np.ones_like(j)),
+    (amplitude_only, lambda j, u: np.ones_like(j)),
+    (white_noise, lambda j, u: np.ones_like(j)),
+    (amplitude_only, lambda j, u: 1.0 / np.maximum(j, 1e-300)),
+    (cosine_phase, lambda j, u: np.cos(j - u)),
+], ids=["constant", "amplitude", "white-noise", "amplitude-divergent", "cosine"])
+def test_estimated_precheck_sums_match_gram_form(unit_table, make, weight):
+    # reference: w (P^T P / n) w over the k-by-k sample correlation matrix
+    proc = FractalProcess("estimated", make().draw_paths)
+    pre = ms_integral_precheck(proc, weight, unit_table, 0, 1, u=0.3, k=64,
+                               n=3000, seed=8)
+    for kk, got in zip((64, 128, 256), pre.sums):
+        j = np.linspace(0.0, 1.0, kk + 1)
+        mids = 0.5 * (j[:-1] + j[1:])
+        w = np.asarray(weight(mids, 0.3), dtype=float) * np.diff(j)
+        paths = proc.draw_paths(frng.stream(8, 7), mids, 3000)
+        want = float(w @ (paths.T @ paths / 3000) @ w)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
