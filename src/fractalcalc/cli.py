@@ -12,6 +12,7 @@ failure.
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 
@@ -111,14 +112,22 @@ def _resolve_curve(cfg):
 def write_csv(out_path, meta: dict, columns: dict, trailing_comments=()):
     """Write ``meta`` as comment lines, then ``columns`` (header name: 1-D
     values, all of one length) as rows; returns the text written."""
-    cells = []
+    # the body is one % template: "%.17g" per float cell, "%s" over _fmt
+    # for the rest, formatted in one call
+    cells, specs = [], []
     for col in map(np.asarray, columns.values()):
-        float_col = col.dtype.kind == "f"
-        cells.append([format(v, ".17g") if float_col else _fmt(v)
-                      for v in col.tolist()])
+        if col.dtype.kind == "f":
+            cells.append(col.tolist())
+            specs.append("%.17g")
+        else:
+            cells.append([_fmt(v) for v in col.tolist()])
+            specs.append("%s")
+    rows = list(zip(*cells, strict=True))
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*cells, strict=True)))
+    if rows:
+        template = "\n".join([",".join(specs)] * len(rows))
+        lines.append(template % tuple(itertools.chain.from_iterable(rows)))
     lines.extend(f"# {c}" for c in trailing_comments)
     text = "\n".join(lines) + "\n"
     if out_path:

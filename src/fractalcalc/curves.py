@@ -34,7 +34,8 @@ class FractalCurve:
     object's dimension for the Koch family, 1 for straight segments).
     ``_ladder`` is a private cache that ``staircase.coarse_mass`` fills
     with the knot-spacing facts and the chord arrays of the ladder rungs
-    of the most recent segment; it lives and dies with the curve.
+    of the most recent segment, and that ``_points_at`` fills with the
+    knots' cell index; it lives and dies with the curve.
     """
 
     kind: str                      # "koch" | "line" | "polyline"
@@ -94,8 +95,25 @@ class FractalCurve:
         self.check_domain(t)
         a, b = self.domain
         tc = np.clip(t, a, b)
+        # public queries are mostly sorted grids, on which numpy's hinted
+        # search beats the cell index
+        pts = self._interpolate(tc, np.searchsorted(self.knots, tc, side="right"))
+        return pts[0] if scalar else pts
+
+    def _points_at(self, t):
+        """``point(t)`` for a 1-D array of parameters in any order, each
+        finding its knot cell through the knots' cell index (built on
+        first use). There is no domain check: ``t`` must lie in the
+        domain up to rounding, as ``t_from_mass`` gives it."""
+        if "cell_index" not in self._ladder:
+            self._ladder["cell_index"] = _CellIndex(self.knots)
+        tc = np.clip(t, *self.domain)
+        return self._interpolate(tc, self._ladder["cell_index"].search(tc))
+
+    def _interpolate(self, tc, idx):
+        """Points at the clipped parameters ``tc``, given
+        ``idx = searchsorted(knots, tc, side="right")``; overwrites both."""
         # gathered per query and combined in place: w(t0) + frac * (w(t1) - w(t0))
-        idx = np.searchsorted(self.knots, tc, side="right")
         idx -= 1
         np.clip(idx, 0, self.edge_count - 1, out=idx)
         t0 = self.knots[idx]
@@ -107,7 +125,58 @@ class FractalCurve:
         pts -= v0
         pts *= frac[:, None]
         pts += v0
-        return pts[0] if scalar else pts
+        return pts
+
+
+class _CellIndex:
+    """``np.searchsorted(edges, x, side="right")`` for unsorted queries
+    into sorted edges, in a fixed number of vectorised steps.
+
+    With n = len(edges) - 1, every value v goes to bucket
+    ``floor((v - edges[0]) * n / span)`` clipped to [0, n] (nan to n), a
+    monotone map: edges in a lower bucket than a query are below it, edges
+    in a higher one above it. A query's answer therefore lies between the
+    number of edges in the buckets below its own and the number up to its
+    own; ``len(steps)`` halvings of that range, ceil(log2(widest bucket +
+    1)) of them, find it. Evenly spread edges take one step. A zero or
+    non-finite span falls back to scale 1, which keeps the map monotone.
+    """
+
+    def __init__(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        n = len(edges) - 1
+        span = float(edges[-1] - edges[0])
+        scale = n / span if span > 0.0 else 0.0
+        self._e0 = float(edges[0])
+        self._scale = scale if 0.0 < scale < math.inf else 1.0
+        self._top = float(n)
+        first = np.searchsorted(self._bucket(edges), np.arange(n + 2))
+        self._ends = first[1:]
+        width = int(np.diff(first).max())
+        self._steps = [1 << i for i in reversed(range(width.bit_length()))]
+        # edges[pos - h] is views[i][pos] for h = steps[i]; -inf below index 0
+        pad = self._steps[0]
+        padded = np.concatenate((np.full(pad, -np.inf), edges))
+        self._views = [padded[pad - h:] for h in self._steps]
+
+    def _bucket(self, x):
+        v = x - self._e0
+        v *= self._scale
+        np.fmin(v, self._top, out=v)
+        np.fmax(v, 0.0, out=v)
+        return v.astype(np.intp)
+
+    def search(self, x):
+        """Index array equal to ``np.searchsorted(edges, x, side="right")``
+        for a 1-D float array ``x``."""
+        # start at the end of the query's bucket and step down past every
+        # edge above x
+        pos = self._ends.take(self._bucket(x))
+        above = np.empty(pos.shape, dtype=bool)
+        for view, h in zip(self._views, self._steps):
+            np.less(x, view.take(pos), out=above)
+            np.subtract(pos, h, out=pos, where=above)
+        return pos
 
 
 def build_koch(level: int) -> FractalCurve:

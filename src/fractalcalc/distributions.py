@@ -21,6 +21,11 @@ from .calculus import cell_nodes
 from .errors import CurveDomainError, EstimationError
 from .staircase import StaircaseTable
 
+#: Draws per step of ``DistributionOnCurve.sample``: u -> J -> (t, point)
+#: runs one block at a time, so its temporaries are this many rows,
+#: whatever the count.
+SAMPLE_BLOCK_ROWS = 16384
+
 
 @dataclass
 class SampleSet:
@@ -141,18 +146,26 @@ class DistributionOnCurve:
 
         The same (seed, stream_id) always reproduces the same points.
         Draws landing on a staircase plateau snap to its right edge and
-        are counted.
+        are counted. The draws run in blocks of ``SAMPLE_BLOCK_ROWS``;
+        the stream yields the same numbers whatever the block size. Each
+        J finds its table cell and each t its knot cell through an exact
+        bucketed index (see ``StaircaseTable.t_from_mass``).
         """
         if count < 1:
             raise CurveDomainError("sample count must be >= 1")
         gen = _rng.stream(seed, stream_id)
-        u = gen.random(count)
-        j = self._inverse_cdf(u)
-        before = self.table.plateau_hits
-        t = self.table.t_from_mass(j)
-        hits = self.table.plateau_hits - before
-        pts = self.table.curve.point(t)
-        return SampleSet(pts, np.atleast_1d(t), np.atleast_1d(j), seed, stream_id, hits)
+        table = self.table
+        j = np.empty(count)
+        t = np.empty(count)
+        pts = np.empty((count, table.curve.ndim))
+        before = table.plateau_hits
+        for lo in range(0, count, SAMPLE_BLOCK_ROWS):
+            rows = slice(lo, min(lo + SAMPLE_BLOCK_ROWS, count))
+            j[rows] = self._inverse_cdf(gen.random(rows.stop - lo))
+            t[rows] = table.t_from_mass(j[rows])
+            pts[rows] = table.curve._points_at(t[rows])
+        hits = table.plateau_hits - before
+        return SampleSet(pts, t, j, seed, stream_id, hits)
 
     # -- moments ---------------------------------------------------------------
 

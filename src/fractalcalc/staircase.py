@@ -10,10 +10,11 @@ curve points and their cumulative-mass coordinate.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .curves import FractalCurve, Subdivision
+from .curves import FractalCurve, Subdivision, _CellIndex
 from .errors import (
     CurveDomainError,
     EstimationError,
@@ -303,7 +304,9 @@ class StaircaseTable:
 
     def t_from_mass(self, s):
         """Parameter t with S(t) = s; plateaus resolve to their right edge
-        and are counted in ``plateau_hits``."""
+        and are counted in ``plateau_hits``. The queries need no order:
+        each finds its cell through a bucketed index of ``s`` that equals
+        ``np.searchsorted(s, ., side="right")``, built on first use."""
         lo, hi = self.mass_bounds
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s_arr < lo - 1e-9) or np.any(s_arr > hi + 1e-9):
@@ -313,7 +316,7 @@ class StaircaseTable:
             self.plateau_hits += int(np.isin(s_arr, self._plateau_values).sum())
         # side="right" lands queries at a plateau value on its right edge;
         # idx then steps back to the cell's left end
-        idx = np.searchsorted(self.s, s_arr, side="right")
+        idx = self._s_index.search(s_arr)
         np.clip(idx, 1, len(self.s) - 1, out=idx)
         idx -= 1
         s0 = self.s[idx]
@@ -363,10 +366,17 @@ class StaircaseTable:
             )
         return t
 
+    @cached_property
+    def _s_index(self):
+        """Cell index of ``s``, built on the first ``t_from_mass``."""
+        return _CellIndex(self.s)
+
     def j_inverse(self, s):
-        """Curve point whose mass coordinate is s."""
-        t = self.t_from_mass(s)
-        return self.curve.point(t)
+        """Curve point whose mass coordinate is s; the parameter finds its
+        knot cell through the curve's bucketed index, as it does in
+        ``t_from_mass``, and the point is interpolated as ``point`` does."""
+        pts = self.curve._points_at(np.atleast_1d(self.t_from_mass(s)))
+        return pts[0] if np.ndim(s) == 0 else pts
 
 
 def _project_points(curve, pts, chunk=512):

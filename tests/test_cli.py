@@ -289,6 +289,24 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == "error: lam must be a finite number, got inf\n"
 
 
+class TestWriteCsv:
+    def test_cells_match_per_value_formatting(self):
+        floats = np.array([0.1, -0.0, 1e-310, np.inf, -np.inf, np.nan, 2.0 / 3.0])
+        other = np.array([3, -7, 0, 12, 5, 9, 100])
+        flags = np.array([True, False, True, True, False, False, True])
+        text = cli.write_csv("", {"k": 1}, {"x": floats, "n": other, "ok": flags})
+        rows = [f"{format(x, '.17g')},{n},{'true' if ok else 'false'}"
+                for x, n, ok in zip(floats.tolist(), other.tolist(), flags.tolist())]
+        assert text == "# k=1\nx,n,ok\n" + "\n".join(rows) + "\n"
+
+    def test_no_rows_writes_the_header_only(self):
+        assert cli.write_csv("", {}, {"t": np.array([])}, ["end"]) == "t\n# end\n"
+
+    def test_unequal_columns_raise(self):
+        with pytest.raises(ValueError):
+            cli.write_csv("", {}, {"t": [0.5, 1.0], "J": [0.25]})
+
+
 class TestCsvBytes:
     # sha256 prefixes of the stdout CSVs; any change to a printed byte moves them
     @pytest.mark.parametrize("args, digest", [

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractalcalc import (
     build_koch,
@@ -11,8 +12,9 @@ from fractalcalc import (
     load_polyline_csv,
     make_subdivision,
 )
-from fractalcalc.curves import Subdivision
+from fractalcalc.curves import Subdivision, _CellIndex
 from fractalcalc.errors import CurveDomainError, ResourceError
+from walks import lognormal_walk
 
 
 def koch_generator_step(points):
@@ -164,3 +166,57 @@ class TestPolyline:
         curve = build_koch(2)
         with pytest.raises(ValueError):
             curve.vertices[0, 0] = 5.0
+
+
+def _plateau_edges(seed, n):
+    """Sorted draws from a pool a quarter as large: long runs of equal
+    edges, negative ones included."""
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(rng.normal(size=max(1, n // 4)), n))
+
+
+def _lognormal_edges(seed, n, offset):
+    """Cumulative lognormal(0, 3) gaps: clusters of edges orders of
+    magnitude tighter than the gaps between them."""
+    rng = np.random.default_rng(seed)
+    return offset + np.cumsum(rng.lognormal(0.0, 3.0, n))
+
+
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+_SORTED_EDGES = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40).map(np.sort),
+    st.lists(st.integers(-4, 4), min_size=2, max_size=40).map(
+        lambda v: np.sort(np.asarray(v, dtype=float)) * 0.1),
+    st.builds(_plateau_edges, _SEEDS, st.integers(2, 500)),
+    st.builds(_lognormal_edges, _SEEDS, st.integers(1, 500), st.floats(-1e3, 1e3)),
+    st.builds(lambda v: np.full(2, v), st.floats(-1e6, 1e6)),
+)
+
+
+class TestCellIndex:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(edges=_SORTED_EDGES, seed=_SEEDS)
+    @example(edges=np.zeros(9), seed=0)  # zero span: one bucket
+    def test_equals_searchsorted_right(self, edges, seed):
+        edges = np.asarray(edges, dtype=float)
+        lo, hi = edges[0], edges[-1]
+        pad = max(hi - lo, 1.0)
+        random = np.random.default_rng(seed).uniform(lo - pad, hi + pad, 200)
+        queries = np.concatenate((
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            random, [lo, hi, np.inf, -np.inf, np.nan],
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _CellIndex(edges).search(queries)
+        np.testing.assert_array_equal(got, np.searchsorted(edges, queries, side="right"))
+
+    def test_evenly_spread_edges_take_one_step(self):
+        assert _CellIndex(np.linspace(0.0, 1.0, 4 ** 6 + 1))._steps == [1]
+
+    @pytest.mark.parametrize("curve", [build_koch(4), lognormal_walk(2, 200, 3)],
+                             ids=["koch4", "walk"])
+    def test_unsorted_points_match_point(self, curve):
+        t = np.random.default_rng(3).uniform(0.0, 1.0, 5000)
+        t[:3] = 0.0, 1.0, curve.knots[7]
+        np.testing.assert_array_equal(curve._points_at(t), curve.point(t))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fractalcalc import (
     sampling_cdf,
 )
 from fractalcalc.errors import CurveDomainError
-from walks import lognormal_walk
+from walks import lognormal_walk, plateau_polyline
 
 
 @pytest.fixture(scope="module")
@@ -161,18 +162,48 @@ class TestSampling:
         data = b"".join(v.tobytes() for v in (smp.points, smp.t, smp.j))
         assert hashlib.sha256(data).hexdigest()[:16] == "46fa2a9534315615"
 
+    @pytest.mark.parametrize("law, digest", [
+        ("walk-uniform", "58636e6302273d94"),
+        ("walk-memoryless", "d9e5afcd9b1788d1"),
+        ("plateau-uniform", "f941c790431d40da"),
+    ])
+    def test_sample_pins(self, law, digest):
+        # sha256 prefix of points, t, J and the plateau hits; 30001 draws
+        # span more than one sampling block and end in a partial one
+        if law == "walk-uniform":
+            dist = DistributionOnCurve.uniform(build_staircase(lognormal_walk(5, 200, 2)))
+        elif law == "walk-memoryless":
+            table = build_staircase(lognormal_walk(8, 120, 3), p0=0.4)
+            dist = DistributionOnCurve.memoryless(table, 2.0 / table.total_mass)
+        else:
+            dist = DistributionOnCurve.uniform(
+                build_staircase(plateau_polyline(), alpha=2.0, grid_size=4))
+        smp = dist.sample(11, 30001)
+        data = b"".join(v.tobytes() for v in
+                        (smp.points, smp.t, smp.j, np.int64(smp.plateau_hits)))
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+    def test_sampler_memory_per_draw(self, koch_table):
+        # the returned points, t and J take 32 bytes a draw; every
+        # temporary of the sampler is one block long
+        dist = DistributionOnCurve.memoryless(koch_table, 1.3)
+        count = 2 * 10 ** 5
+        tracemalloc.start()
+        try:
+            smp = dist.sample(7, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert smp.count == count
+        assert peak <= 56 * count
+
     def test_count_floor(self, koch_table):
         with pytest.raises(CurveDomainError):
             DistributionOnCurve.uniform(koch_table).sample(0, 0)
 
     def test_plateau_draws_snap_right_and_count(self):
         # a microscopic edge underflows to a flat staircase cell at alpha=2
-        curve = build_polyline(
-            [0.0, 0.25, 0.5, 0.75, 1.0],
-            [[0.0, 0.0], [0.25, 0.0], [0.25, 1e-200], [0.75, 0.0], [1.0, 0.0]],
-            2.0,
-        )
-        table = build_staircase(curve, alpha=2.0, grid_size=4)
+        table = build_staircase(plateau_polyline(), alpha=2.0, grid_size=4)
         assert table.plateau_cells >= 1
         flat = np.flatnonzero(np.diff(table.s) == 0.0)[0]
         t = table.t_from_mass(float(table.s[flat]))

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from fractalcalc import (
 )
 from fractalcalc.errors import CurveDomainError, EstimationError, GeometryError
 from fractalcalc import staircase as sc
-from walks import lognormal_walk
+from walks import lognormal_walk, plateau_polyline, underflow_polyline
 
 GAMMA_DIM = math.gamma(KOCH_DIMENSION + 1.0)
 
@@ -294,3 +296,49 @@ class TestChart:
         table = build_staircase(build_line(0, 1))
         with pytest.raises(CurveDomainError):
             table.j_inverse(1.5)
+
+
+#: Tables whose inverse chart is pinned: Koch, lognormal walks (one with
+#: p0 inside the domain, so S runs negative), a retrace, a flat cell, an
+#: all-zero staircase and two-value grids.
+CHART_TABLES = {
+    "koch6": lambda: build_staircase(build_koch(6)),
+    "koch3-p0": lambda: build_staircase(build_koch(3), p0=0.3, grid_size=4),
+    "walk-2d": lambda: build_staircase(lognormal_walk(3, 300, 2)),
+    "walk-3d-p0": lambda: build_staircase(lognormal_walk(4, 90, 3), p0=0.55),
+    "retrace": lambda: build_staircase(
+        build_polyline([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], 1.0)),
+    "plateau": lambda: build_staircase(plateau_polyline(), alpha=2.0, grid_size=4),
+    "zero-span": lambda: build_staircase(underflow_polyline(), alpha=2.0, grid_size=8),
+    "line-one-cell": lambda: build_staircase(build_line(0, 1), grid_size=1),
+    "line-p0": lambda: build_staircase(build_line(-1, 2), p0=0.5),
+}
+
+
+class TestChartPins:
+    @pytest.mark.parametrize("name, digest", [
+        ("koch6", "40ccf5a7b6c4ba31"),
+        ("koch3-p0", "36d45d924e11cf94"),
+        ("walk-2d", "d6ed2a80d1a786d2"),
+        ("walk-3d-p0", "2184e3058c80781c"),
+        ("retrace", "390b40fcb28153f0"),
+        ("plateau", "42401eff1744f971"),
+        ("zero-span", "223a8c47752e9e86"),
+        ("line-one-cell", "412a27844bdc7672"),
+        ("line-p0", "11d9f837deadd257"),
+    ])
+    def test_inverse_chart_bytes(self, name, digest):
+        # sha256 prefix of t_from_mass and j_inverse at every S value and
+        # both of its float neighbours, with the plateau hits they count;
+        # the lookups raise no warning, not even on the all-zero staircase
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # flat-cell warning of the plateau tables
+            table = CHART_TABLES[name]()
+        s = table.s
+        queries = np.concatenate((s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = table.t_from_mass(queries)
+            pts = table.j_inverse(queries)
+        data = b"".join(v.tobytes() for v in (t, pts, np.int64(table.plateau_hits)))
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
