@@ -10,6 +10,7 @@ exactly linear in t at the curve's own order.
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,15 @@ class FractalCurve:
     Immutable after construction; safe to share across workers.
     ``alpha`` is the calculus order attached to the curve (the ideal
     object's dimension for the Koch family, 1 for straight segments).
-    ``_ladder`` is a private cache that ``staircase.coarse_mass`` fills
-    with the knot-spacing facts and the chord arrays of the ladder rungs
-    of the most recent segment, and that ``_points_at`` fills with the
-    knots' cell index; it lives and dies with the curve.
+    The vertices are stored once, coordinate-major, in the read-only
+    C-contiguous (n, m+1) array ``_cols``; ``vertices`` is its (m+1, n)
+    transpose view, and every per-edge kernel runs one coordinate at a
+    time over its rows. ``_ladder`` is a private cache that
+    ``staircase.coarse_mass`` fills with the knot-spacing facts and the
+    chord arrays of the ladder rungs of the most recent segment, that
+    ``_points_at`` fills with the knots' cell index, and that
+    ``staircase._project_points`` fills with the edge directions and
+    squared lengths; it lives and dies with the curve.
     """
 
     kind: str                      # "koch" | "line" | "polyline"
@@ -46,21 +52,28 @@ class FractalCurve:
 
     def __post_init__(self):
         knots = np.ascontiguousarray(np.asarray(self.knots, dtype=float))
-        verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
+        verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim == 1:
             verts = verts[:, None]
-        if knots.ndim != 1 or len(knots) != len(verts) or len(knots) < 2:
+        if knots.ndim != 1 or verts.ndim != 2 or len(knots) != len(verts) \
+                or len(knots) < 2:
             raise CurveDomainError("knots and vertices must align, length >= 2")
         if not np.all(np.diff(knots) > 0.0):
             raise CurveDomainError("parameter knots must be strictly increasing")
-        if np.any(np.all(np.diff(verts, axis=0) == 0.0, axis=1)):
+        # one transposing copy of a row-major input; none of a cols.T view
+        cols = np.ascontiguousarray(verts.T)
+        repeated = np.diff(cols[0]) == 0.0
+        for col in cols[1:]:
+            repeated &= np.diff(col) == 0.0
+        if repeated.any():
             raise CurveDomainError("repeated consecutive vertices break injectivity")
-        if not (0.0 < self.alpha <= verts.shape[1] + 1e-12):
+        if not (0.0 < self.alpha <= len(cols) + 1e-12):
             raise CurveDomainError(f"alpha must lie in (0, n], got {self.alpha}")
         knots.setflags(write=False)
-        verts.setflags(write=False)
+        cols.setflags(write=False)
         object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "vertices", cols.T)
         object.__setattr__(self, "_ladder", {})
 
     @property
@@ -69,27 +82,29 @@ class FractalCurve:
 
     @property
     def ndim(self) -> int:
-        return int(self.vertices.shape[1])
+        return len(self._cols)
 
     @property
     def edge_count(self) -> int:
         return len(self.knots) - 1
 
     def polyline_length(self) -> float:
-        seg = np.diff(self.vertices, axis=0)
-        return float(np.sqrt((seg * seg).sum(axis=1)).sum())
+        return float(_chord_lengths(self._cols).sum())
 
     def check_domain(self, t, tol: float = 1e-12):
+        """Raise CurveDomainError unless every t lies in the domain up to
+        ``tol``; a nan fails, since min and max carry it through."""
         a, b = self.domain
         t = np.asarray(t, dtype=float)
-        if np.any(t < a - tol) or np.any(t > b + tol):
+        if t.size and not (a - tol <= t.min() and t.max() <= b + tol):
             raise CurveDomainError(
                 f"parameter outside curve domain [{a}, {b}]"
             )
 
     def point(self, t):
         """Evaluate w(t). Scalar t gives a (n,) point, an array of shape
-        (m,) gives the (m, n) array of points."""
+        (m,) gives the (m, n) array of points, the transpose view of a
+        C-contiguous (n, m) array."""
         scalar = np.isscalar(t) or np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         self.check_domain(t)
@@ -112,20 +127,42 @@ class FractalCurve:
 
     def _interpolate(self, tc, idx):
         """Points at the clipped parameters ``tc``, given
-        ``idx = searchsorted(knots, tc, side="right")``; overwrites both."""
-        # gathered per query and combined in place: w(t0) + frac * (w(t1) - w(t0))
+        ``idx = searchsorted(knots, tc, side="right")``; overwrites both.
+        Returns the (m, n) transpose of a C-contiguous (n, m) array."""
+        # gathered per query and coordinate and combined in place:
+        # w(t0) + frac * (w(t1) - w(t0))
         idx -= 1
         np.clip(idx, 0, self.edge_count - 1, out=idx)
-        t0 = self.knots[idx]
+        nxt = idx + 1
+        t0 = self.knots.take(idx)
         frac = tc
         frac -= t0
-        frac /= self.knots[idx + 1] - t0
-        v0 = self.vertices[idx]
-        pts = self.vertices[idx + 1]
-        pts -= v0
-        pts *= frac[:, None]
-        pts += v0
-        return pts
+        frac /= self.knots.take(nxt) - t0
+        out = np.empty((len(self._cols), len(idx)))
+        for col, row in zip(self._cols, out):
+            v0 = col.take(idx)
+            col.take(nxt, out=row)
+            row -= v0
+            row *= frac
+            row += v0
+        return out.T
+
+
+def _squared_norms(rows):
+    """Squared norm of every column of a coordinate-major (n, k) array,
+    with r0*r0 + r1*r1 (+ r2*r2) summed one coordinate at a time. The
+    squares are never -0.0, so this is bit-identical to the row-major
+    ``(v * v).sum(axis=1)`` over the (k, n) transpose."""
+    sq = rows[0] * rows[0]
+    for row in rows[1:]:
+        sq += row * row
+    return sq
+
+
+def _chord_lengths(cols):
+    """Chord lengths between consecutive points of a coordinate-major
+    (n, m+1) array."""
+    return np.sqrt(_squared_norms(np.diff(cols, axis=1)))
 
 
 class _CellIndex:
@@ -190,26 +227,39 @@ def build_koch(level: int) -> FractalCurve:
         raise ResourceError(
             f"koch level {level} exceeds the in-memory cap {MAX_KOCH_LEVEL}"
         )
-    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    # coordinate-major: cols[0] holds x, cols[1] holds y
+    cols = np.array([[0.0, 1.0], [0.0, 0.0]])
     for _ in range(level):
-        p = pts[:-1]
-        d = (pts[1:] - p) / 3.0
-        s1 = p + d
-        s2 = p + 2.0 * d
-        # apex: rotate the middle-third direction by +60 degrees
-        tip = s1 + np.column_stack(
-            (d[:, 0] * _COS60 - d[:, 1] * _SIN60,
-             d[:, 0] * _SIN60 + d[:, 1] * _COS60)
-        )
-        new = np.empty((4 * len(p) + 1, 2))
-        new[0:-1:4] = p
-        new[1::4] = s1
-        new[2::4] = tip
-        new[3::4] = s2
-        new[-1] = pts[-1]
-        pts = new
-    knots = np.linspace(0.0, 1.0, len(pts))
-    return FractalCurve("koch", knots, pts, KOCH_DIMENSION, level)
+        cols = _koch_step(cols)
+    knots = np.linspace(0.0, 1.0, cols.shape[1])
+    return FractalCurve("koch", knots, cols.T, KOCH_DIMENSION, level)
+
+
+def _koch_step(cols):
+    """One generator step on a coordinate-major (2, m+1) polyline: each
+    edge p -> q becomes p, s1, tip, s2 with d = (q - p) / 3, s1 = p + d,
+    tip = s1 + rot60(d) and s2 = p + 2d, written into strided slices of
+    the (2, 4m+1) result."""
+    m = cols.shape[1] - 1
+    new = np.empty((2, 4 * m + 1))
+    (x, y), (nx, ny) = cols, new
+    px, py = x[:-1], y[:-1]
+    dx = x[1:] - px
+    dx /= 3.0
+    dy = y[1:] - py
+    dy /= 3.0
+    nx[0:-1:4], ny[0:-1:4] = px, py
+    s1x = np.add(px, dx, out=nx[1::4])
+    s1y = np.add(py, dy, out=ny[1::4])
+    # apex: rotate the middle-third direction by +60 degrees
+    np.add(s1x, dx * _COS60 - dy * _SIN60, out=nx[2::4])
+    np.add(s1y, dx * _SIN60 + dy * _COS60, out=ny[2::4])
+    dx *= 2.0
+    dy *= 2.0
+    np.add(px, dx, out=nx[3::4])
+    np.add(py, dy, out=ny[3::4])
+    new[:, -1] = cols[:, -1]
+    return new
 
 
 def build_line(a: float, b: float) -> FractalCurve:
@@ -226,15 +276,21 @@ def build_polyline(knots, vertices, alpha: float) -> FractalCurve:
 
 
 def load_polyline_csv(path, alpha: float) -> FractalCurve:
-    """Load a polyline from a CSV with header row ``t,x[,y,...]``."""
+    """Load a polyline from a CSV with header row ``t,x[,y,...]``.
+
+    Lines starting with ``#`` are dropped and blank lines skipped; a
+    ragged row or a field that is not a number raises ValueError."""
     with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader)
-        if not header or header[0].strip().lower() != "t":
-            raise CurveDomainError("polyline CSV must start with header 't,x[,y,...]'")
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows)
-    if data.ndim != 2 or data.shape[1] < 2:
+        lines = [row for row in fh if not row.startswith("#")]
+    header = next(csv.reader(lines[:1]), None)
+    if not header or header[0].strip().lower() != "t":
+        raise CurveDomainError("polyline CSV must start with header 't,x[,y,...]'")
+    with warnings.catch_warnings():
+        # no data rows: rejected below by the column count
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar='"',
+                          ndmin=2)
+    if data.shape[1] < 2:
         raise CurveDomainError("polyline CSV needs a t column plus coordinates")
     return build_polyline(data[:, 0], data[:, 1:], alpha)
 

@@ -14,7 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import FractalCurve, Subdivision, _CellIndex
+from .curves import (
+    FractalCurve,
+    Subdivision,
+    _CellIndex,
+    _chord_lengths,
+    _squared_norms,
+)
 from .errors import (
     CurveDomainError,
     EstimationError,
@@ -31,6 +37,10 @@ _RATIO_EPS = 1e-3
 
 _MAX_DIRECT_POINTS = 1 << 19
 
+#: (point, edge) pairs per block of ``_project_points``: each temporary
+#: is one block, small enough to stay in cache.
+_PROJECT_BLOCK_PAIRS = 1 << 15
+
 
 def sigma_alpha(curve: FractalCurve, sub: Subdivision, alpha: float) -> float:
     """Sum of alpha-powered chord lengths over a subdivision, normalized
@@ -42,8 +52,8 @@ def sigma_alpha(curve: FractalCurve, sub: Subdivision, alpha: float) -> float:
 
 
 def _chords(curve, points):
-    seg = np.diff(curve.point(points), axis=0)
-    return np.sqrt((seg * seg).sum(axis=1))
+    # point() gives the (m, n) transpose of a coordinate-major array
+    return _chord_lengths(curve.point(points).T)
 
 
 def _power_sum(chords, alpha):
@@ -309,7 +319,8 @@ class StaircaseTable:
         ``np.searchsorted(s, ., side="right")``, built on first use."""
         lo, hi = self.mass_bounds
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s_arr < lo - 1e-9) or np.any(s_arr > hi + 1e-9):
+        # a nan fails: min and max carry it through
+        if s_arr.size and not (lo - 1e-9 <= s_arr.min() and s_arr.max() <= hi + 1e-9):
             raise CurveDomainError(f"mass value outside [{lo}, {hi}]")
         s_arr = np.clip(s_arr, lo, hi)
         if len(self._plateau_values):
@@ -359,7 +370,8 @@ class StaircaseTable:
                 f"got shape {thetas.shape}"
             )
         t, dist = _project_points(self.curve, thetas)
-        if np.any(dist > snap_tol):
+        # a nan point fails: its distance is nan
+        if len(dist) and not dist.max() <= snap_tol:
             raise GeometryError(
                 f"points up to {dist.max():.3e} away from the curve "
                 f"(tolerance {snap_tol:g})"
@@ -379,22 +391,35 @@ class StaircaseTable:
         return pts[0] if np.ndim(s) == 0 else pts
 
 
-def _project_points(curve, pts, chunk=512):
-    """Nearest-segment projection of points onto the polyline; returns
-    (parameters, distances)."""
-    p = curve.vertices[:-1]
-    d = np.diff(curve.vertices, axis=0)
-    len2 = (d * d).sum(axis=1)
+def _project_points(curve, pts):
+    """Nearest-segment projection of an (m, n) block of points onto the
+    polyline; returns (parameters, distances). Every point is checked
+    against every edge, one coordinate at a time, in blocks of about
+    ``_PROJECT_BLOCK_PAIRS`` (point, edge) pairs: each pair gets the IEEE
+    operations of the row-major sums over n, in the same order. The edge
+    directions and squared lengths are kept in the curve's ``_ladder``
+    cache."""
+    cols = curve._cols
+    if "edges" not in curve._ladder:
+        d = np.diff(cols, axis=1)
+        curve._ladder["edges"] = d, _squared_norms(d)
+    d, len2 = curve._ladder["edges"]
     t_out = np.empty(len(pts))
     dist_out = np.empty(len(pts))
+    chunk = max(1, _PROJECT_BLOCK_PAIRS // len(len2))
     for start in range(0, len(pts), chunk):
-        block = pts[start:start + chunk]
-        rel = block[:, None, :] - p[None, :, :]
-        proj = np.clip((rel * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
-        closest = p[None, :, :] + proj[:, :, None] * d[None, :, :]
-        dist2 = ((block[:, None, :] - closest) ** 2).sum(axis=2)
+        block = pts[start:start + chunk].T[:, :, None]     # (n, b, 1)
+        # numpy's reduce over a short axis starts from +0.0, so the dot
+        # product does too: a sum of -0.0 terms is +0.0
+        dot = np.zeros((len(block[0]), len(len2)))
+        for theta, p, dk in zip(block, cols, d):
+            dot += (theta - p[:-1]) * dk
+        proj = np.clip(dot / len2, 0.0, 1.0)
+        # offset of each point from its closest point p + proj * d
+        dist2 = _squared_norms([theta - (p[:-1] + proj * dk)
+                                for theta, p, dk in zip(block, cols, d)])
         best = dist2.argmin(axis=1)
-        rows = np.arange(len(block))
+        rows = np.arange(len(best))
         t0 = curve.knots[best]
         t1 = curve.knots[best + 1]
         t_out[start:start + chunk] = t0 + proj[rows, best] * (t1 - t0)
@@ -434,9 +459,7 @@ def build_staircase(curve: FractalCurve, alpha: float = None, p0: float = None,
     t = _staircase_grid(curve, grid_size)
     if p0 not in t:
         t = np.sort(np.append(t, p0))
-    pts = curve.point(t)
-    seg = np.diff(pts, axis=0)
-    chords = np.sqrt((seg * seg).sum(axis=1))
+    chords = _chords(curve, t)
     inc = np.maximum(chords ** alpha, 0.0) / math.gamma(alpha + 1.0)
     cum = np.concatenate(([0.0], np.cumsum(inc)))
     s = cum - cum[np.searchsorted(t, p0)]

@@ -12,6 +12,7 @@ from fractalcalc import (
     load_polyline_csv,
     make_subdivision,
 )
+from fractalcalc.cli import main
 from fractalcalc.curves import Subdivision, _CellIndex
 from fractalcalc.errors import CurveDomainError, ResourceError
 from walks import lognormal_walk
@@ -96,6 +97,22 @@ class TestEvaluate:
         with pytest.raises(CurveDomainError):
             build_line(0, 1).point(-0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan], [math.nan, 0.2]])
+    def test_nan_rejected(self, bad):
+        with pytest.raises(CurveDomainError):
+            build_line(0, 1).point(bad)
+        with pytest.raises(CurveDomainError):
+            build_koch(2).check_domain(bad)
+
+    def test_domain_edges_and_tolerance(self):
+        line = build_line(0, 1)
+        line.check_domain([-1e-13, 0.5, 1.0 + 1e-13])
+        line.check_domain(np.empty(0))
+        with pytest.raises(CurveDomainError):
+            line.check_domain([0.5, 1.0 + 1e-11])
+        with pytest.raises(CurveDomainError):
+            line.check_domain(-np.inf)
+
     def test_vectorized_evaluation(self):
         curve = build_koch(3)
         t = np.linspace(0, 1, 37)
@@ -155,6 +172,68 @@ class TestPolyline:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "poly.csv"
         path.write_text("x,y\n0,0\n1,1\n")
+        with pytest.raises(CurveDomainError):
+            load_polyline_csv(path, alpha=1.0)
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        path = tmp_path / "poly.csv"
+        path.write_text("# made by hand\nt,x,y\n\n0,0,0\n# middle\n0.5,1,0\n\n"
+                        "1,1,1\n\n")
+        curve = load_polyline_csv(path, alpha=1.0)
+        assert curve.knots.tolist() == [0.0, 0.5, 1.0]
+        assert curve.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
+
+    def test_spaced_quoted_and_crlf_fields_parse(self, tmp_path):
+        path = tmp_path / "poly.csv"
+        path.write_bytes(b' T ,x\r\n 0 ,"0"\r\n\r\n1,  1e0\r\n')
+        curve = load_polyline_csv(path, alpha=1.0)
+        assert curve.knots.tolist() == [0.0, 1.0]
+        assert curve.vertices.tolist() == [[0.0], [1.0]]
+
+    @pytest.mark.parametrize("text, error", [
+        ("x,y\n0,0\n1,1\n", CurveDomainError),             # no t header
+        ("\nt,x\n0,0\n1,1\n", CurveDomainError),           # blank line first
+        ("t\n0\n1\n", CurveDomainError),                   # one column
+        ("t,x\n", CurveDomainError),                       # header only
+        ("t,x\n\n\n", CurveDomainError),                   # blank rows only
+        ("t,x\n0,0\n", CurveDomainError),                  # one vertex
+        ("t,x,y\n0,0,0\n0.5,1\n1,1,1\n", ValueError),      # ragged row
+        ("t,x\n0,0\n  \n1,1\n", ValueError),               # blank-looking row
+        ("t,x\n0,0\n #x\n1,1\n", ValueError),              # indented comment
+        ("t,x,y\n0,,0\n1,1,1\n", ValueError),              # empty field
+        ("t,x\n0,a\n1,1\n", ValueError),                   # not a number
+    ], ids=["no-t", "blank-first", "one-column", "header-only", "blank-rows",
+            "one-vertex", "ragged", "space-row", "indented-hash", "empty-field",
+            "text"])
+    def test_rejected_csv_exits_2(self, tmp_path, capsys, text, error):
+        path = tmp_path / "poly.csv"
+        path.write_text(text)
+        with pytest.raises(error):
+            load_polyline_csv(path, alpha=1.0)
+        argv = ["staircase", "--curve", str(path), "--alpha", "1",
+                "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_walk_csv_round_trip_is_exact(self, tmp_path, dim):
+        # the walks the benchmark writes: repr floats, lognormal knot gaps
+        rng = np.random.default_rng(dim)
+        verts = np.cumsum(rng.normal(size=(1025, dim)), axis=0)
+        knots = np.concatenate(([0.0], np.cumsum(rng.lognormal(0.0, 3.0, 1024))))
+        knots /= knots[-1]
+        path = tmp_path / "walk.csv"
+        path.write_text("t," + ",".join(f"x{i}" for i in range(dim)) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in (t, *row)) + "\n"
+            for t, row in zip(knots, verts)))
+        curve = load_polyline_csv(path, alpha=1.0)
+        np.testing.assert_array_equal(curve.knots.view(np.int64), knots.view(np.int64))
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(curve.vertices).view(np.int64), verts.view(np.int64))
+
+    def test_empty_csv_rejected(self, tmp_path):
+        path = tmp_path / "poly.csv"
+        path.write_text("# only a comment\n")
         with pytest.raises(CurveDomainError):
             load_polyline_csv(path, alpha=1.0)
 

@@ -297,6 +297,33 @@ class TestChart:
         with pytest.raises(CurveDomainError):
             table.j_inverse(1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan], [math.nan, 0.2]])
+    def test_nan_rejected(self, bad):
+        table = build_staircase(build_line(0, 1))
+        for query in (table.value, table.t_from_mass, table.j_inverse):
+            with pytest.raises(CurveDomainError):
+                query(bad)
+
+    @pytest.mark.parametrize("theta", [[math.nan, 0.0], [0.5, math.nan]])
+    def test_nan_point_rejected(self, theta):
+        table = build_staircase(build_koch(3))
+        with pytest.raises(GeometryError):
+            table.j_of_theta(theta)
+        with pytest.raises(GeometryError):
+            table.j_of_many([[0.0, 0.0], theta])
+
+    def test_nan_on_a_flat_cell_rejected(self):
+        # a nan mass must not come back as the flat cell's right edge
+        with pytest.warns(UserWarning):
+            table = build_staircase(underflow_polyline(), alpha=2.0, grid_size=8)
+        with pytest.raises(CurveDomainError):
+            table.t_from_mass(math.nan)
+
+    def test_empty_queries_pass_the_range_checks(self):
+        table = build_staircase(build_line(0, 1))
+        assert table.value(np.empty(0)).shape == (0,)
+        assert table.t_from_mass(np.empty(0)).shape == (0,)
+
 
 #: Tables whose inverse chart is pinned: Koch, lognormal walks (one with
 #: p0 inside the domain, so S runs negative), a retrace, a flat cell, an
