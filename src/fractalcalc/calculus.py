@@ -76,4 +76,4 @@ def falpha_integral(f, table: StaircaseTable, a: float, b: float) -> float:
         )
     if not np.all(np.isfinite(vals)):
         raise EvaluationError("integrand produced non-finite samples")
-    return float(w @ vals)
+    return float((w * vals).sum())

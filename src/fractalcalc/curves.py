@@ -58,6 +58,8 @@ class FractalCurve:
         if knots.ndim != 1 or verts.ndim != 2 or len(knots) != len(verts) \
                 or len(knots) < 2:
             raise CurveDomainError("knots and vertices must align, length >= 2")
+        if not (np.isfinite(knots).all() and np.isfinite(verts).all()):
+            raise CurveDomainError("knots and vertex coordinates must be finite")
         if not np.all(np.diff(knots) > 0.0):
             raise CurveDomainError("parameter knots must be strictly increasing")
         # one transposing copy of a row-major input; none of a cols.T view

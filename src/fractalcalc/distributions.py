@@ -181,7 +181,8 @@ class DistributionOnCurve:
     def _expectation(self, g):
         """E[g(X, J)], with ``g(points, J)`` giving one value or row per node."""
         pts, j, w = self._nodes
-        out = w @ np.asarray(g(pts, j), dtype=float)
+        # one contiguous row per component, each summed in order
+        out = np.multiply(np.asarray(g(pts, j), dtype=float).T, w, order="C").sum(axis=-1)
         if not np.all(np.isfinite(out)):
             raise EstimationError("moment integrand produced non-finite values")
         return out

@@ -105,13 +105,14 @@ class MomentSpec:
 
     def __post_init__(self):
         slack = 1e-12
-        if self.ex0_sq < self.ex0 ** 2 - slack:
-            raise CurveDomainError("E[X0^2] < E[X0]^2 is not a moment pair")
-        if self.ex1_sq < self.ex1 ** 2 - slack:
-            raise CurveDomainError("E[X1^2] < E[X1]^2 is not a moment pair")
-        bound = math.sqrt(max(self.ex0_sq * self.ex1_sq, 0.0))
-        if abs(self.ex01) > bound + slack:
-            raise CurveDomainError("|E[X0 X1]| exceeds the Cauchy-Schwarz bound")
+        # E[v v^T], v = (1, X0, X1), is PSD under every joint law; a slack
+        # that scales with the matrix keeps rank-one data such as ex0 = 1e6
+        m = np.array([[1.0, self.ex0, self.ex1], [self.ex0, self.ex0_sq, self.ex01],
+                      [self.ex1, self.ex01, self.ex1_sq]])
+        if not np.linalg.eigvalsh(m).min() >= -slack * max(1.0, *m.diagonal()):
+            raise CurveDomainError(
+                "no joint law of (X0, X1) has these moments: "
+                "[[1, ex0, ex1], [ex0, ex0sq, ex01], [ex1, ex01, ex1sq]] is not PSD")
         if abs(self.a2.moment(0) - 1.0) > slack:
             raise CurveDomainError("A^2 moment provider must return 1 at order 0")
 

@@ -31,10 +31,10 @@ class FractalProcess:
     """A family of random variables X(zeta, tau) over a mass-coordinate
     index set.
 
-    ``draw_paths(gen, j_values, n)`` returns an (n, len(j_values)) array:
-    one row per realization, columns following ``j_values``. For a fixed
-    realization the row is the sample function. ``correlation`` is the
-    analytic R(j1, j2) when known, vectorized over numpy arrays.
+    ``draw_paths(gen, j_values, n)`` returns a new (n, len(j_values)) array,
+    which the caller may overwrite: one row per realization, columns
+    following ``j_values``; for a fixed realization the row is the sample
+    function. ``correlation`` is the analytic R(j1, j2), vectorized, if known.
     """
 
     name: str
@@ -43,32 +43,27 @@ class FractalProcess:
 
     def correlation_or_estimate(self, n: int = 20000, seed: int = 0):
         """Analytic R if available, else a Monte Carlo estimator (noisy;
-        unsuitable for small-offset limits)."""
+        unsuitable for small-offset limits). The estimator reads R from
+        ``estimate_correlation_grid`` over the call's sorted distinct indices,
+        so an array call costs the square of its distinct index count."""
         if self.correlation is not None:
             return self.correlation
 
         def estimated(j1, j2, _self=self):
-            shape = np.broadcast_shapes(np.shape(j1), np.shape(j2))
-            out = np.array([p.mean() for p in _pair_products(_self, j1, j2, n, seed)])
-            return out.reshape(shape) if shape else float(out[0])
+            r = _grid_pairs(_self, j1, j2, n, seed)[0]
+            return r if r.ndim else float(r)
 
         return estimated
 
 
-def _pair_products(proc, j1, j2, n, seed):
-    """Yield X(j1) * X(j2) over n realizations for each broadcast pair.
-
-    One draw from stream (seed, 0) covers the distinct indices, so equal
-    indices share a column; pairs come one at a time, so memory stays
-    O(n) however many pairs are asked.
-    """
-    b1, b2 = np.broadcast_arrays(np.asarray(j1, dtype=float),
-                                 np.asarray(j2, dtype=float))
-    uniq, inv = np.unique(np.concatenate([b1.ravel(), b2.ravel()]),
-                          return_inverse=True)
-    pt = np.ascontiguousarray(proc.draw_paths(_rng.stream(seed, 0), uniq, n).T)
-    for a, b in zip(inv[:b1.size], inv[b1.size:]):
-        yield pt[a] * pt[b]
+def _grid_pairs(proc, j1, j2, n, seed):
+    """(R, stderr) of each broadcast pair, read from one grid over the
+    sorted distinct indices (stream (seed, 0)); equal indices share a column."""
+    pairs = np.array(np.broadcast_arrays(j1, j2), dtype=float)
+    uniq, inv = np.unique(pairs, return_inverse=True)
+    grid = estimate_correlation_grid(proc, uniq, n, seed)
+    rows, cols = inv.reshape(pairs.shape)
+    return grid.r[rows, cols], grid.stderr[rows, cols]
 
 
 def second_order_check(proc: FractalProcess, j_values, n: int = 4000,
@@ -130,10 +125,7 @@ def white_noise(variance: float = 1.0) -> FractalProcess:
         return gen.normal(0.0, sd, (n, len(j)))
 
     def corr(j1, j2):
-        j1a, j2a = np.broadcast_arrays(
-            np.asarray(j1, dtype=float), np.asarray(j2, dtype=float)
-        )
-        return np.where(j1a == j2a, variance, 0.0)
+        return np.where(np.equal(j1, j2), variance, 0.0)
 
     return FractalProcess("white-noise", draw, corr)
 
@@ -180,13 +172,12 @@ class CorrelationEstimate:
 
 def correlation_mc(proc: FractalProcess, j1: float, j2: float, n: int,
                    seed: int = 0) -> CorrelationEstimate:
-    """Monte Carlo estimate of R(j1, j2) = E[X(j1) X(j2)]."""
+    """Monte Carlo estimate of R(j1, j2) = E[X(j1) X(j2)], read from
+    ``estimate_correlation_grid`` over the one or two distinct indices."""
     if n < 100:
         raise CurveDomainError("need at least 100 realizations")
-    prod, = _pair_products(proc, j1, j2, n, seed)
-    r = float(prod.mean())
-    stderr = float(prod.std(ddof=1) / math.sqrt(n))
-    return CorrelationEstimate(r, stderr, n)
+    r, stderr = _grid_pairs(proc, j1, j2, n, seed)
+    return CorrelationEstimate(float(r), float(stderr), n)
 
 
 @dataclass
@@ -199,21 +190,26 @@ class CorrelationGrid:
 
 def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
                               seed: int = 0) -> CorrelationGrid:
-    """Estimate R on a grid of index pairs from shared realizations."""
+    """Estimate R on a grid of index pairs from shared realizations.
+
+    One buffer holds the products X(j_i) X(j_l), l >= i; R is numpy's
+    ``mean`` of each row (an ordered sum over the n realizations, no BLAS)
+    and stderr its ``std(ddof=1)`` over sqrt(n), step for step."""
     j = np.asarray(j_values, dtype=float)
     if len(j) < 1:
         raise CurveDomainError("correlation grid needs at least one index point")
     if n < 2:
         raise CurveDomainError("need at least 2 realizations for a standard error")
+    # paths stays referenced: freeing it before buf exists lifts glibc's mmap
+    # threshold, and buf would then come from the heap and stay resident
     paths = proc.draw_paths(_rng.stream(seed), j, n)
-    r = paths.T @ paths / n
-    pt = np.ascontiguousarray(paths.T)
-    stderr = np.empty_like(r)
+    pt = np.ascontiguousarray(paths.T, dtype=float)
+    r, stderr = np.empty((2, len(j), len(j)))
     buf = np.empty_like(pt)
     for i in range(len(j)):
-        # std(axis=1, ddof=1) of the pair products, step for step, in one buffer
         prod = np.multiply(pt[i], pt[i:], out=buf[i:])
-        prod -= prod.sum(axis=1, keepdims=True) / n
+        r[i, i:] = r[i:, i] = prod.sum(axis=1) / n
+        prod -= r[i:, i, None]
         np.square(prod, out=prod)
         stderr[i, i:] = stderr[i:, i] = np.sqrt(prod.sum(axis=1) / (n - 1)) / math.sqrt(n)
     return CorrelationGrid(j, r, stderr, n)
@@ -366,10 +362,10 @@ def _double_rs_sum(weight, proc, u, table, a, b, k, n, seed):
     w = np.asarray(weight(mids, u), dtype=float) * dj
     if proc.correlation is not None:
         rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
-        return float(w @ rmat @ w)
+        return float(((rmat * w).sum(axis=1) * w).sum())
     # w (P^T P / n) w in its realization form: O(n k), no k-by-k matrix
-    paths = proc.draw_paths(_rng.stream(seed, 7), mids, n)
-    return float(np.mean((paths @ w) ** 2))
+    paths = np.asarray(proc.draw_paths(_rng.stream(seed, 7), mids, n), dtype=float)
+    return float(np.mean(np.multiply(paths, w, out=paths).sum(axis=1) ** 2))
 
 
 def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
@@ -380,11 +376,11 @@ def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
     finite and Cauchy (tight relative agreement, or gaps contracting
     geometrically toward a finite value).
 
-    Without an analytic R, the sum over an estimated R is taken in its
-    realization form: the mean over n paths of (sum_j w_j X(j))^2, with
-    w_j = f(j, u) dj. It equals w R_n w for the sample correlation
-    R_n = P^T P / n in exact arithmetic and can differ from that Gram form
-    in the last bits."""
+    Every sum is an ordered numpy reduction, not a BLAS product. An analytic
+    R is summed row by row; without one, the sum is taken in its realization
+    form: the mean over n paths of (sum_j w_j X(j))^2, w_j = f(j, u) dj. It
+    equals w R_n w for the sample correlation R_n = P^T P / n in exact
+    arithmetic and can differ from that Gram form in the last bits."""
     sums = [
         _double_rs_sum(weight, proc, u, table, a, b, kk, n, seed)
         for kk in (k, 2 * k, 4 * k)
@@ -419,8 +415,8 @@ def ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
         )
     mids, dj = _mass_panels(table, a, b, k)
     coeff = np.asarray(weight(mids, u), dtype=float) * dj
-    paths = proc.draw_paths(_rng.stream(seed, 1), mids, n)
-    realizations = paths @ coeff
+    paths = np.asarray(proc.draw_paths(_rng.stream(seed, 1), mids, n), dtype=float)
+    realizations = np.multiply(paths, coeff, out=paths).sum(axis=1)
     y = float(realizations.mean())
     stderr = float(realizations.std(ddof=1) / math.sqrt(n))
     return MsIntegralResult(y, stderr, realizations, pre)

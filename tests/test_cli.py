@@ -254,8 +254,10 @@ class TestDegenerateInputs:
         ["correlation", "--curve", "line", "--points", "0"],
         ["correlation", "--curve", "line", "--n", "1"],
         ["sde", "--curve", "line", "--a2", "1", "--order", "85"],
+        ["sde", "--mu", "2", "--nu", "1", "--ex0", "1", "--ex1", "1", "--ex0sq", "1",
+         "--ex1sq", "1", "--ex01", "0.5"],
     ], ids=["staircase-grid-0", "cdf-grid-0", "sde-grid-0", "correlation-points-0",
-            "correlation-n-1", "sde-order-85"])
+            "correlation-n-1", "sde-order-85", "sde-impossible-moments"])
     def test_exits_2_with_message(self, tmp_path, capsys, args):
         code, out = run(tmp_path, "d.csv", *args)
         assert code == 2
@@ -315,7 +317,7 @@ class TestCsvBytes:
         ("cdf --level 3 --grid 16 --lam 1.3", "283aed1d1738b6a6"),
         ("sample --level 3 --count 200 --seed 9", "3356c5e0cbf7c9ac"),
         ("correlation --curve line --points 6 --n 500 --fixture brownian-like --seed 3",
-         "3e1f1999b493b51d"),
+         "e018323d1db2ea25"),
         ("msdiag --curve line --n 2000", "8e9069ab2cca0086"),
         ("sde --curve line --a2 4 --grid 8 --n 200", "275733c1a301688c"),
     ], ids=lambda v: v.split()[0] if " " in v else None)

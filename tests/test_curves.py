@@ -202,9 +202,12 @@ class TestPolyline:
         ("t,x\n0,0\n #x\n1,1\n", ValueError),              # indented comment
         ("t,x,y\n0,,0\n1,1,1\n", ValueError),              # empty field
         ("t,x\n0,a\n1,1\n", ValueError),                   # not a number
+        ("t,x,y\n0,0,0\n0.5,nan,1\n1,1,1\n", CurveDomainError),  # nan vertex
+        ("t,x,y\n0,0,0\n0.5,inf,1\n1,1,1\n", CurveDomainError),  # inf vertex
+        ("t,x\n0,0\n1,1\ninf,2\n", CurveDomainError),    # inf knot
     ], ids=["no-t", "blank-first", "one-column", "header-only", "blank-rows",
             "one-vertex", "ragged", "space-row", "indented-hash", "empty-field",
-            "text"])
+            "text", "nan-vertex", "inf-vertex", "inf-knot"])
     def test_rejected_csv_exits_2(self, tmp_path, capsys, text, error):
         path = tmp_path / "poly.csv"
         path.write_text(text)
@@ -236,6 +239,16 @@ class TestPolyline:
         path.write_text("# only a comment\n")
         with pytest.raises(CurveDomainError):
             load_polyline_csv(path, alpha=1.0)
+
+    @pytest.mark.parametrize("knots, vertices", [
+        ([0.0, 1.0, math.inf], [[0, 0], [1, 0], [2, 1]]),
+        ([-math.inf, 0.0, 1.0], [[0, 0], [1, 0], [2, 1]]),
+        ([0.0, 0.5, 1.0], [[0, 0], [math.nan, 1], [1, 1]]),
+        ([0.0, 0.5, 1.0], [[0, 0], [1, -math.inf], [1, 1]]),
+    ], ids=["inf-knot", "minus-inf-knot", "nan-vertex", "inf-vertex"])
+    def test_non_finite_rejected(self, knots, vertices):
+        with pytest.raises(CurveDomainError, match="must be finite"):
+            build_polyline(knots, vertices, 1.0)
 
     def test_repeated_vertices_rejected(self):
         with pytest.raises(CurveDomainError):

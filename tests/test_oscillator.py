@@ -78,14 +78,26 @@ class TestBetaMoments:
 
 
 class TestMomentSpec:
-    def test_rejects_impossible_moments(self):
-        with pytest.raises(CurveDomainError):
-            MomentSpec(1.0, 0.0, 0.5, 1.0, 0.0, FixedSquaredAmplitude(1.0))
-        with pytest.raises(CurveDomainError):
-            MomentSpec(0.0, 0.0, 1.0, 1.0, 2.0, FixedSquaredAmplitude(1.0))
+    @pytest.mark.parametrize("moments", [
+        (1.0, 0.0, 0.5, 1.0, 0.0),   # E[X0^2] < E[X0]^2
+        (0.0, 0.0, 1.0, 1.0, 2.0),   # |E[X0 X1]| over the Cauchy-Schwarz bound
+        # each pairwise bound holds, but both variances are 0, so the covariance
+        # ex01 - ex0 ex1 = -0.5 is impossible; the matrix has eigenvalue -0.186
+        (1.0, 1.0, 1.0, 1.0, 0.5),
+        (math.nan, 0.0, 1.0, 1.0, 0.0),
+    ], ids=["variance-x0", "cauchy-schwarz", "joint-only", "nan"])
+    def test_rejects_impossible_moments(self, moments):
+        with pytest.raises(CurveDomainError, match="no joint law"):
+            MomentSpec(*moments, FixedSquaredAmplitude(1.0))
 
-    def test_perfect_correlation_allowed(self):
-        MomentSpec(1.0, 1.0, 1.0, 1.0, 1.0, FixedSquaredAmplitude(1.0))
+    @pytest.mark.parametrize("moments", [
+        (1.0, 1.0, 1.0, 1.0, 1.0),       # perfect correlation
+        (1e6, 0.0, 1e12, 0.0, 0.0),      # deterministic, rank one at a large scale
+        (0.7, 0.4, 0.49, 0.16, 0.28),    # deterministic pair
+        (1.0, 0.5, 1.5, 0.5, 0.3),       # a proper covariance
+    ], ids=["perfect-correlation", "deterministic-1e6", "deterministic-pair", "covariance"])
+    def test_accepts_possible_moments(self, moments):
+        MomentSpec(*moments, FixedSquaredAmplitude(1.0))
 
 
 class TestFrobenius:

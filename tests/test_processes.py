@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -170,17 +171,57 @@ class TestCorrelationGrid:
     @pytest.mark.parametrize("make", [brownian_like, white_noise])
     @pytest.mark.parametrize("points, n", [(1, 2), (7, 3001), (40, 1200)])
     def test_bit_identical_to_numpy_std(self, make, points, n):
-        # reference: each pair-product row through numpy's std(ddof=1)
+        # reference: each pair-product row through numpy's mean and std(ddof=1)
         proc, j = make(), np.linspace(0.1, 2.0, points)
         grid = estimate_correlation_grid(proc, j, n, seed=5)
-        paths = proc.draw_paths(frng.stream(5), j, n)
-        pt = np.ascontiguousarray(paths.T)
+        pt = np.ascontiguousarray(proc.draw_paths(frng.stream(5), j, n).T)
+        r = np.empty((points, points))
         stderr = np.empty((points, points))
         for i in range(points):
+            r[i, i:] = r[i:, i] = (pt[i] * pt[i:]).mean(axis=1)
             stderr[i, i:] = stderr[i:, i] = (
                 (pt[i] * pt[i:]).std(axis=1, ddof=1) / math.sqrt(n))
-        assert np.array_equal(grid.r, paths.T @ paths / n)
+        assert np.array_equal(grid.r, r)
         assert np.array_equal(grid.stderr, stderr)
+
+
+class TestEstimatorPins:
+    # Exact values from the pair-at-a-time estimators that the grid path
+    # replaced. Each pair's mean and std(ddof=1) come out of the same draw
+    # and the same ordered row sums, so nothing may move, not even a last bit.
+    @pytest.mark.parametrize("make, j1, j2, n, seed, r, stderr", [
+        (lambda: linear_amplitude(1.5), 0.4, 0.7, 20000, 3,
+         0.4151901659212042, 0.004144034002925478),
+        (cosine_phase, 0.5, 0.5, 20000, 3, 0.4984019990750552, 0.0024960985172558046),
+        (white_noise, 0.3, 0.3, 10000, 1, 1.0097067456733593, 0.01411089027621673),
+        (brownian_like, 0.9, 0.2, 5000, 7, 0.20354281339860406, 0.006671832152046627),
+        (white_noise, 0.7, 0.3, 3000, 2, 0.0064959896939106605, 0.01739874252268519),
+    ])
+    def test_correlation_mc(self, make, j1, j2, n, seed, r, stderr):
+        est = correlation_mc(make(), j1, j2, n, seed=seed)
+        assert (est.r, est.stderr) == (r, stderr)
+
+    def test_estimator_scalar_and_broadcast(self):
+        corr = FractalProcess("c", cosine_phase().draw_paths).correlation_or_estimate(
+            n=20000, seed=4)
+        assert corr(0.2, 0.5) == corr(0.5, 0.2) == 0.4744903140202028
+        grid = corr(np.array([0.2, 0.7, 1.5])[:, None], np.array([0.5, 0.0])[None, :])
+        assert grid.tolist() == [[0.4744903140202028, 0.4865950925127164],
+                                 [0.4878936924743557, 0.379243163099644],
+                                 [0.27060603517195925, 0.03412605156577325]]
+
+    def test_estimator_white_noise_equal_indices(self):
+        corr = FractalProcess("w", white_noise().draw_paths).correlation_or_estimate(
+            n=20000, seed=4)
+        assert (corr(0.3, 0.3), corr(0.3, 0.7)) == (1.009757860057708, 0.00618024441625038)
+        assert corr(np.array([0.3, 0.7, 0.3]), 0.3).tolist() == [
+            0.9949470820599475, 0.00618024441625038, 0.9949470820599475]
+
+    @pytest.mark.parametrize("make, digest", [(brownian_like, "c8882c5ecd605d28"),
+                                              (white_noise, "fbe07ef1a7d4934d")])
+    def test_grid_stderr(self, make, digest):
+        grid = estimate_correlation_grid(make(), np.linspace(0.1, 2.0, 20), 3001, seed=5)
+        assert hashlib.sha256(grid.stderr.tobytes()).hexdigest()[:16] == digest
 
 
 class TestGeneralizedSecondDerivative:
