@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +39,10 @@ class FractalCurve:
     transpose view, and every per-edge kernel runs one coordinate at a
     time over its rows. ``_ladder`` is a private cache that
     ``staircase.coarse_mass`` fills with the knot-spacing facts and the
-    chord arrays of the ladder rungs of the most recent segment, that
-    ``_points_at`` fills with the knots' cell index, and that
+    chord arrays of the ladder rungs of the most recent segment, and that
     ``staircase._project_points`` fills with the edge directions and
-    squared lengths; it lives and dies with the curve.
+    squared lengths; it lives and dies with the curve, as does the knots'
+    cell index ``_knot_index``.
     """
 
     kind: str                      # "koch" | "line" | "polyline"
@@ -106,48 +107,18 @@ class FractalCurve:
     def point(self, t):
         """Evaluate w(t). Scalar t gives a (n,) point, an array of shape
         (m,) gives the (m, n) array of points, the transpose view of a
-        C-contiguous (n, m) array."""
+        C-contiguous (n, m) array. The parameters need no order: each
+        finds its knot cell through ``_knot_index``."""
         scalar = np.isscalar(t) or np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         self.check_domain(t)
-        a, b = self.domain
-        tc = np.clip(t, a, b)
-        # public queries are mostly sorted grids, on which numpy's hinted
-        # search beats the cell index
-        pts = self._interpolate(tc, np.searchsorted(self.knots, tc, side="right"))
+        pts = self._knot_index.interpolate(self._cols, np.clip(t, *self.domain)).T
         return pts[0] if scalar else pts
 
-    def _points_at(self, t):
-        """``point(t)`` for a 1-D array of parameters in any order, each
-        finding its knot cell through the knots' cell index (built on
-        first use). There is no domain check: ``t`` must lie in the
-        domain up to rounding, as ``t_from_mass`` gives it."""
-        if "cell_index" not in self._ladder:
-            self._ladder["cell_index"] = _CellIndex(self.knots)
-        tc = np.clip(t, *self.domain)
-        return self._interpolate(tc, self._ladder["cell_index"].search(tc))
-
-    def _interpolate(self, tc, idx):
-        """Points at the clipped parameters ``tc``, given
-        ``idx = searchsorted(knots, tc, side="right")``; overwrites both.
-        Returns the (m, n) transpose of a C-contiguous (n, m) array."""
-        # gathered per query and coordinate and combined in place:
-        # w(t0) + frac * (w(t1) - w(t0))
-        idx -= 1
-        np.clip(idx, 0, self.edge_count - 1, out=idx)
-        nxt = idx + 1
-        t0 = self.knots.take(idx)
-        frac = tc
-        frac -= t0
-        frac /= self.knots.take(nxt) - t0
-        out = np.empty((len(self._cols), len(idx)))
-        for col, row in zip(self._cols, out):
-            v0 = col.take(idx)
-            col.take(nxt, out=row)
-            row -= v0
-            row *= frac
-            row += v0
-        return out.T
+    @cached_property
+    def _knot_index(self):
+        """Cell index of the knots, built on the first ``point``."""
+        return _CellIndex(self.knots)
 
 
 def _squared_norms(rows):
@@ -167,36 +138,43 @@ def _chord_lengths(cols):
     return np.sqrt(_squared_norms(np.diff(cols, axis=1)))
 
 
+#: Most buckets a ``_CellIndex`` holds, and most edges it buckets at once:
+#: the index costs O(this) memory whatever the edge count.
+_MAX_BUCKETS = 1 << 16
+
+
 class _CellIndex:
     """``np.searchsorted(edges, x, side="right")`` for unsorted queries
     into sorted edges, in a fixed number of vectorised steps.
 
-    With n = len(edges) - 1, every value v goes to bucket
-    ``floor((v - edges[0]) * n / span)`` clipped to [0, n] (nan to n), a
-    monotone map: edges in a lower bucket than a query are below it, edges
-    in a higher one above it. A query's answer therefore lies between the
-    number of edges in the buckets below its own and the number up to its
-    own; ``len(steps)`` halvings of that range, ceil(log2(widest bucket +
-    1)) of them, find it. Evenly spread edges take one step. A zero or
-    non-finite span falls back to scale 1, which keeps the map monotone.
+    With n = len(edges) - 1 and k = min(n, ``_MAX_BUCKETS``), every value
+    v goes to bucket ``floor((v - edges[0]) * k / span)`` clipped to
+    [0, k] (nan to k), a monotone map: edges in a lower bucket than a
+    query are below it, edges in a higher one above it. A query's answer
+    therefore lies between the number of edges in the buckets below its
+    own and the number up to its own; ``len(steps)`` halvings of that
+    range, ceil(log2(widest bucket + 1)) of them, find it. Evenly spread
+    edges take one step up to 4^8 edges, and Koch-10's knots take five.
+    A zero or non-finite span falls back to scale 1, which keeps the map
+    monotone.
     """
 
     def __init__(self, edges):
         edges = np.asarray(edges, dtype=float)
-        n = len(edges) - 1
+        k = min(len(edges) - 1, _MAX_BUCKETS)
         span = float(edges[-1] - edges[0])
-        scale = n / span if span > 0.0 else 0.0
+        scale = k / span if span > 0.0 else 0.0
+        self._edges = edges
         self._e0 = float(edges[0])
         self._scale = scale if 0.0 < scale < math.inf else 1.0
-        self._top = float(n)
-        first = np.searchsorted(self._bucket(edges), np.arange(n + 2))
-        self._ends = first[1:]
-        width = int(np.diff(first).max())
+        self._top = float(k)
+        counts = np.zeros(k + 1, dtype=np.intp)
+        for lo in range(0, len(edges), _MAX_BUCKETS):
+            counts += np.bincount(self._bucket(edges[lo:lo + _MAX_BUCKETS]),
+                                  minlength=k + 1)
+        width = int(counts.max())
+        self._ends = np.cumsum(counts, out=counts)
         self._steps = [1 << i for i in reversed(range(width.bit_length()))]
-        # edges[pos - h] is views[i][pos] for h = steps[i]; -inf below index 0
-        pad = self._steps[0]
-        padded = np.concatenate((np.full(pad, -np.inf), edges))
-        self._views = [padded[pad - h:] for h in self._steps]
 
     def _bucket(self, x):
         v = x - self._e0
@@ -209,13 +187,43 @@ class _CellIndex:
         """Index array equal to ``np.searchsorted(edges, x, side="right")``
         for a 1-D float array ``x``."""
         # start at the end of the query's bucket and step down past every
-        # edge above x
+        # edge above x; a step below index 0 reads edges[0], so it is taken
+        # only by queries below every edge, whose answer the clamp makes 0
         pos = self._ends.take(self._bucket(x))
         above = np.empty(pos.shape, dtype=bool)
-        for view, h in zip(self._views, self._steps):
-            np.less(x, view.take(pos), out=above)
+        for h in self._steps:
+            np.less(x, self._edges.take(pos - h, mode="clip"), out=above)
             np.subtract(pos, h, out=pos, where=above)
-        return pos
+        return np.maximum(pos, 0, out=pos)
+
+    def interpolate(self, rows, x):
+        """Piecewise-linear values of every row of the (k, len(edges))
+        array ``rows`` at the queries ``x`` in [edges[0], edges[-1]],
+        which are overwritten. Each query takes w0 + frac * (w1 - w0) on
+        its cell, with frac = (x - x0) / (x1 - x0); a flat cell maps to
+        its right end. Returns a C-contiguous (k, len(x)) array."""
+        idx = self.search(x)
+        idx -= 1
+        np.clip(idx, 0, len(self._edges) - 2, out=idx)
+        nxt = idx + 1
+        x0 = self._edges.take(idx)
+        dx = self._edges.take(nxt)
+        dx -= x0
+        flat = dx <= 0.0
+        dx[flat] = 1.0
+        frac = x
+        frac -= x0
+        frac /= dx
+        frac[flat] = 1.0
+        out = np.empty((len(rows), len(idx)))
+        # gathered per query and row and combined in place
+        for row, o in zip(rows, out):
+            w0 = row.take(idx)
+            row.take(nxt, out=o)
+            o -= w0
+            o *= frac
+            o += w0
+        return out
 
 
 def build_koch(level: int) -> FractalCurve:

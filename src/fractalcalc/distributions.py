@@ -147,9 +147,9 @@ class DistributionOnCurve:
         The same (seed, stream_id) always reproduces the same points.
         Draws landing on a staircase plateau snap to its right edge and
         are counted. The draws run in blocks of ``SAMPLE_BLOCK_ROWS``;
-        the stream yields the same numbers whatever the block size. Each
-        J finds its table cell and each t its knot cell through an exact
-        bucketed index (see ``StaircaseTable.t_from_mass``).
+        the stream yields the same numbers whatever the block size. J goes
+        to t through ``StaircaseTable.t_from_mass``, t to its point through
+        ``FractalCurve.point``; both look up cells in any order.
         """
         if count < 1:
             raise CurveDomainError("sample count must be >= 1")
@@ -163,7 +163,7 @@ class DistributionOnCurve:
             rows = slice(lo, min(lo + SAMPLE_BLOCK_ROWS, count))
             j[rows] = self._inverse_cdf(gen.random(rows.stop - lo))
             t[rows] = table.t_from_mass(j[rows])
-            pts[rows] = table.curve._points_at(t[rows])
+            pts[rows] = table.curve.point(t[rows])
         hits = table.plateau_hits - before
         return SampleSet(pts, t, j, seed, stream_id, hits)
 

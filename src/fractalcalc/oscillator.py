@@ -133,7 +133,9 @@ def frobenius_coefficients(x0: float, x1: float, a2: float, n_max: int) -> np.nd
 def _a2_moments(spec: MomentSpec, top: int) -> list:
     """E[(A^2)^k] for k = 0..top. A provider's moment can cost O(k) (a
     Beta moment is a product), so the coefficient builders ask once per
-    order rather than once per term."""
+    order rather than once per term; every builder starts here."""
+    if top < 0:
+        raise CurveDomainError("truncation order must be non-negative")
     return [spec.a2.moment(k) for k in range(top + 1)]
 
 

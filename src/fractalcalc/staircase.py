@@ -313,10 +313,11 @@ class StaircaseTable:
         return np.interp(t, self.t, self.s)
 
     def t_from_mass(self, s):
-        """Parameter t with S(t) = s; plateaus resolve to their right edge
-        and are counted in ``plateau_hits``. The queries need no order:
-        each finds its cell through a bucketed index of ``s`` that equals
-        ``np.searchsorted(s, ., side="right")``, built on first use."""
+        """Parameter t with S(t) = s, inside the table's parameter range;
+        plateaus resolve to their right edge and are counted in
+        ``plateau_hits``. The queries need no order: each finds its cell
+        through the cell index of ``s``, as ``FractalCurve.point`` finds
+        its knot cell, and shares its interpolation."""
         lo, hi = self.mass_bounds
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         # a nan fails: min and max carry it through
@@ -325,25 +326,8 @@ class StaircaseTable:
         s_arr = np.clip(s_arr, lo, hi)
         if len(self._plateau_values):
             self.plateau_hits += int(np.isin(s_arr, self._plateau_values).sum())
-        # side="right" lands queries at a plateau value on its right edge;
-        # idx then steps back to the cell's left end
-        idx = self._s_index.search(s_arr)
-        np.clip(idx, 1, len(self.s) - 1, out=idx)
-        idx -= 1
-        s0 = self.s[idx]
-        ds = self.s[idx + 1]
-        ds -= s0
-        flat = ds <= 0.0
-        ds[flat] = 1.0
-        frac = s_arr
-        frac -= s0
-        frac /= ds
-        frac[flat] = 1.0
-        t0 = self.t[idx]
-        out = self.t[idx + 1]
-        out -= t0
-        out *= frac
-        out += t0
+        out = self._s_index.interpolate(self.t[None], s_arr)[0]
+        np.clip(out, self.t[0], self.t[-1], out=out)  # the last cell can round past b
         return float(out[0]) if np.ndim(s) == 0 else out
 
     def j_of_theta(self, theta, snap_tol: float = 1e-9) -> float:
@@ -384,11 +368,10 @@ class StaircaseTable:
         return _CellIndex(self.s)
 
     def j_inverse(self, s):
-        """Curve point whose mass coordinate is s; the parameter finds its
-        knot cell through the curve's bucketed index, as it does in
-        ``t_from_mass``, and the point is interpolated as ``point`` does."""
-        pts = self.curve._points_at(np.atleast_1d(self.t_from_mass(s)))
-        return pts[0] if np.ndim(s) == 0 else pts
+        """Curve point whose mass coordinate is s: ``point`` at
+        ``t_from_mass(s)``, so a scalar gives a (n,) point and an array
+        an (m, n) block."""
+        return self.curve.point(self.t_from_mass(s))
 
 
 def _project_points(curve, pts):

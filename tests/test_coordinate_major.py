@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fractalcalc import (
+    DistributionOnCurve,
     build_koch,
     build_line,
     build_polyline,
@@ -146,7 +147,7 @@ class TestBitIdentity:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert_bits_equal(curve.point(np.sort(t)), ref_points(curve, np.sort(t)))
-            assert_bits_equal(curve._points_at(t), ref_points(curve, t))
+            assert_bits_equal(curve.point(t), ref_points(curve, t))
             assert_bits_equal(curve.point(t[-1]), ref_points(curve, t[-1:])[0])
             assert_bits_equal(curve.polyline_length(), ref_polyline_length(curve))
             sub = make_subdivision(a, b, 37)
@@ -189,6 +190,31 @@ class TestBitIdentity:
         want = ref_project(curve, pts)
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
+
+
+class TestOneLookup:
+    """``point``, ``j_inverse`` and the sampler's points, each found
+    through the cell index, against the searchsorted reference."""
+
+    @pytest.mark.parametrize("curve", [build_koch(4), lognormal_walk(2, 200, 3)],
+                             ids=["koch4", "walk"])
+    def test_unsorted_queries_match_searchsorted_reference(self, curve):
+        a, b = curve.domain
+        t = np.random.default_rng(3).uniform(a, b, 5000)
+        t[:3] = a, b, curve.knots[7]
+        assert_bits_equal(curve.point(t), ref_points(curve, t))
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_staircase(build_koch(5)),
+        lambda: build_staircase(lognormal_walk(4, 300, 2), alpha=1.2, p0=0.4),
+    ], ids=["koch5", "walk"])
+    def test_j_inverse_and_sample_points_match_reference(self, make):
+        table = make()
+        lo, hi = table.mass_bounds
+        s = np.concatenate((table.s, np.random.default_rng(4).uniform(lo, hi, 3000)))
+        assert_bits_equal(table.j_inverse(s), ref_points(table.curve, table.t_from_mass(s)))
+        sample = DistributionOnCurve.uniform(table).sample(9, 20_000)
+        assert_bits_equal(sample.points, ref_points(table.curve, sample.t))
 
 
 class TestLayout:

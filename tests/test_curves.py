@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from fractalcalc import (
 from fractalcalc.cli import main
 from fractalcalc.curves import Subdivision, _CellIndex
 from fractalcalc.errors import CurveDomainError, ResourceError
-from walks import lognormal_walk
 
 
 def koch_generator_step(points):
@@ -306,9 +306,41 @@ class TestCellIndex:
     def test_evenly_spread_edges_take_one_step(self):
         assert _CellIndex(np.linspace(0.0, 1.0, 4 ** 6 + 1))._steps == [1]
 
-    @pytest.mark.parametrize("curve", [build_koch(4), lognormal_walk(2, 200, 3)],
-                             ids=["koch4", "walk"])
-    def test_unsorted_points_match_point(self, curve):
-        t = np.random.default_rng(3).uniform(0.0, 1.0, 5000)
-        t[:3] = 0.0, 1.0, curve.knots[7]
-        np.testing.assert_array_equal(curve._points_at(t), curve.point(t))
+    def test_bucket_count_is_capped(self):
+        index = _CellIndex(build_koch(10).knots)
+        assert len(index._ends) == (1 << 16) + 1
+        assert index._steps == [16, 8, 4, 2, 1]
+        # up to 4^8 edges there is still a bucket per edge
+        assert _CellIndex(np.linspace(0.0, 1.0, 4 ** 8 + 1))._steps == [1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_koch(10).knots,
+        lambda: _lognormal_edges(5, 200_000, -40.0),
+        # runs of about 300 equal edges
+        lambda: np.sort(np.random.default_rng(6).choice(
+            np.random.default_rng(7).normal(size=1000), 300_000)),
+    ], ids=["koch10", "lognormal-200k", "plateaus-300k"])
+    def test_more_edges_than_buckets_equal_searchsorted_right(self, make):
+        edges = make()
+        assert len(edges) > 1 << 16
+        lo, hi = edges[0], edges[-1]
+        some = edges[::3]
+        queries = np.concatenate((
+            some, np.nextafter(some, -np.inf), np.nextafter(some, np.inf),
+            np.random.default_rng(8).uniform(lo - 1.0, hi + 1.0, 100_000),
+            [lo, hi, np.inf, -np.inf, np.nan],
+        ))
+        got = _CellIndex(edges).search(queries)
+        np.testing.assert_array_equal(got, np.searchsorted(edges, queries, side="right"))
+
+    def test_koch10_index_peak_memory(self):
+        knots = build_koch(10).knots
+        tracemalloc.start()
+        try:
+            _CellIndex(knots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an index with a bucket per edge and a padded copy of the edges
+        # peaks at 24 MB on these knots
+        assert peak <= 2 * 2 ** 20

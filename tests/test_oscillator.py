@@ -286,6 +286,16 @@ def test_a2_moments_built_once_per_call(build):
     assert a2.calls <= 2 * order + 1
 
 
+@pytest.mark.parametrize("build", [
+    mean_coefficients, second_moment_coefficients, squared_series_coefficients,
+    solve_series,
+])
+def test_negative_order_names_the_truncation_order(build):
+    spec = MomentSpec(1.0, 0.5, 1.5, 0.5, 0.3, FixedSquaredAmplitude(1.0))
+    with pytest.raises(CurveDomainError, match="truncation order"):
+        build(spec, -1)
+
+
 class ZeroMixedBeta(BetaSquaredAmplitude):
     """Beta(2, 1) draws with every fifth one set to A^2 = 0."""
 

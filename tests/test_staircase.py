@@ -319,6 +319,17 @@ class TestChart:
         with pytest.raises(CurveDomainError):
             table.t_from_mass(math.nan)
 
+    def test_inverse_chart_stays_in_the_domain(self):
+        # (t1 - t0) * 1.0 + t0 rounds one ulp past b in this table's last cell
+        curve = build_line(974851.7379447774, 6057124.516132095)
+        table = build_staircase(curve, 1.0, 1700069.5781426555, 1)
+        lo, hi = table.mass_bounds
+        a, b = curve.domain
+        t = table.t_from_mass(np.array([lo, hi, np.nextafter(hi, -np.inf)]))
+        assert np.all((a <= t) & (t <= b))
+        assert table.t_from_mass(hi) == b
+        np.testing.assert_array_equal(table.j_inverse(hi), curve.point(b))
+
     def test_empty_queries_pass_the_range_checks(self):
         table = build_staircase(build_line(0, 1))
         assert table.value(np.empty(0)).shape == (0,)
