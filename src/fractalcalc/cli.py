@@ -379,6 +379,9 @@ def cmd_msdiag(cfg, out):
     names = sorted(BUILTIN_FIXTURES) if cfg["fixture"] == "all" else [cfg["fixture"]]
     procs = [_make_fixture(name, cfg) for name in names]
     tau = float(cfg["tau"])
+    lo, hi = build_staircase(curve, alpha).mass_bounds
+    if not lo <= tau <= hi:
+        raise CurveDomainError(f"tau {tau} is outside the curve's mass range [{lo}, {hi}]")
     n = int(cfg["n"])
     seed = int(cfg["seed"])
     checks = [ms_derivative_check(proc, tau, n=n, seed=seed) for proc in procs]

@@ -15,9 +15,11 @@ of the even and odd sums (polynomial degree 2N, resp. 2N+1).
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import _threads
 from . import rng as _rng
 from .errors import CurveDomainError
 
@@ -297,27 +299,47 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     evaluates the closed form per path, and returns ensemble mean and
     second-moment curves with their standard errors.
 
-    The one (n, len(j_values)) path matrix is filled in blocks of
-    ``MC_BLOCK_ROWS`` rows, and every temporary is one block. Each mean is
-    one pass of column sums carried from block to block; each standard
-    error is one more pass of squared deviations from that mean. For
-    grids of two or more points the column sums add the rows in order, so
-    the four curves are bit-identical to ``mean(axis=0)`` and
-    ``std(axis=0, ddof=1)`` of the whole matrix. A one-point grid may
-    differ in the last bits, since numpy sums a single column pairwise.
+    The n paths are filled in blocks of ``MC_BLOCK_ROWS`` rows, and every
+    temporary is one block. Each mean is one pass of column sums carried
+    from block to block; each standard error is one more pass of squared
+    deviations from that mean. For grids of two or more points the column
+    sums add the rows in order, so the four curves are bit-identical to
+    ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` of the whole path matrix.
+    A one-point grid may differ in the last bits, since numpy sums a single
+    column pairwise. Large ensembles are split into groups of at least two
+    columns, one per CPU the process may use; each group sums its own
+    columns in row order, so the curves do not depend on the group count.
     """
     if n < 2:
         raise CurveDomainError("need at least 2 realizations")
     j = np.asarray(j_values, dtype=float)
+    m, rows = len(j), min(n, MC_BLOCK_ROWS)
+    # a one-column group would be summed pairwise, not in row order
+    groups = max(1, min(_threads.workers(n * m), m // 2))
+    cuts = [m * g // groups for g in range(groups + 1)]
     gen = _rng.stream(seed, 0)
     a2 = np.asarray(a2_provider.sample(gen, n), dtype=float)
     x0, x1 = initial_sampler(_rng.stream(seed, 1), n)
     a = np.sqrt(a2)
     zero = a == 0.0
     a_div = np.where(zero, 1.0, a)
-    paths = np.empty((n, len(j)))
-    scratch = np.empty((min(n, MC_BLOCK_ROWS), len(j)))
-    blocks = [slice(lo, min(lo + MC_BLOCK_ROWS, n)) for lo in range(0, n, MC_BLOCK_ROWS)]
+    # every buffer comes from the calling thread (see _threads.run)
+    paths, scratch = np.empty(n * m), np.empty(rows * m)
+    out = np.empty((4, m))
+    _threads.run([
+        partial(_column_moments, j[lo:hi], a, a_div, zero, x0, x1,
+                paths[n * lo:n * hi].reshape(n, hi - lo),
+                scratch[rows * lo:rows * hi].reshape(rows, hi - lo), out[:, lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])])
+    return EnsembleMoments(*out, n)
+
+
+def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):
+    """Mean, second moment and their standard errors at the indices ``j``
+    into the rows of ``out``. ``paths`` (n, len(j)) receives the paths;
+    ``scratch`` holds one block of rows."""
+    n = len(paths)
+    blocks = [slice(lo, min(lo + len(scratch), n)) for lo in range(0, n, len(scratch))]
     total = total_sq = None
     for rows in blocks:
         blk, tmp = paths[rows], scratch[:rows.stop - rows.start]
@@ -346,9 +368,9 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
         tmp -= second
         np.square(tmp, out=tmp)
         dev_sq = _carry_sum(tmp, dev_sq)
-    mean_se = np.sqrt(dev / (n - 1)) / math.sqrt(n)
-    second_se = np.sqrt(dev_sq / (n - 1)) / math.sqrt(n)
-    return EnsembleMoments(mean, second, mean_se, second_se, n)
+    out[0], out[1] = mean, second
+    out[2] = np.sqrt(dev / (n - 1)) / math.sqrt(n)
+    out[3] = np.sqrt(dev_sq / (n - 1)) / math.sqrt(n)
 
 
 def residual_check(a2: float, x0: float, x1: float, order: int, j_grid,

@@ -6,11 +6,13 @@ is J(tau) + eps. Fixtures carry a vectorized path sampler and, where it
 exists, the analytic correlation R(j1, j2).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from . import rng as _rng
 from .errors import (
     CurveDomainError,
@@ -24,6 +26,9 @@ DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
 
 #: Panels in J of a mean-square integral and of an improper one's first rung.
 MS_PANELS = 256
+
+#: Pair products per block of a correlation grid row: one block stays in L2.
+GRID_BLOCK = 2 ** 17
 
 
 @dataclass
@@ -49,19 +54,26 @@ class FractalProcess:
         if self.correlation is not None:
             return self.correlation
 
-        def estimated(j1, j2, _self=self):
-            r = _grid_pairs(_self, j1, j2, n, seed)[0]
+        # a limit ladder asks for (tau+eps, tau) and (tau, tau+eps) in turn,
+        # and for (tau, tau) at every rung: the same grids, drawn once each
+        @functools.lru_cache(maxsize=3)
+        def grid(indices):
+            return estimate_correlation_grid(self, np.frombuffer(indices), n, seed)
+
+        def estimated(j1, j2):
+            r = _grid_pairs(lambda uniq: grid(uniq.tobytes()), j1, j2)[0]
             return r if r.ndim else float(r)
 
         return estimated
 
 
-def _grid_pairs(proc, j1, j2, n, seed):
-    """(R, stderr) of each broadcast pair, read from one grid over the
-    sorted distinct indices (stream (seed, 0)); equal indices share a column."""
+def _grid_pairs(grid_over, j1, j2):
+    """(R, stderr) of each broadcast pair, read from the grid that
+    ``grid_over`` returns for the sorted distinct indices; equal indices
+    share a column."""
     pairs = np.array(np.broadcast_arrays(j1, j2), dtype=float)
     uniq, inv = np.unique(pairs, return_inverse=True)
-    grid = estimate_correlation_grid(proc, uniq, n, seed)
+    grid = grid_over(uniq)
     rows, cols = inv.reshape(pairs.shape)
     return grid.r[rows, cols], grid.stderr[rows, cols]
 
@@ -106,8 +118,13 @@ def cosine_phase() -> FractalProcess:
     length 2*pi; R(j1, j2) = cos(j1 - j2) / 2."""
 
     def draw(gen, j, n):
+        j = np.asarray(j, dtype=float)
+        k = _threads.workers(n * len(j))
         phi = gen.uniform(0.0, 2.0 * math.pi, n)
-        return np.cos(np.asarray(j, dtype=float)[None, :] + phi[:, None])
+        out = j[None, :] + phi[:, None]
+        _threads.run([functools.partial(np.cos, rows, out=rows)
+                      for rows in np.array_split(out, k)])
+        return out
 
     def corr(j1, j2):
         return 0.5 * np.cos(np.asarray(j1, dtype=float) - np.asarray(j2, dtype=float))
@@ -176,7 +193,8 @@ def correlation_mc(proc: FractalProcess, j1: float, j2: float, n: int,
     ``estimate_correlation_grid`` over the one or two distinct indices."""
     if n < 100:
         raise CurveDomainError("need at least 100 realizations")
-    r, stderr = _grid_pairs(proc, j1, j2, n, seed)
+    r, stderr = _grid_pairs(lambda uniq: estimate_correlation_grid(proc, uniq, n, seed),
+                            j1, j2)
     return CorrelationEstimate(float(r), float(stderr), n)
 
 
@@ -192,27 +210,45 @@ def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
                               seed: int = 0) -> CorrelationGrid:
     """Estimate R on a grid of index pairs from shared realizations.
 
-    One buffer holds the products X(j_i) X(j_l), l >= i; R is numpy's
-    ``mean`` of each row (an ordered sum over the n realizations, no BLAS)
-    and stderr its ``std(ddof=1)`` over sqrt(n), step for step."""
+    For each i, the products X(j_i) X(j_l), l >= i, are formed in blocks
+    of about ``GRID_BLOCK`` values; R is numpy's ``mean`` of each row of
+    products (an ordered sum over the n realizations, no BLAS) and stderr
+    its ``std(ddof=1)`` over sqrt(n), step for step. Large grids deal the
+    rows i out to one thread per CPU the process may use; every value gets
+    the same operations whatever the thread count."""
     j = np.asarray(j_values, dtype=float)
     if len(j) < 1:
         raise CurveDomainError("correlation grid needs at least one index point")
     if n < 2:
         raise CurveDomainError("need at least 2 realizations for a standard error")
-    # paths stays referenced: freeing it before buf exists lifts glibc's mmap
-    # threshold, and buf would then come from the heap and stay resident
+    m = len(j)
+    k = min(_threads.workers(m * (m + 1) // 2 * n), m)
+    # every buffer comes from the calling thread (see _threads.run), and
+    # before the paths: the draw's temporaries lift glibc's mmap threshold,
+    # and the buffers would then come from the heap above the paths and
+    # keep those pages resident
+    r, stderr = np.empty((2, m, m))
+    bufs = np.empty((k, min(m, max(1, GRID_BLOCK // n)), n))
     paths = proc.draw_paths(_rng.stream(seed), j, n)
     pt = np.ascontiguousarray(paths.T, dtype=float)
-    r, stderr = np.empty((2, len(j), len(j)))
-    buf = np.empty_like(pt)
-    for i in range(len(j)):
-        prod = np.multiply(pt[i], pt[i:], out=buf[i:])
-        r[i, i:] = r[i:, i] = prod.sum(axis=1) / n
-        prod -= r[i:, i, None]
-        np.square(prod, out=prod)
-        stderr[i, i:] = stderr[i:, i] = np.sqrt(prod.sum(axis=1) / (n - 1)) / math.sqrt(n)
+    _threads.run([functools.partial(_grid_rows, pt, range(w, m, k), buf, r, stderr)
+                  for w, buf in enumerate(bufs)])
     return CorrelationGrid(j, r, stderr, n)
+
+
+def _grid_rows(pt, rows, buf, r, stderr):
+    """Rows ``rows`` of the grid and their mirror columns, from the index
+    by realization matrix ``pt``, through ``len(buf)`` products at a time."""
+    m, n = pt.shape
+    for i in rows:
+        for lo in range(i, m, len(buf)):
+            hi = min(lo + len(buf), m)
+            prod = np.multiply(pt[i], pt[lo:hi], out=buf[:hi - lo])
+            r[i, lo:hi] = r[lo:hi, i] = prod.sum(axis=1) / n
+            prod -= r[lo:hi, i, None]
+            np.square(prod, out=prod)
+            stderr[i, lo:hi] = stderr[lo:hi, i] = (
+                np.sqrt(prod.sum(axis=1) / (n - 1)) / math.sqrt(n))
 
 
 # -- limit diagnostics ---------------------------------------------------------

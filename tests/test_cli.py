@@ -257,9 +257,11 @@ class TestDegenerateInputs:
         ["sde", "--curve", "line", "--a2", "1", "--order", "-1"],
         ["sde", "--mu", "2", "--nu", "1", "--ex0", "1", "--ex1", "1", "--ex0sq", "1",
          "--ex1sq", "1", "--ex01", "0.5"],
+        ["msdiag", "--curve", "line", "--tau", "5", "--n", "200"],
+        ["msdiag", "--curve", "line", "--tau", "-0.5", "--n", "200"],
     ], ids=["staircase-grid-0", "cdf-grid-0", "sde-grid-0", "correlation-points-0",
             "correlation-n-1", "sde-order-85", "sde-order-negative",
-            "sde-impossible-moments"])
+            "sde-impossible-moments", "msdiag-tau-past-curve", "msdiag-tau-before-curve"])
     def test_exits_2_with_message(self, tmp_path, capsys, args):
         code, out = run(tmp_path, "d.csv", *args)
         assert code == 2

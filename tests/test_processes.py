@@ -24,7 +24,7 @@ from fractalcalc import (
 )
 from fractalcalc import rng as frng
 from fractalcalc.errors import CurveDomainError, ExistenceError
-from fractalcalc.processes import FractalProcess, constant_process
+from fractalcalc.processes import DEFAULT_EPS_LADDER, FractalProcess, constant_process
 from walks import lognormal_walk
 
 
@@ -216,6 +216,25 @@ class TestEstimatorPins:
         assert (corr(0.3, 0.3), corr(0.3, 0.7)) == (1.009757860057708, 0.00618024441625038)
         assert corr(np.array([0.3, 0.7, 0.3]), 0.3).tolist() == [
             0.9949470820599475, 0.00618024441625038, 0.9949470820599475]
+
+    @pytest.mark.parametrize("make", [linear_amplitude, cosine_phase, white_noise,
+                                      brownian_like])
+    def test_ladder_draws_each_grid_once(self, make):
+        draws = []
+
+        def counted(gen, j, n):
+            draws.append(len(j))
+            return make().draw_paths(gen, j, n)
+
+        proc = FractalProcess("counted", counted)
+        tau, n = 0.3, 500
+        res = second_generalized_derivative(proc.correlation_or_estimate(n=n, seed=2), tau)
+        assert len(draws) == 15
+        # each value as the uncached estimator gives it, one grid per pair
+        r = lambda a, b: correlation_mc(proc, a, b, n, seed=2).r  # noqa: E731
+        want = [(r(tau + eps, tau + eps) - r(tau + eps, tau) - r(tau, tau + eps)
+                 + r(tau, tau)) / (eps * eps) for eps in DEFAULT_EPS_LADDER]
+        assert res.values == want
 
     @pytest.mark.parametrize("make, digest", [(brownian_like, "c8882c5ecd605d28"),
                                               (white_noise, "fbe07ef1a7d4934d")])
