@@ -37,6 +37,7 @@ from .oscillator import (
 )
 from .processes import (
     BUILTIN_FIXTURES,
+    DEFAULT_EPS_LADDER,
     estimate_correlation_grid,
     ms_derivative_check,
 )
@@ -87,16 +88,16 @@ def _load_curve(cfg):
     raise CurveDomainError(f"unknown curve kind {kind!r} (koch, line, or *.csv)")
 
 
-def _snap_alpha(estimate: float, tol: float = 0.02) -> float:
+def _snap_alpha(estimate: float) -> float:
     for known in (1.0, KOCH_DIMENSION):
-        if abs(estimate - known) <= tol:
+        if abs(estimate - known) <= 0.02:
             return known
     return estimate
 
 
 def _resolve_curve(cfg):
     """The configured curve and its order alpha. ``auto`` runs the
-    dimension estimate once, except on straight curves, whose order is 1."""
+    dimension estimate once; it gives 1 on straight curves."""
     curve = _load_curve(cfg)
     raw = cfg["alpha"]
     if raw != "auto":
@@ -104,8 +105,6 @@ def _resolve_curve(cfg):
         if alpha <= 0.0:
             raise CurveDomainError("alpha must be positive")
         return curve, alpha
-    if curve.kind == "line" or (curve.kind == "koch" and curve.level == 0):
-        return curve, 1.0
     return curve, _snap_alpha(gamma_dimension(curve).value)
 
 
@@ -380,8 +379,12 @@ def cmd_msdiag(cfg, out):
     procs = [_make_fixture(name, cfg) for name in names]
     tau = float(cfg["tau"])
     lo, hi = build_staircase(curve, alpha).mass_bounds
-    if not lo <= tau <= hi:
-        raise CurveDomainError(f"tau {tau} is outside the curve's mass range [{lo}, {hi}]")
+    # the diagnostics read the process up to tau plus the ladder's largest offset
+    reach = DEFAULT_EPS_LADDER[0]
+    if not (lo <= tau and tau + reach <= hi):
+        raise CurveDomainError(
+            f"tau {tau} and its reach tau + {reach} must lie in the curve's "
+            f"mass range [{lo}, {hi}]")
     n = int(cfg["n"])
     seed = int(cfg["seed"])
     checks = [ms_derivative_check(proc, tau, n=n, seed=seed) for proc in procs]

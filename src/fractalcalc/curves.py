@@ -94,12 +94,12 @@ class FractalCurve:
     def polyline_length(self) -> float:
         return float(_chord_lengths(self._cols).sum())
 
-    def check_domain(self, t, tol: float = 1e-12):
+    def check_domain(self, t):
         """Raise CurveDomainError unless every t lies in the domain up to
-        ``tol``; a nan fails, since min and max carry it through."""
+        1e-12; a nan fails, since min and max carry it through."""
         a, b = self.domain
         t = np.asarray(t, dtype=float)
-        if t.size and not (a - tol <= t.min() and t.max() <= b + tol):
+        if t.size and not (a - 1e-12 <= t.min() and t.max() <= b + 1e-12):
             raise CurveDomainError(
                 f"parameter outside curve domain [{a}, {b}]"
             )
@@ -336,15 +336,16 @@ class Subdivision:
     def components(self) -> int:
         return len(self.points) - 1
 
-    def refines(self, other: "Subdivision", tol: float = 1e-12) -> bool:
-        """True when every point of ``other`` appears in this subdivision."""
+    def refines(self, other: "Subdivision") -> bool:
+        """True when every point of ``other`` appears in this subdivision,
+        up to 1e-12."""
         idx = np.searchsorted(self.points, other.points)
         idx = np.clip(idx, 0, len(self.points) - 1)
         near = np.minimum(
             np.abs(self.points[idx] - other.points),
             np.abs(self.points[np.maximum(idx - 1, 0)] - other.points),
         )
-        return bool(np.all(near <= tol))
+        return bool(np.all(near <= 1e-12))
 
 
 def make_subdivision(a: float, b: float, k: int) -> Subdivision:

@@ -29,13 +29,12 @@ SAMPLE_BLOCK_ROWS = 16384
 
 @dataclass
 class SampleSet:
-    """Points drawn on the curve, with the generator key that made them."""
+    """Points drawn on the curve, with the seed that made them."""
 
     points: np.ndarray      # (count, n)
     t: np.ndarray           # (count,) parameters
     j: np.ndarray           # (count,) mass coordinates
     seed: int
-    stream_id: int
     plateau_hits: int
 
     @property
@@ -141,10 +140,10 @@ class DistributionOnCurve:
             return -np.log1p(-u * cap) / self.lam
         return np.interp(u, self._grid_cdf, self._grid_j)
 
-    def sample(self, seed: int, count: int, stream_id: int = 0) -> SampleSet:
+    def sample(self, seed: int, count: int) -> SampleSet:
         """Inverse-transform sampling driven by a counter-based stream.
 
-        The same (seed, stream_id) always reproduces the same points.
+        The same seed always reproduces the same points.
         Draws landing on a staircase plateau snap to its right edge and
         are counted. The draws run in blocks of ``SAMPLE_BLOCK_ROWS``;
         the stream yields the same numbers whatever the block size. J goes
@@ -153,7 +152,7 @@ class DistributionOnCurve:
         """
         if count < 1:
             raise CurveDomainError("sample count must be >= 1")
-        gen = _rng.stream(seed, stream_id)
+        gen = _rng.stream(seed)
         table = self.table
         j = np.empty(count)
         t = np.empty(count)
@@ -165,7 +164,7 @@ class DistributionOnCurve:
             t[rows] = table.t_from_mass(j[rows])
             pts[rows] = table.curve.point(t[rows])
         hits = table.plateau_hits - before
-        return SampleSet(pts, t, j, seed, stream_id, hits)
+        return SampleSet(pts, t, j, seed, hits)
 
     # -- moments ---------------------------------------------------------------
 

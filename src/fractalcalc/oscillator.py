@@ -31,16 +31,6 @@ DEFAULT_ORDER = 20
 MC_BLOCK_ROWS = 1024
 
 
-def _fact(k: int) -> float:
-    """k! as a float. Series weights divide by one factorial at a time, so
-    no intermediate leaves the float range below order 85."""
-    if k > 170:
-        raise CurveDomainError(
-            f"truncation order too high: {k}! exceeds the float range"
-        )
-    return float(math.factorial(k))
-
-
 def beta_raw_moment(mu: float, nu: float, m: int) -> float:
     """E[B^m] for B ~ Beta(mu, nu): the product of (mu+k)/(mu+nu+k)."""
     if mu <= 0.0 or nu <= 0.0:
@@ -132,24 +122,42 @@ def frobenius_coefficients(x0: float, x1: float, a2: float, n_max: int) -> np.nd
     return c
 
 
-def _a2_moments(spec: MomentSpec, top: int) -> list:
-    """E[(A^2)^k] for k = 0..top. A provider's moment can cost O(k) (a
-    Beta moment is a product), so the coefficient builders ask once per
-    order rather than once per term; every builder starts here."""
-    if top < 0:
+def _series_weights(spec: MomentSpec, order: int, top: int):
+    """E[(A^2)^k] for k = 0..top, and k! as a float for k = 0..2*order+1.
+    A provider's moment can cost O(k) (a Beta moment is a product), so the
+    coefficient builders ask once per order rather than once per term;
+    every builder starts here. Series weights divide by one factorial at a
+    time, so no intermediate leaves the float range below order 85."""
+    if order < 0:
         raise CurveDomainError("truncation order must be non-negative")
-    return [spec.a2.moment(k) for k in range(top + 1)]
+    moments = [spec.a2.moment(k) for k in range(top + 1)]
+    if 2 * order + 1 > 170:
+        raise CurveDomainError("truncation order too high: 171! exceeds the float range")
+    fact, f = [1.0], 1
+    for k in range(1, 2 * order + 2):
+        f *= k
+        fact.append(float(f))
+    return moments, fact
+
+
+def _cross_terms(moments, order):
+    """(n, m, (-1)^(n+m) E[(A^2)^(n+m)]) for n, m = 0..order in row order:
+    the pairings of a term n of one series with a term m of another."""
+    for n in range(order + 1):
+        for m in range(order + 1):
+            k = n + m
+            yield n, m, -moments[k] if k % 2 else moments[k]
 
 
 def mean_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Polynomial coefficients (in J) of the truncated ensemble mean."""
-    moments = _a2_moments(spec, order)
+    moments, fact = _series_weights(spec, order, order)
     coeffs = np.zeros(2 * order + 2)
     for m in range(order + 1):
         am = moments[m]
         sign = -1.0 if m % 2 else 1.0
-        coeffs[2 * m] += spec.ex0 * sign * am / _fact(2 * m)
-        coeffs[2 * m + 1] += spec.ex1 * sign * am / _fact(2 * m + 1)
+        coeffs[2 * m] += spec.ex0 * sign * am / fact[2 * m]
+        coeffs[2 * m + 1] += spec.ex1 * sign * am / fact[2 * m + 1]
     return coeffs
 
 
@@ -169,19 +177,14 @@ def second_moment_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> 
     ``squared_series_coefficients``; the two agree through order J but
     differ from J^2 on.
     """
-    moments = _a2_moments(spec, 2 * order)
+    moments, fact = _series_weights(spec, order, 2 * order)
     coeffs = np.zeros(4 * order + 3)
     for m in range(order + 1):
         a2m = moments[2 * m]
-        coeffs[4 * m] += spec.ex0_sq * a2m / _fact(2 * m) / _fact(2 * m)
-        coeffs[4 * m + 2] += spec.ex1_sq * a2m / _fact(2 * m + 1) / _fact(2 * m + 1)
-    for n_idx in range(order + 1):
-        for m in range(order + 1):
-            sign = -1.0 if (n_idx + m) % 2 else 1.0
-            coeffs[2 * (n_idx + m) + 1] += (
-                2.0 * spec.ex01 * sign * moments[n_idx + m]
-                / _fact(2 * n_idx) / _fact(2 * m + 1)
-            )
+        coeffs[4 * m] += spec.ex0_sq * a2m / fact[2 * m] / fact[2 * m]
+        coeffs[4 * m + 2] += spec.ex1_sq * a2m / fact[2 * m + 1] / fact[2 * m + 1]
+    for n, m, w in _cross_terms(moments, order):
+        coeffs[2 * (n + m) + 1] += 2.0 * spec.ex01 * w / fact[2 * n] / fact[2 * m + 1]
     return coeffs
 
 
@@ -195,21 +198,13 @@ def squared_series_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) ->
     termwise (all even-even and odd-odd pairings kept). Used as the
     diagnostic cross-check: with deterministic data it collapses to the
     squared mean exactly."""
-    moments = _a2_moments(spec, 2 * order)
+    moments, fact = _series_weights(spec, order, 2 * order)
     coeffs = np.zeros(4 * order + 3)
-    for n_idx in range(order + 1):
-        for m in range(order + 1):
-            sign = -1.0 if (n_idx + m) % 2 else 1.0
-            anm = moments[n_idx + m]
-            coeffs[2 * (n_idx + m)] += (
-                spec.ex0_sq * sign * anm / _fact(2 * n_idx) / _fact(2 * m)
-            )
-            coeffs[2 * (n_idx + m) + 2] += (
-                spec.ex1_sq * sign * anm / _fact(2 * n_idx + 1) / _fact(2 * m + 1)
-            )
-            coeffs[2 * (n_idx + m) + 1] += (
-                2.0 * spec.ex01 * sign * anm / _fact(2 * n_idx) / _fact(2 * m + 1)
-            )
+    for n, m, w in _cross_terms(moments, order):
+        k = 2 * (n + m)
+        coeffs[k] += spec.ex0_sq * w / fact[2 * n] / fact[2 * m]
+        coeffs[k + 2] += spec.ex1_sq * w / fact[2 * n + 1] / fact[2 * m + 1]
+        coeffs[k + 1] += 2.0 * spec.ex01 * w / fact[2 * n] / fact[2 * m + 1]
     return coeffs
 
 

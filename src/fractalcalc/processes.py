@@ -311,10 +311,10 @@ class ContinuityCheck:
     continuous: bool
 
 
-def ms_continuity_check(proc: FractalProcess, tau: float,
-                        eps_ladder=DEFAULT_EPS_LADDER[:5], n: int = 10000,
+def ms_continuity_check(proc: FractalProcess, tau: float, n: int = 10000,
                         seed: int = 0) -> ContinuityCheck:
-    """Estimate E[(X(tau+eps) - X(tau))^2] along the ladder.
+    """Estimate E[(X(tau+eps) - X(tau))^2] along the first five offsets of
+    ``DEFAULT_EPS_LADDER``.
 
     Continuous means the deltas decay to the measurement's noise floor:
     the final delta sits below ten combined standard errors (referenced
@@ -323,7 +323,7 @@ def ms_continuity_check(proc: FractalProcess, tau: float,
     if n < 100:
         raise CurveDomainError("need at least 100 realizations")
     deltas, stderrs = [], []
-    for i, eps in enumerate(eps_ladder):
+    for i, eps in enumerate(DEFAULT_EPS_LADDER[:5]):
         paths = proc.draw_paths(
             _rng.stream(seed, i), np.array([tau, tau + eps], dtype=float), n
         )
@@ -340,32 +340,26 @@ class DerivativeCheck:
     differentiable: bool
     value: float
     generalized: GeneralizedDerivative
-    continuity: ContinuityCheck = None
+    continuity: ContinuityCheck
 
 
-def ms_derivative_check(proc, tau: float, eps_ladder=DEFAULT_EPS_LADDER,
-                        n: int = 10000, seed: int = 0) -> DerivativeCheck:
+def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
+                        seed: int = 0) -> DerivativeCheck:
     """Differentiability in mean square, via the generalized second
-    derivative of the correlation at the diagonal.
+    derivative of the correlation at the diagonal along
+    ``DEFAULT_EPS_LADDER``, next to the continuity check. A bare
+    correlation goes to ``second_generalized_derivative``.
 
     A differentiable verdict must co-occur with a continuous one; the
     contradiction raises rather than returning silently.
     """
-    if isinstance(proc, FractalProcess):
-        corr = proc.correlation_or_estimate(n=n, seed=seed)
-        sampler = proc
-    else:
-        corr = proc
-        sampler = None
-    gsd = second_generalized_derivative(corr, tau, eps_ladder)
+    gsd = second_generalized_derivative(proc.correlation_or_estimate(n=n, seed=seed), tau)
     differentiable = not gsd.divergent
-    continuity = None
-    if sampler is not None:
-        continuity = ms_continuity_check(sampler, tau, eps_ladder[:5], n, seed)
-        if differentiable and not continuity.continuous:
-            raise InvariantViolationError(
-                f"{sampler.name}: differentiable verdict without continuity"
-            )
+    continuity = ms_continuity_check(proc, tau, n, seed)
+    if differentiable and not continuity.continuous:
+        raise InvariantViolationError(
+            f"{proc.name}: differentiable verdict without continuity"
+        )
     return DerivativeCheck(differentiable, gsd.limit, gsd, continuity)
 
 
@@ -496,12 +490,12 @@ def improper_ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
 
 
 def product_limit_check(pair_sampler, target: float, index_ladder, n: int,
-                        seed: int = 0, sigmas: float = 3.0):
+                        seed: int = 0):
     """Check E[X_m X'_m] -> E[X X'] along an index ladder.
 
     ``pair_sampler(gen, count, m)`` draws the coupled pair at ladder index
     m. Returns (ok, estimates, stderrs): ok means the final estimate sits
-    within ``sigmas`` standard errors of the target.
+    within three standard errors of the target.
     """
     if n < 2:
         raise CurveDomainError("need at least 2 realizations for a standard error")
@@ -512,5 +506,5 @@ def product_limit_check(pair_sampler, target: float, index_ladder, n: int,
         prod = np.asarray(x) * np.asarray(xp)
         estimates.append(float(prod.mean()))
         stderrs.append(float(prod.std(ddof=1) / math.sqrt(n)))
-    ok = abs(estimates[-1] - target) <= sigmas * stderrs[-1] + 1e-12
+    ok = abs(estimates[-1] - target) <= 3.0 * stderrs[-1] + 1e-12
     return ok, estimates, stderrs

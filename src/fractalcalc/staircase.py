@@ -214,21 +214,18 @@ class DimensionEstimate:
     trace: list = field(default_factory=list)  # (alpha, MassEstimate) pairs
 
 
-def gamma_dimension(curve: FractalCurve, a: float = None, b: float = None,
-                    tol: float = 1e-2, levels: int = None) -> DimensionEstimate:
-    """Estimate the dimension by bisecting on alpha in [1, n].
+def gamma_dimension(curve: FractalCurve, tol: float = 1e-2) -> DimensionEstimate:
+    """Estimate the dimension by bisecting on alpha in [1, n], with the
+    mass ladder of the whole domain at ``_default_levels`` rungs.
 
     A divergent mass limit places alpha below the dimension, a zero limit
     above; a finite positive limit means alpha sits at the dimension and
-    ends the search early.
+    ends the search early. A curve in R^1 is 1 without a ladder.
     """
     if not tol >= 1e-4:
         raise CurveDomainError("tol below 1e-4 exceeds the estimator resolution")
-    a1, b1 = curve.domain
-    a = a1 if a is None else a
-    b = b1 if b is None else b
-    if levels is None:
-        levels = _default_levels(curve)
+    a, b = curve.domain
+    levels = _default_levels(curve)
     trace = []
 
     def classify(alpha):
@@ -330,22 +327,22 @@ class StaircaseTable:
         np.clip(out, self.t[0], self.t[-1], out=out)  # the last cell can round past b
         return float(out[0]) if np.ndim(s) == 0 else out
 
-    def j_of_theta(self, theta, snap_tol: float = 1e-9) -> float:
+    def j_of_theta(self, theta) -> float:
         """Mass coordinate of a curve point: S at the parameter recovered
         by nearest-segment projection onto the polyline."""
-        t = self.parameter_of(theta, snap_tol)
-        return float(self.value(t))
+        return float(self.value(self.parameter_of(theta)))
 
-    def parameter_of(self, theta, snap_tol: float = 1e-9) -> float:
+    def parameter_of(self, theta) -> float:
         theta = np.asarray(theta, dtype=float).reshape(1, -1)
-        return float(self._parameters(theta, snap_tol)[0])
+        return float(self._parameters(theta)[0])
 
-    def j_of_many(self, thetas, snap_tol: float = 1e-9):
-        return self.value(self._parameters(thetas, snap_tol))
+    def j_of_many(self, thetas):
+        return self.value(self._parameters(thetas))
 
-    def _parameters(self, thetas, snap_tol):
+    def _parameters(self, thetas):
         """Parameters of an (m, n) block of curve points, by
-        nearest-segment projection onto the polyline."""
+        nearest-segment projection onto the polyline; a point farther than
+        1e-9 from the curve raises GeometryError."""
         thetas = np.asarray(thetas, dtype=float)
         n = self.curve.ndim
         if thetas.ndim != 2 or thetas.shape[1] != n:
@@ -355,10 +352,9 @@ class StaircaseTable:
             )
         t, dist = _project_points(self.curve, thetas)
         # a nan point fails: its distance is nan
-        if len(dist) and not dist.max() <= snap_tol:
+        if len(dist) and not dist.max() <= 1e-9:
             raise GeometryError(
-                f"points up to {dist.max():.3e} away from the curve "
-                f"(tolerance {snap_tol:g})"
+                f"points up to {dist.max():.3e} away from the curve (tolerance 1e-09)"
             )
         return t
 

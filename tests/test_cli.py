@@ -182,6 +182,11 @@ class TestMsdiagCommand:
         code, _ = run(tmp_path, "m.csv", "msdiag", "--fixture", "bogus")
         assert code == 2
 
+    def test_tau_within_reach_of_the_end_names_the_reach(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "m.csv", "msdiag", "--curve", "line", "--tau", "0.95")
+        assert code == 2
+        assert "reach tau + 0.1" in capsys.readouterr().err
+
 
 class TestSdeCommand:
     def test_fixed_amplitude_tracks_cosine(self, tmp_path):
@@ -259,9 +264,12 @@ class TestDegenerateInputs:
          "--ex1sq", "1", "--ex01", "0.5"],
         ["msdiag", "--curve", "line", "--tau", "5", "--n", "200"],
         ["msdiag", "--curve", "line", "--tau", "-0.5", "--n", "200"],
+        ["msdiag", "--curve", "line", "--tau", "1", "--n", "200"],
+        ["msdiag", "--curve", "line", "--tau", "0.95", "--n", "200"],
     ], ids=["staircase-grid-0", "cdf-grid-0", "sde-grid-0", "correlation-points-0",
             "correlation-n-1", "sde-order-85", "sde-order-negative",
-            "sde-impossible-moments", "msdiag-tau-past-curve", "msdiag-tau-before-curve"])
+            "sde-impossible-moments", "msdiag-tau-past-curve", "msdiag-tau-before-curve",
+            "msdiag-tau-at-curve-end", "msdiag-reach-past-curve"])
     def test_exits_2_with_message(self, tmp_path, capsys, args):
         code, out = run(tmp_path, "d.csv", *args)
         assert code == 2
@@ -324,6 +332,10 @@ class TestCsvBytes:
          "e018323d1db2ea25"),
         ("msdiag --curve line --n 2000", "8e9069ab2cca0086"),
         ("sde --curve line --a2 4 --grid 8 --n 200", "275733c1a301688c"),
+        # alpha = auto on straight curves: the dimension estimate gives 1
+        ("staircase --level 0", "a35faa60bb843458"),
+        ("cdf --level 0 --grid 8", "adca14b20c74b153"),
+        ("staircase --curve line --line-a 0.5 --line-b 3 --grid 5", "c3f5816c9fcb9c9a"),
     ], ids=lambda v: v.split()[0] if " " in v else None)
     def test_digest(self, capsys, args, digest):
         assert main(args.split()) == 0

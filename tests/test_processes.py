@@ -316,12 +316,6 @@ class TestDerivativeCheck:
             if chk.differentiable:
                 assert chk.continuity.continuous
 
-    def test_bare_correlation_supported(self):
-        chk = ms_derivative_check(lambda a, b: 3.0 * a * b, 0.0)
-        assert chk.differentiable
-        assert chk.value == pytest.approx(3.0, rel=1e-9)
-        assert chk.continuity is None
-
 
 class TestLinearityOfQuotients:
     def test_combination_matches_parts(self):

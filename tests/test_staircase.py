@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractalcalc import (
     KOCH_DIMENSION,
@@ -334,6 +335,82 @@ class TestChart:
         table = build_staircase(build_line(0, 1))
         assert table.value(np.empty(0)).shape == (0,)
         assert table.t_from_mass(np.empty(0)).shape == (0,)
+
+
+_EPS = np.finfo(float).eps
+
+_WALKS = dict(seed=st.integers(0, 2 ** 32 - 1), edges=st.integers(8, 256),
+              dim=st.sampled_from([2, 3]))
+
+
+def _walk_table(seed, edges, dim):
+    """Staircase of a lognormal walk, with 200 parameters drawn over [0, 1]."""
+    table = build_staircase(lognormal_walk(seed, edges, dim))
+    return table, np.random.default_rng(seed).uniform(0.0, 1.0, 200)
+
+
+def _slopes_near(table, t):
+    """Least and greatest dS/dt over the table cell holding each t and its
+    two neighbours: a query rounded across a cell end lands in one of them."""
+    slope = np.diff(table.s) / np.diff(table.t)
+    padded = np.concatenate(([slope[0]], slope, [slope[-1]]))
+    near = np.stack([padded[:-2], padded[1:-1], padded[2:]])
+    cell = np.clip(np.searchsorted(table.t, t, side="right") - 1, 0, len(slope) - 1)
+    return near.min(axis=0)[cell], near.max(axis=0)[cell]
+
+
+class TestStaircaseProperties:
+    """S and its charts on random 2-D and 3-D walks whose knot spacing is
+    lognormal. Each bound is a few ulps carried through the chart's
+    conditioning."""
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(**_WALKS)
+    def test_monotone(self, seed, edges, dim):
+        table, t = _walk_table(seed, edges, dim)
+        assert np.all(np.diff(table.s) >= 0.0)
+        assert np.all(np.diff(table.value(np.sort(t))) >= 0.0)
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(**_WALKS)
+    def test_additive_over_a_split(self, seed, edges, dim):
+        # mass over [a, c] from the table with origin 0, plus the mass over
+        # [c, b] that the table with origin c reads at b, is the mass over [a, b]
+        table, t = _walk_table(seed, edges, dim)
+        c = table.t[np.searchsorted(table.t, t[0])]
+        from_c = build_staircase(table.curve, p0=c)
+        np.testing.assert_array_equal(from_c.t, table.t)
+        a, b = np.minimum(t[:100], c), np.maximum(t[100:], c)
+        split = (table.value(c) - table.value(a)) + from_c.value(b)
+        whole = table.value(b) - table.value(a)
+        assert np.abs(split - whole).max() <= 8 * _EPS * table.total_mass
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(**_WALKS)
+    def test_inverse_chart_recovers_the_parameter(self, seed, edges, dim):
+        # S(t) is off by a few ulps of S, which the inverse divides by the
+        # slope of the cell it lands in
+        table, t = _walk_table(seed, edges, dim)
+        least, _ = _slopes_near(table, t)
+        off = least > 0.0  # off plateaus
+        bound = 8 * _EPS * (table.total_mass / least[off] + 1.0)
+        assert np.all(np.abs(table.t_from_mass(table.value(t[off])) - t[off]) <= bound)
+
+    @settings(max_examples=10, derandomize=True, deadline=None)
+    @given(**_WALKS)
+    def test_projection_recovers_the_mass(self, seed, edges, dim):
+        # point(t) is off by a few ulps of the largest coordinate; projected
+        # onto t's edge, that moves t by those ulps over the edge's length
+        # times its parameter span, and S by the cell slope times that
+        table, t = _walk_table(seed, edges, dim)
+        curve = table.curve
+        edge = np.clip(np.searchsorted(curve.knots, t, side="right") - 1,
+                       0, curve.edge_count - 1)
+        length = np.linalg.norm(np.diff(curve.vertices, axis=0), axis=1)[edge]
+        span = np.diff(curve.knots)[edge]
+        moved = 8 * _EPS * (np.abs(curve.vertices).max() * span / length + 1.0)
+        bound = _slopes_near(table, t)[1] * moved + 8 * _EPS * table.total_mass
+        assert np.all(np.abs(table.j_of_many(curve.point(t)) - table.value(t)) <= bound)
 
 
 #: Tables whose inverse chart is pinned: Koch, lognormal walks (one with
