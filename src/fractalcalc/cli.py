@@ -108,27 +108,32 @@ def _resolve_curve(cfg):
     return curve, _snap_alpha(gamma_dimension(curve).value)
 
 
+#: Rows per formatting block of ``write_csv``: only one block's cells are
+#: Python objects at a time.
+_CSV_BLOCK_ROWS = 1 << 14
+
+
 def write_csv(out_path, meta: dict, columns: dict, trailing_comments=()):
     """Write ``meta`` as comment lines, then ``columns`` (header name: 1-D
     values, all of one length) as rows; returns the text written."""
-    # the body is one % template: "%.17g" per float cell, "%s" over _fmt
-    # for the rest, formatted in one call
-    cells, specs = [], []
-    for col in map(np.asarray, columns.values()):
-        if col.dtype.kind == "f":
-            cells.append(col.tolist())
-            specs.append("%.17g")
-        else:
-            cells.append([_fmt(v) for v in col.tolist()])
-            specs.append("%s")
-    rows = list(zip(*cells, strict=True))
+    cols = [np.asarray(col) for col in columns.values()]
+    n = len(cols[0]) if cols else 0
+    if any(len(col) != n for col in cols):
+        raise ValueError("CSV columns must all have one length")
+    floats = [col.dtype.kind == "f" for col in cols]
+    # each block is one % template: "%.17g" per float cell, "%s" over
+    # _fmt for the rest, formatted in one call
+    row_spec = ",".join("%.17g" if f else "%s" for f in floats)
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    if rows:
-        template = "\n".join([",".join(specs)] * len(rows))
-        lines.append(template % tuple(itertools.chain.from_iterable(rows)))
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        cells = [col[lo:lo + _CSV_BLOCK_ROWS].tolist() for col in cols]
+        cells = [c if f else [_fmt(v) for v in c] for c, f in zip(cells, floats)]
+        template = "\n".join([row_spec] * len(cells[0]))
+        lines.append(template % tuple(itertools.chain.from_iterable(zip(*cells))))
     lines.extend(f"# {c}" for c in trailing_comments)
-    text = "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a copy of the text
+    text = "\n".join(lines)
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)

@@ -37,7 +37,10 @@ class FractalCurve:
     The vertices are stored once, coordinate-major, in the read-only
     C-contiguous (n, m+1) array ``_cols``; ``vertices`` is its (m+1, n)
     transpose view, and every per-edge kernel runs one coordinate at a
-    time over its rows. ``_ladder`` is a private cache that
+    time over its rows. Construction checks strict knot increase and
+    repeated consecutive vertices by comparing each entry with its
+    neighbour, so it allocates no difference arrays, only boolean masks.
+    ``_ladder`` is a private cache that
     ``staircase.coarse_mass`` fills with the knot-spacing facts and the
     chord arrays of the ladder rungs of the most recent segment, and that
     ``staircase._project_points`` fills with the edge directions and
@@ -61,13 +64,15 @@ class FractalCurve:
             raise CurveDomainError("knots and vertices must align, length >= 2")
         if not (np.isfinite(knots).all() and np.isfinite(verts).all()):
             raise CurveDomainError("knots and vertex coordinates must be finite")
-        if not np.all(np.diff(knots) > 0.0):
+        # for finite x and y, y > x exactly when y - x > 0, and y == x
+        # exactly when y - x == 0, signed zeros and subnormals included
+        if not np.all(knots[1:] > knots[:-1]):
             raise CurveDomainError("parameter knots must be strictly increasing")
         # one transposing copy of a row-major input; none of a cols.T view
         cols = np.ascontiguousarray(verts.T)
-        repeated = np.diff(cols[0]) == 0.0
+        repeated = cols[0, 1:] == cols[0, :-1]
         for col in cols[1:]:
-            repeated &= np.diff(col) == 0.0
+            repeated &= col[1:] == col[:-1]
         if repeated.any():
             raise CurveDomainError("repeated consecutive vertices break injectivity")
         if not (0.0 < self.alpha <= len(cols) + 1e-12):

@@ -115,13 +115,16 @@ def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
     minimum of the chord sums over two families: the global quaternary
     lattice at the coarsest level with step <= delta, and the uniform
     power-of-two split at the coarsest count with mesh <= delta (kept only
-    when it respects the polyline's edge structure). On self-similar
-    curves these coarsest members attain the infimum in the self-similar
-    regime.
+    when it differs from the lattice and respects the polyline's edge
+    structure). On self-similar curves these coarsest members attain the
+    infimum in the self-similar regime.
 
     A rung's chord arrays depend on the segment and delta but not on alpha,
     so they are built once and kept on the curve for its most recent
-    segment; each call is then a power sum over them.
+    segment; each call is then a power sum over them. A rung whose uniform
+    split equals its lattice point for point, as every rung of
+    ``gamma_dimension`` on a [0, 1] domain does, keeps one chord array and
+    skips the edge-structure check.
     """
     if delta <= 0.0:
         raise CurveDomainError(f"delta must be positive, got {delta}")
@@ -153,8 +156,12 @@ def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
             )
         rung = [_chords(curve, lattice)]
         k = 1 << m
-        if k + 1 <= _MAX_DIRECT_POINTS and _uniform_candidate_safe(curve, a, b, k):
-            rung.append(_chords(curve, np.linspace(a, b, k + 1)))
+        if k + 1 <= _MAX_DIRECT_POINTS:
+            split = np.linspace(a, b, k + 1)
+            # a split equal to the lattice adds the same chords again
+            if not np.array_equal(split, lattice) and \
+                    _uniform_candidate_safe(curve, a, b, k):
+                rung.append(_chords(curve, split))
         rungs[j, m] = rung
     return min(_power_sum(chords, alpha) for chords in rungs[j, m])
 

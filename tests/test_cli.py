@@ -313,6 +313,20 @@ class TestWriteCsv:
                 for x, n, ok in zip(floats.tolist(), other.tolist(), flags.tolist())]
         assert text == "# k=1\nx,n,ok\n" + "\n".join(rows) + "\n"
 
+    def test_row_blocks_match_one_template(self):
+        # 40,000 rows span three formatting blocks, the last one partial
+        rng = np.random.default_rng(5)
+        floats = rng.normal(size=40_000) * 10.0 ** rng.integers(-300, 300, 40_000)
+        floats[::997] = -0.0
+        names = np.array([f"r{i}" for i in range(40_000)])
+        flags = rng.random(40_000) < 0.5
+        text = cli.write_csv("", {"k": 1}, {"x": floats, "name": names, "ok": flags},
+                             ["end"])
+        rows = list(zip(floats.tolist(), names.tolist(),
+                        ["true" if f else "false" for f in flags.tolist()]))
+        body = "\n".join(["%.17g,%s,%s"] * len(rows)) % tuple(v for r in rows for v in r)
+        assert text == "# k=1\nx,name,ok\n" + body + "\n# end\n"
+
     def test_no_rows_writes_the_header_only(self):
         assert cli.write_csv("", {}, {"t": np.array([])}, ["end"]) == "t\n# end\n"
 

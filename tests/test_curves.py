@@ -250,9 +250,33 @@ class TestPolyline:
         with pytest.raises(CurveDomainError, match="must be finite"):
             build_polyline(knots, vertices, 1.0)
 
-    def test_repeated_vertices_rejected(self):
-        with pytest.raises(CurveDomainError):
-            build_polyline([0, 0.5, 1], [[0, 0], [0, 0], [1, 1]], 1.0)
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [0, 0], [1, 1]],
+        [[0.0], [-0.0], [1.0]],
+        [[1.0, 0.0], [1.0, -0.0], [2.0, 1.0]],
+    ], ids=["equal", "signed-zero-1d", "signed-zero-2d"])
+    def test_repeated_vertices_rejected(self, vertices):
+        with pytest.raises(CurveDomainError, match="repeated consecutive vertices"):
+            build_polyline([0, 0.5, 1], vertices, 1.0)
+
+    def test_equal_consecutive_knots_rejected(self):
+        with pytest.raises(CurveDomainError, match="strictly increasing"):
+            build_polyline([0.0, 0.5, 0.5, 1.0], [[0, 0], [1, 0], [1, 1], [2, 1]], 1.0)
+
+    def test_subnormal_knot_gap_accepted(self):
+        curve = build_polyline([0.0, 5e-324, 1.0], [[0, 0], [1, 0], [1, 1]], 1.0)
+        assert curve.knots.tolist() == [0.0, 5e-324, 1.0]
+
+    def test_koch10_build_peak_memory(self):
+        tracemalloc.start()
+        try:
+            build_koch(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the vertices (16 MB) and knots (8 MB) plus the level-9 step and
+        # the checks' boolean masks; a knot difference array made it 34 MB
+        assert peak <= 30 * 2 ** 20
 
     def test_curve_is_immutable(self):
         curve = build_koch(2)

@@ -213,8 +213,20 @@ class TestLadderCache:
         monkeypatch.setattr(FractalCurve, "point", counting)
         est = gamma_dimension(build_koch(6))
         assert len(est.trace) > 2
-        # one lattice and at most one uniform split per rung, over 6 rungs
-        assert len(calls) <= 2 * 6
+        # one chord array per rung, 5,466 points over 6 rungs: on [0, 1]
+        # every rung's uniform split is its lattice and adds none
+        assert calls == [4 ** j + 1 for j in range(1, 7)]
+
+    def test_split_off_the_lattice_stays_a_candidate(self):
+        # [0.1, 0.3] lies inside the first edge, so the 4-cell split is
+        # safe; at alpha < 1 it undercuts the 14-cell lattice
+        curve = build_polyline([0.0, 0.5, 1.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 1.0)
+        a, b, alpha = 0.1, 0.3, 0.5
+        lattice = sc._power_sum(sc._chords(curve, sc._lattice_points(a, b, 3)), alpha)
+        split = sc._power_sum(sc._chords(curve, np.linspace(a, b, 5)), alpha)
+        assert sc._uniform_candidate_safe(curve, a, b, 4)
+        assert split < lattice
+        assert coarse_mass(curve, a, b, alpha, 0.05) == split
 
     def test_lattice_cap_names_delta(self):
         with pytest.raises(CurveDomainError, match="delta=1e-06"):
