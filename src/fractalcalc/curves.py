@@ -41,8 +41,8 @@ class FractalCurve:
     repeated consecutive vertices by comparing each entry with its
     neighbour, so it allocates no difference arrays, only boolean masks.
     ``_ladder`` is a private cache that
-    ``staircase.coarse_mass`` fills with the knot-spacing facts and the
-    chord arrays of the ladder rungs of the most recent segment, and that
+    ``staircase.coarse_mass`` fills with the chord arrays of the ladder
+    rungs of the most recent segment, and that
     ``staircase._project_points`` fills with the edge directions and
     squared lengths; it lives and dies with the curve, as does the knots'
     cell index ``_knot_index``.

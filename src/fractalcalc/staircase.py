@@ -60,51 +60,18 @@ def _power_sum(chords, alpha):
     return float((chords ** alpha).sum() / math.gamma(alpha + 1.0))
 
 
-def _lattice_points(a, b, j):
-    """Global quaternary lattice points i/4^j restricted to [a, b], with
-    both endpoints included."""
-    step = 4.0 ** (-j)
-    lo = math.ceil(a / step - 1e-9)
-    hi = math.floor(b / step + 1e-9)
-    inner = np.arange(lo, hi + 1, dtype=float) * step
+def _lattice_points(curve, a, b, j):
+    """The curve's quaternary lattice d0 + (d1 - d0) i/4^j over its domain
+    (d0, d1), restricted to [a, b], with both endpoints included."""
+    d0, d1 = curve.domain
+    width, q = d1 - d0, 4.0 ** (-j)
+    # on a [0, 1] domain, d0 + width * x is x bit for bit
+    lo = math.ceil((a - d0) / (width * q) - 1e-9)
+    hi = math.floor((b - d0) / (width * q) + 1e-9)
+    inner = d0 + width * (np.arange(lo, hi + 1, dtype=float) * q)
     pts = np.concatenate(([a], inner, [b]))
     pts = pts[(pts >= a) & (pts <= b)]
     return np.unique(pts)
-
-
-def _uniform_candidate_safe(curve, a, b, k):
-    """Whether the uniform k-split of [a, b] respects the curve's edge
-    structure: every cell lies inside one straight edge, or the cells are
-    lattice-aligned unions of whole power-of-four knot blocks.
-
-    Unaligned splits can undercut the self-similar chord sums on bending
-    polylines (chords shortcut corners), which would break additivity of
-    the estimator; such candidates are excluded from the minimum.
-    """
-    knots = curve.knots
-    if np.searchsorted(knots, a + 1e-15, side="right") >= \
-            np.searchsorted(knots, b - 1e-15, side="left"):
-        return True  # no knot strictly inside (a, b)
-    if "spacing" not in curve._ladder:
-        spacing = np.diff(knots)
-        g = float(spacing.min())
-        curve._ladder["spacing"] = g, bool(abs(spacing.max() - g) <= 1e-12 * g)
-    g, uniform = curve._ladder["spacing"]
-    if not uniform:
-        return False  # non-uniform knots: only sub-edge splits are safe
-    cell = (b - a) / k
-    if cell <= g * (1.0 + 1e-9):
-        # each cell within one edge, provided the split hits the knots
-        ratio = g / cell
-        aligned = abs(ratio - round(ratio)) < 1e-9 and \
-            abs((a - knots[0]) / g - round((a - knots[0]) / g)) < 1e-9
-        return aligned
-    blocks = cell / g
-    s = math.log(blocks, 4.0)
-    if abs(s - round(s)) > 1e-9:
-        return False
-    start = (a - knots[0]) / cell
-    return abs(start - round(start)) < 1e-9
 
 
 def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
@@ -112,19 +79,14 @@ def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
     """Coarse-grained mass of the segment at resolution delta.
 
     The infimum over subdivisions of mesh <= delta is approximated by the
-    minimum of the chord sums over two families: the global quaternary
-    lattice at the coarsest level with step <= delta, and the uniform
-    power-of-two split at the coarsest count with mesh <= delta (kept only
-    when it differs from the lattice and respects the polyline's edge
-    structure). On self-similar curves these coarsest members attain the
-    infimum in the self-similar regime.
+    chord sum over the curve's quaternary lattice (``_lattice_points``) at
+    the coarsest level whose step is <= delta. On self-similar curves this
+    member attains the infimum in the self-similar regime, and taking the
+    lattice over the domain keeps it independent of the units of t.
 
-    A rung's chord arrays depend on the segment and delta but not on alpha,
-    so they are built once and kept on the curve for its most recent
-    segment; each call is then a power sum over them. A rung whose uniform
-    split equals its lattice point for point, as every rung of
-    ``gamma_dimension`` on a [0, 1] domain does, keeps one chord array and
-    skips the edge-structure check.
+    A rung's chords depend on the segment and delta but not on alpha, so
+    they are built once and kept on the curve for its most recent segment;
+    each call is then one power sum over them.
     """
     if delta <= 0.0:
         raise CurveDomainError(f"delta must be positive, got {delta}")
@@ -134,36 +96,25 @@ def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
     if alpha <= 0.0:
         raise CurveDomainError(f"alpha must be positive, got {alpha}")
 
-    width = b - a
-    j = max(0, math.ceil(math.log(1.0 / delta, 4.0) - 1e-9))
-    while 4.0 ** (-j) > delta * (1.0 + 1e-12):
+    d0, d1 = curve.domain
+    j = max(0, math.ceil(math.log((d1 - d0) / delta, 4.0) - 1e-9))
+    while (d1 - d0) * 4.0 ** (-j) > delta * (1.0 + 1e-12):
         j += 1
-    m = max(0, math.ceil(math.log2(width / delta) - 1e-9))
-    while width / (1 << m) > delta * (1.0 + 1e-12):
-        m += 1
     # (segment, rungs) is swapped in whole, so a rung never lands in the
     # dict of another segment
     segment, rungs = curve._ladder.get("rungs", (None, None))
     if segment != (a, b):
         rungs = {}
         curve._ladder["rungs"] = (a, b), rungs
-    if (j, m) not in rungs:
-        lattice = _lattice_points(a, b, j)
+    if j not in rungs:
+        lattice = _lattice_points(curve, a, b, j)
         if len(lattice) > _MAX_DIRECT_POINTS:
             raise CurveDomainError(
                 f"delta={delta} needs {len(lattice)} lattice points; "
                 f"cap is {_MAX_DIRECT_POINTS}"
             )
-        rung = [_chords(curve, lattice)]
-        k = 1 << m
-        if k + 1 <= _MAX_DIRECT_POINTS:
-            split = np.linspace(a, b, k + 1)
-            # a split equal to the lattice adds the same chords again
-            if not np.array_equal(split, lattice) and \
-                    _uniform_candidate_safe(curve, a, b, k):
-                rung.append(_chords(curve, split))
-        rungs[j, m] = rung
-    return min(_power_sum(chords, alpha) for chords in rungs[j, m])
+        rungs[j] = _chords(curve, lattice)
+    return _power_sum(rungs[j], alpha)
 
 
 @dataclass

@@ -47,6 +47,33 @@ class TestDimensionCommand:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: tol=5.0 exceeds")
 
+    @pytest.mark.parametrize("relabel", [lambda t: t, lambda t: t + 0.3, lambda t: 5.0 * t],
+                             ids=["t", "t+0.3", "5t"])
+    def test_polyline_dimension_ignores_units_of_t(self, tmp_path, relabel):
+        # the Koch-5 shape printed 1, 1.21484375 before the lattice was
+        # taken over the curve's domain
+        code, out = run(tmp_path, "dim.csv", "dimension",
+                        "--curve", str(_koch5_csv(tmp_path, relabel)))
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        assert meta["dimension"] == "1.26171875"
+
+    def test_auto_alpha_on_relabelled_knots_is_koch(self, tmp_path):
+        path = _koch5_csv(tmp_path, lambda t: 5.0 * t)
+        code, out = run(tmp_path, "s.csv", "staircase", "--curve", str(path), "--alpha", "auto")
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        assert float(meta["alpha"]) == KOCH_DIMENSION
+
+
+def _koch5_csv(tmp_path, relabel):
+    koch = build_koch(5)
+    path = tmp_path / "koch5.csv"
+    rows = [",".join(map(repr, map(float, (t, x, y))))
+            for t, (x, y) in zip(relabel(koch.knots), koch.vertices)]
+    path.write_text("t,x,y\n" + "\n".join(rows) + "\n")
+    return path
+
 
 class TestCdfCommand:
     def test_monotone_and_analytic(self, tmp_path):

@@ -47,18 +47,13 @@ def ref_power_sum(chords, alpha):
 
 
 def ref_coarse_mass(curve, a, b, alpha, delta):
-    """Minimum of the lattice and uniform chord sums, as coarse_mass takes
-    it, with every chord from the row-major formula."""
-    j = max(0, math.ceil(math.log(1.0 / delta, 4.0) - 1e-9))
-    while 4.0 ** (-j) > delta * (1.0 + 1e-12):
+    """The lattice chord sum coarse_mass takes, at the coarsest j with
+    (d1 - d0) 4^-j <= delta, with every chord from the row-major formula."""
+    d0, d1 = curve.domain
+    j = max(0, math.ceil(math.log((d1 - d0) / delta, 4.0) - 1e-9))
+    while (d1 - d0) * 4.0 ** (-j) > delta * (1.0 + 1e-12):
         j += 1
-    m = max(0, math.ceil(math.log2((b - a) / delta) - 1e-9))
-    while (b - a) / (1 << m) > delta * (1.0 + 1e-12):
-        m += 1
-    sums = [ref_power_sum(ref_chords(curve, sc._lattice_points(a, b, j)), alpha)]
-    if sc._uniform_candidate_safe(curve, a, b, 1 << m):
-        sums.append(ref_power_sum(ref_chords(curve, np.linspace(a, b, (1 << m) + 1)), alpha))
-    return min(sums)
+    return ref_power_sum(ref_chords(curve, sc._lattice_points(curve, a, b, j)), alpha)
 
 
 def ref_staircase_s(curve, alpha, p0, grid_size):

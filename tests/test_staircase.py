@@ -171,6 +171,11 @@ def _rotated_koch6():
                           koch.alpha)
 
 
+def _koch_polyline(level, relabel):
+    koch = build_koch(level)
+    return build_polyline(relabel(koch.knots), koch.vertices, koch.alpha)
+
+
 class TestLadderCache:
     """coarse_mass keeps each rung's chords on the curve; results must not
     depend on what was asked before."""
@@ -202,7 +207,13 @@ class TestLadderCache:
                 assert mass_function(curve, a, b, alpha).masses == \
                     mass_function(make(), a, b, alpha).masses
 
-    def test_bisection_reuses_rung_chords(self, monkeypatch):
+    @pytest.mark.parametrize("make, rungs", [
+        (lambda: build_koch(6), 6),
+        (lambda: _koch_polyline(6, lambda t: 5.0 * t), 5),
+        (lambda: _koch_polyline(6, lambda t: t + 0.3), 5),
+    ], ids=["koch6", "knots-5t", "knots-t+0.3"])
+    def test_bisection_reuses_rung_chords(self, monkeypatch, make, rungs):
+        curve = make()
         calls = []
         point = FractalCurve.point
 
@@ -211,26 +222,57 @@ class TestLadderCache:
             return point(self, t)
 
         monkeypatch.setattr(FractalCurve, "point", counting)
-        est = gamma_dimension(build_koch(6))
+        est = gamma_dimension(curve)
         assert len(est.trace) > 2
-        # one chord array per rung, 5,466 points over 6 rungs: on [0, 1]
-        # every rung's uniform split is its lattice and adds none
-        assert calls == [4 ** j + 1 for j in range(1, 7)]
+        # one chord array per rung, over the domain's 4^j cells, whatever
+        # the units of t
+        assert calls == [4 ** j + 1 for j in range(1, rungs + 1)]
 
-    def test_split_off_the_lattice_stays_a_candidate(self):
-        # [0.1, 0.3] lies inside the first edge, so the 4-cell split is
-        # safe; at alpha < 1 it undercuts the 14-cell lattice
-        curve = build_polyline([0.0, 0.5, 1.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 1.0)
-        a, b, alpha = 0.1, 0.3, 0.5
-        lattice = sc._power_sum(sc._chords(curve, sc._lattice_points(a, b, 3)), alpha)
-        split = sc._power_sum(sc._chords(curve, np.linspace(a, b, 5)), alpha)
-        assert sc._uniform_candidate_safe(curve, a, b, 4)
-        assert split < lattice
-        assert coarse_mass(curve, a, b, alpha, 0.05) == split
+    @pytest.mark.parametrize("a, b, j", [
+        (2.0, 6.0, 0), (2.0, 6.0, 3), (2.5, 3.7, 2), (3.0, 4.0, 1), (2.1, 2.2, 1),
+    ])
+    def test_lattice_points_follow_the_domain(self, a, b, j):
+        curve = build_polyline([2.0, 4.0, 6.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]], 1.0)
+        i = np.arange(4 ** j + 1, dtype=float)
+        lattice = 2.0 + 4.0 * (i * 4.0 ** -j)
+        inside = lattice[(lattice >= a) & (lattice <= b)]
+        np.testing.assert_array_equal(sc._lattice_points(curve, a, b, j),
+                                      np.unique(np.concatenate(([a], inside, [b]))))
 
     def test_lattice_cap_names_delta(self):
         with pytest.raises(CurveDomainError, match="delta=1e-06"):
             coarse_mass(build_koch(3), 0.0, 1.0, 1.0, 1e-6)
+
+
+def _koch_shape(level):
+    if level == "rotated6":
+        return _rotated_koch6()
+    return _koch_polyline(level, lambda t: t)
+
+
+def _log_uniform(decades):
+    return st.floats(-decades, decades).map(lambda e: 10.0 ** e)
+
+
+class TestRelabellingInvariance:
+    """The dimension belongs to the curve: an affine change of t, a
+    reversal, or a similarity of R^2 leaves the estimate within tol."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(level=st.sampled_from([0, 1, 2, 3, 4, 5, 6, "rotated6"]),
+           c=_log_uniform(3), d=st.floats(-10.0, 10.0), reverse=st.booleans(),
+           s=_log_uniform(4), theta=st.floats(0.0, 2.0 * math.pi),
+           v=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+    def test_dimension_ignores_units_of_t_and_x(self, level, c, d, reverse, s, theta, v):
+        shape = _koch_shape(level)
+        knots = c * shape.knots + d
+        rot = np.array([[math.cos(theta), math.sin(theta)],
+                        [-math.sin(theta), math.cos(theta)]])
+        verts = s * (shape.vertices @ rot) + np.asarray(v)
+        if reverse:
+            knots, verts = -knots[::-1], verts[::-1]
+        est = gamma_dimension(build_polyline(knots, verts, 1.0))
+        assert abs(est.value - gamma_dimension(shape).value) <= 1e-2
 
 
 class TestStaircase:
