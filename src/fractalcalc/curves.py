@@ -40,12 +40,9 @@ class FractalCurve:
     time over its rows. Construction checks strict knot increase and
     repeated consecutive vertices by comparing each entry with its
     neighbour, so it allocates no difference arrays, only boolean masks.
-    ``_ladder`` is a private cache that
-    ``staircase.coarse_mass`` fills with the chord arrays of the ladder
-    rungs of the most recent segment, and that
-    ``staircase._project_points`` fills with the edge directions and
-    squared lengths; it lives and dies with the curve, as does the knots'
-    cell index ``_knot_index``.
+    Two cached properties live and die with the curve: the knots' cell
+    index ``_knot_index`` and the edge directions and squared lengths
+    ``_edges``.
     """
 
     kind: str                      # "koch" | "line" | "polyline"
@@ -82,7 +79,6 @@ class FractalCurve:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "vertices", cols.T)
-        object.__setattr__(self, "_ladder", {})
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -124,6 +120,13 @@ class FractalCurve:
     def _knot_index(self):
         """Cell index of the knots, built on the first ``point``."""
         return _CellIndex(self.knots)
+
+    @cached_property
+    def _edges(self):
+        """Coordinate-major (n, m) edge directions and their (m,) squared
+        lengths, built on the first nearest-segment projection."""
+        d = np.diff(self._cols, axis=1)
+        return d, _squared_norms(d)
 
 
 def _squared_norms(rows):
@@ -336,10 +339,6 @@ class Subdivision:
     @property
     def mesh(self) -> float:
         return float(np.diff(self.points).max())
-
-    @property
-    def components(self) -> int:
-        return len(self.points) - 1
 
     def refines(self, other: "Subdivision") -> bool:
         """True when every point of ``other`` appears in this subdivision,

@@ -46,37 +46,6 @@ class FractalProcess:
     draw_paths: object
     correlation: object = None
 
-    def correlation_or_estimate(self, n: int = 20000, seed: int = 0):
-        """Analytic R if available, else a Monte Carlo estimator (noisy;
-        unsuitable for small-offset limits). The estimator reads R from
-        ``estimate_correlation_grid`` over the call's sorted distinct indices,
-        so an array call costs the square of its distinct index count."""
-        if self.correlation is not None:
-            return self.correlation
-
-        # a limit ladder asks for (tau+eps, tau) and (tau, tau+eps) in turn,
-        # and for (tau, tau) at every rung: the same grids, drawn once each
-        @functools.lru_cache(maxsize=3)
-        def grid(indices):
-            return estimate_correlation_grid(self, np.frombuffer(indices), n, seed)
-
-        def estimated(j1, j2):
-            r = _grid_pairs(lambda uniq: grid(uniq.tobytes()), j1, j2)[0]
-            return r if r.ndim else float(r)
-
-        return estimated
-
-
-def _grid_pairs(grid_over, j1, j2):
-    """(R, stderr) of each broadcast pair, read from the grid that
-    ``grid_over`` returns for the sorted distinct indices; equal indices
-    share a column."""
-    pairs = np.array(np.broadcast_arrays(j1, j2), dtype=float)
-    uniq, inv = np.unique(pairs, return_inverse=True)
-    grid = grid_over(uniq)
-    rows, cols = inv.reshape(pairs.shape)
-    return grid.r[rows, cols], grid.stderr[rows, cols]
-
 
 def second_order_check(proc: FractalProcess, j_values, n: int = 4000,
                        seed: int = 0) -> bool:
@@ -190,11 +159,11 @@ class CorrelationEstimate:
 def correlation_mc(proc: FractalProcess, j1: float, j2: float, n: int,
                    seed: int = 0) -> CorrelationEstimate:
     """Monte Carlo estimate of R(j1, j2) = E[X(j1) X(j2)], read from
-    ``estimate_correlation_grid`` over the one or two distinct indices."""
+    ``estimate_correlation_grid`` over the one or two distinct indices;
+    equal indices share a column."""
     if n < 100:
         raise CurveDomainError("need at least 100 realizations")
-    r, stderr = _grid_pairs(lambda uniq: estimate_correlation_grid(proc, uniq, n, seed),
-                            j1, j2)
+    r, stderr = estimate_correlation_grid(proc, np.unique([j1, j2]), n, seed).pair(j1, j2)
     return CorrelationEstimate(float(r), float(stderr), n)
 
 
@@ -204,6 +173,11 @@ class CorrelationGrid:
     r: np.ndarray         # (m, m), symmetric by construction
     stderr: np.ndarray
     n: int
+
+    def pair(self, j1, j2):
+        """(R, stderr) at j1, j2, two of the ascending ``j_values``."""
+        i1, i2 = np.searchsorted(self.j_values, j1), np.searchsorted(self.j_values, j2)
+        return self.r[i1, i2], self.stderr[i1, i2]
 
 
 def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
@@ -350,10 +324,23 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
     ``DEFAULT_EPS_LADDER``, next to the continuity check. A bare
     correlation goes to ``second_generalized_derivative``.
 
+    Without an analytic R, every R estimate comes from one
+    ``estimate_correlation_grid`` over tau and each tau + eps, so all
+    four terms of every second difference share one draw of n paths
+    (noisy; the small-offset tail is cancellation-limited).
+
     A differentiable verdict must co-occur with a continuous one; the
     contradiction raises rather than returning silently.
     """
-    gsd = second_generalized_derivative(proc.correlation_or_estimate(n=n, seed=seed), tau)
+    correlation = proc.correlation
+    if correlation is None:
+        j = np.unique([tau, *(tau + eps for eps in DEFAULT_EPS_LADDER)])
+        grid = estimate_correlation_grid(proc, j, n, seed)
+
+        def correlation(j1, j2):
+            return grid.pair(j1, j2)[0]
+
+    gsd = second_generalized_derivative(correlation, tau)
     differentiable = not gsd.divergent
     continuity = ms_continuity_check(proc, tau, n, seed)
     if differentiable and not continuity.continuous:

@@ -45,8 +45,6 @@ _PROJECT_BLOCK_PAIRS = 1 << 15
 def sigma_alpha(curve: FractalCurve, sub: Subdivision, alpha: float) -> float:
     """Sum of alpha-powered chord lengths over a subdivision, normalized
     by Gamma(alpha + 1)."""
-    if alpha <= 0.0:
-        raise CurveDomainError(f"alpha must be positive, got {alpha}")
     curve.check_domain(sub.points)
     return _power_sum(_chords(curve, sub.points), alpha)
 
@@ -57,6 +55,8 @@ def _chords(curve, points):
 
 
 def _power_sum(chords, alpha):
+    if alpha <= 0.0:
+        raise CurveDomainError(f"alpha must be positive, got {alpha}")
     return float((chords ** alpha).sum() / math.gamma(alpha + 1.0))
 
 
@@ -74,6 +74,27 @@ def _lattice_points(curve, a, b, j):
     return np.unique(pts)
 
 
+def _rung_chords(curve, a, b, delta):
+    """Chords of the curve's quaternary lattice over [a, b] at the coarsest
+    level j whose step (d1 - d0) 4^-j is <= delta."""
+    if delta <= 0.0:
+        raise CurveDomainError(f"delta must be positive, got {delta}")
+    if not a < b:
+        raise CurveDomainError(f"segment needs a < b, got [{a}, {b}]")
+    curve.check_domain([a, b])
+    d0, d1 = curve.domain
+    j = max(0, math.ceil(math.log((d1 - d0) / delta, 4.0) - 1e-9))
+    while (d1 - d0) * 4.0 ** (-j) > delta * (1.0 + 1e-12):
+        j += 1
+    lattice = _lattice_points(curve, a, b, j)
+    if len(lattice) > _MAX_DIRECT_POINTS:
+        raise CurveDomainError(
+            f"delta={delta} needs {len(lattice)} lattice points; "
+            f"cap is {_MAX_DIRECT_POINTS}"
+        )
+    return _chords(curve, lattice)
+
+
 def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
                 delta: float) -> float:
     """Coarse-grained mass of the segment at resolution delta.
@@ -84,37 +105,10 @@ def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
     member attains the infimum in the self-similar regime, and taking the
     lattice over the domain keeps it independent of the units of t.
 
-    A rung's chords depend on the segment and delta but not on alpha, so
-    they are built once and kept on the curve for its most recent segment;
-    each call is then one power sum over them.
+    Each call builds its rung's chords anew; ``gamma_dimension``, which
+    walks one ladder at many alpha, builds each rung once itself.
     """
-    if delta <= 0.0:
-        raise CurveDomainError(f"delta must be positive, got {delta}")
-    if not a < b:
-        raise CurveDomainError(f"segment needs a < b, got [{a}, {b}]")
-    curve.check_domain([a, b])
-    if alpha <= 0.0:
-        raise CurveDomainError(f"alpha must be positive, got {alpha}")
-
-    d0, d1 = curve.domain
-    j = max(0, math.ceil(math.log((d1 - d0) / delta, 4.0) - 1e-9))
-    while (d1 - d0) * 4.0 ** (-j) > delta * (1.0 + 1e-12):
-        j += 1
-    # (segment, rungs) is swapped in whole, so a rung never lands in the
-    # dict of another segment
-    segment, rungs = curve._ladder.get("rungs", (None, None))
-    if segment != (a, b):
-        rungs = {}
-        curve._ladder["rungs"] = (a, b), rungs
-    if j not in rungs:
-        lattice = _lattice_points(curve, a, b, j)
-        if len(lattice) > _MAX_DIRECT_POINTS:
-            raise CurveDomainError(
-                f"delta={delta} needs {len(lattice)} lattice points; "
-                f"cap is {_MAX_DIRECT_POINTS}"
-            )
-        rungs[j] = _chords(curve, lattice)
-    return _power_sum(rungs[j], alpha)
+    return _power_sum(_rung_chords(curve, a, b, delta), alpha)
 
 
 @dataclass
@@ -147,17 +141,26 @@ def _classify_limit(masses):
     return "finite", last
 
 
+def _rung_deltas(a, b, levels):
+    return [(b - a) * 4.0 ** (-k) for k in range(1, levels + 1)]
+
+
+def _ladder_estimate(rungs, deltas, alpha):
+    """Coarse masses at alpha over the rungs' chords, one power sum per
+    rung, with their classified limit."""
+    masses = [_power_sum(chords, alpha) for chords in rungs]
+    verdict, estimate = _classify_limit(masses)
+    return MassEstimate(verdict, estimate, list(deltas), masses)
+
+
 def mass_function(curve: FractalCurve, a: float, b: float, alpha: float,
                   levels: int = 6) -> MassEstimate:
     """Evaluate the coarse mass along delta_k = (b-a) * 4^-k, k = 1..levels,
     and classify the resolution limit."""
     if levels < 3:
         raise CurveDomainError("need at least 3 ladder levels to classify")
-    width = b - a
-    deltas = [width * 4.0 ** (-k) for k in range(1, levels + 1)]
-    masses = [coarse_mass(curve, a, b, alpha, d) for d in deltas]
-    verdict, estimate = _classify_limit(masses)
-    return MassEstimate(verdict, estimate, deltas, masses)
+    deltas = _rung_deltas(a, b, levels)
+    return _ladder_estimate([_rung_chords(curve, a, b, d) for d in deltas], deltas, alpha)
 
 
 def _default_levels(curve):
@@ -179,23 +182,27 @@ def gamma_dimension(curve: FractalCurve, tol: float = 1e-2) -> DimensionEstimate
     A divergent mass limit places alpha below the dimension, a zero limit
     above; a finite positive limit means alpha sits at the dimension and
     ends the search early. A curve in R^1 is 1 without a ladder.
+
+    The rungs' chords do not depend on alpha, so each is built once, as
+    ``coarse_mass`` builds it, and each alpha costs one power sum per rung.
     """
     if not tol >= 1e-4:
         raise CurveDomainError("tol below 1e-4 exceeds the estimator resolution")
-    a, b = curve.domain
-    levels = _default_levels(curve)
     trace = []
-
-    def classify(alpha):
-        est = mass_function(curve, a, b, alpha, levels)
-        trace.append((alpha, est))
-        return est.verdict
-
     lo, hi = 1.0, float(curve.ndim)
     if hi == lo:
         return DimensionEstimate(lo, trace)
     if tol > hi - lo:
         raise CurveDomainError(f"tol={tol} exceeds the alpha bracket [1, {curve.ndim}]")
+    a, b = curve.domain
+    deltas = _rung_deltas(a, b, _default_levels(curve))
+    rungs = [_rung_chords(curve, a, b, d) for d in deltas]
+
+    def classify(alpha):
+        est = _ladder_estimate(rungs, deltas, alpha)
+        trace.append((alpha, est))
+        return est.verdict
+
     v_lo = classify(lo)
     if v_lo == "finite":
         return DimensionEstimate(lo, trace)
@@ -254,13 +261,6 @@ class StaircaseTable:
     @property
     def total_mass(self) -> float:
         return float(self.s[-1] - self.s[0])
-
-    @property
-    def resolution(self) -> float:
-        """Smallest positive mass increment the table resolves."""
-        ds = np.diff(self.s)
-        pos = ds[ds > 0.0]
-        return float(pos.min()) if len(pos) else 0.0
 
     def value(self, t):
         """S(t) by linear interpolation on the table grid."""
@@ -334,13 +334,9 @@ def _project_points(curve, pts):
     against every edge, one coordinate at a time, in blocks of about
     ``_PROJECT_BLOCK_PAIRS`` (point, edge) pairs: each pair gets the IEEE
     operations of the row-major sums over n, in the same order. The edge
-    directions and squared lengths are kept in the curve's ``_ladder``
-    cache."""
+    directions and squared lengths come from the curve's ``_edges``."""
     cols = curve._cols
-    if "edges" not in curve._ladder:
-        d = np.diff(cols, axis=1)
-        curve._ladder["edges"] = d, _squared_norms(d)
-    d, len2 = curve._ladder["edges"]
+    d, len2 = curve._edges
     t_out = np.empty(len(pts))
     dist_out = np.empty(len(pts))
     chunk = max(1, _PROJECT_BLOCK_PAIRS // len(len2))
@@ -397,7 +393,7 @@ def build_staircase(curve: FractalCurve, alpha: float = None, p0: float = None,
     if p0 not in t:
         t = np.sort(np.append(t, p0))
     chords = _chords(curve, t)
-    inc = np.maximum(chords ** alpha, 0.0) / math.gamma(alpha + 1.0)
+    inc = chords ** alpha / math.gamma(alpha + 1.0)
     cum = np.concatenate(([0.0], np.cumsum(inc)))
     s = cum - cum[np.searchsorted(t, p0)]
     return StaircaseTable(curve, alpha, p0, t, s)

@@ -55,47 +55,56 @@ def amplitude_only(sigma2=1.0):
     return FractalProcess("amplitude-only", draw, corr)
 
 
-class TestCorrelationOrEstimate:
+def throwaway_then_amplitude(gen, j, n):
+    """A * j, drawn after one throwaway normal per index: the stream
+    position of A depends on how many indices are asked for."""
+    gen.normal(size=len(j))
+    return gen.normal(size=n)[:, None] * np.asarray(j, dtype=float)[None, :]
+
+
+def amplitude_and_curvature(gen, j, n):
+    """A * j + B * j^2, with A and B the first two columns of one
+    (n, 2 + len(j)) normal draw: R(j1, j2) = j1 j2 + j1^2 j2^2."""
+    j = np.asarray(j, dtype=float)
+    z = gen.normal(size=(n, 2 + len(j)))
+    return z[:, :1] * j + z[:, 1:2] * (j * j)
+
+
+class TestEstimatedCorrelation:
     # cos(j1 + phi) cos(j2 + phi) = cos(j1 - j2) / 2 + cos(j1 + j2 + 2 phi) / 2,
     # so each product has variance 1/8 whatever the pair.
     N = 20000
 
-    def estimated(self):
-        proc = FractalProcess("cosine-estimated", cosine_phase().draw_paths)
-        return proc.correlation_or_estimate(n=self.N, seed=4)
-
-    def test_scalar_in_float_out_and_arrays_broadcast(self):
-        corr = self.estimated()
-        value = corr(0.2, 0.5)
-        assert type(value) is float
-        grid = corr(np.array([0.2, 0.7, 1.5])[:, None], np.array([0.5, 0.0])[None, :])
-        assert grid.shape == (3, 2)
-        assert grid[0, 0] == value  # same stream for the first pair
-
     def test_estimates_within_band_of_analytic(self):
-        corr = self.estimated()
         pairs = [(0.0, 0.0), (0.2, 0.5), (1.0, 0.0), (0.3, 2.5), (3.0, 1.0)]
         j1, j2 = np.array(pairs).T
+        grid = estimate_correlation_grid(
+            FractalProcess("cosine-estimated", cosine_phase().draw_paths),
+            np.unique(pairs), self.N, seed=4)
+        r = grid.pair(j1, j2)[0]
         band = 4.89 * math.sqrt(0.125 / self.N)
-        np.testing.assert_array_less(np.abs(corr(j1, j2) - 0.5 * np.cos(j1 - j2)), band)
-
-    def test_analytic_correlation_returned_as_is(self):
-        proc = cosine_phase()
-        assert proc.correlation_or_estimate() is proc.correlation
-
-    def test_white_noise_estimate_shares_draws_at_equal_indices(self):
-        # Z^2 has variance 2; distinct indices draw independent columns
-        proc = FractalProcess("wn-estimated", white_noise().draw_paths)
-        corr = proc.correlation_or_estimate(n=self.N, seed=4)
-        band = 4.89 * math.sqrt(2.0 / self.N)
-        assert abs(corr(0.3, 0.3) - 1.0) < band
-        assert abs(corr(0.3, 0.7)) < 4.89 * math.sqrt(1.0 / self.N)
+        np.testing.assert_array_less(np.abs(r - 0.5 * np.cos(j1 - j2)), band)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_white_noise_estimate_neither_continuous_nor_differentiable(self, seed):
         proc = FractalProcess("wn-estimated", white_noise().draw_paths)
         chk = ms_derivative_check(proc, 0.4, n=10000, seed=seed)
         assert (chk.continuity.continuous, chk.differentiable) == (False, False)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("draw, limit", [
+        (throwaway_then_amplitude, 1.0),
+        (amplitude_and_curvature, 1.0 + 4.0 * 0.4 ** 2),
+    ], ids=["throwaway", "curvature"])
+    def test_column_dependent_samplers_are_differentiable(self, seed, draw, limit):
+        # every R estimate of a check shares one draw, so the second
+        # differences cancel whatever columns the sampler's stream depends on.
+        # The limit E[(A + 2 B tau)^2] is estimated by a mean of n squares of
+        # a normal with variance `limit`, whose variance is 2 limit^2.
+        n = 10000
+        chk = ms_derivative_check(FractalProcess("columns", draw), 0.4, n=n, seed=seed)
+        assert chk.differentiable
+        assert abs(chk.value - limit) <= 4.89 * math.sqrt(2.0 * limit ** 2 / n)
 
 
 class TestSecondOrder:
@@ -201,40 +210,25 @@ class TestEstimatorPins:
         est = correlation_mc(make(), j1, j2, n, seed=seed)
         assert (est.r, est.stderr) == (r, stderr)
 
-    def test_estimator_scalar_and_broadcast(self):
-        corr = FractalProcess("c", cosine_phase().draw_paths).correlation_or_estimate(
-            n=20000, seed=4)
-        assert corr(0.2, 0.5) == corr(0.5, 0.2) == 0.4744903140202028
-        grid = corr(np.array([0.2, 0.7, 1.5])[:, None], np.array([0.5, 0.0])[None, :])
-        assert grid.tolist() == [[0.4744903140202028, 0.4865950925127164],
-                                 [0.4878936924743557, 0.379243163099644],
-                                 [0.27060603517195925, 0.03412605156577325]]
-
-    def test_estimator_white_noise_equal_indices(self):
-        corr = FractalProcess("w", white_noise().draw_paths).correlation_or_estimate(
-            n=20000, seed=4)
-        assert (corr(0.3, 0.3), corr(0.3, 0.7)) == (1.009757860057708, 0.00618024441625038)
-        assert corr(np.array([0.3, 0.7, 0.3]), 0.3).tolist() == [
-            0.9949470820599475, 0.00618024441625038, 0.9949470820599475]
-
     @pytest.mark.parametrize("make", [linear_amplitude, cosine_phase, white_noise,
                                       brownian_like])
-    def test_ladder_draws_each_grid_once(self, make):
+    def test_derivative_check_reads_one_grid(self, make):
         draws = []
 
         def counted(gen, j, n):
             draws.append(len(j))
             return make().draw_paths(gen, j, n)
 
-        proc = FractalProcess("counted", counted)
         tau, n = 0.3, 500
-        res = second_generalized_derivative(proc.correlation_or_estimate(n=n, seed=2), tau)
-        assert len(draws) == 15
-        # each value as the uncached estimator gives it, one grid per pair
-        r = lambda a, b: correlation_mc(proc, a, b, n, seed=2).r  # noqa: E731
-        want = [(r(tau + eps, tau + eps) - r(tau + eps, tau) - r(tau, tau + eps)
-                 + r(tau, tau)) / (eps * eps) for eps in DEFAULT_EPS_LADDER]
-        assert res.values == want
+        res = ms_derivative_check(FractalProcess("counted", counted), tau, n=n, seed=2)
+        # one draw over tau and the seven offsets, then the continuity pairs
+        assert draws == [8] + [2] * 5
+        # the grid's indices ascend: tau, then the offsets from the smallest
+        j = np.array([tau, *(tau + eps for eps in reversed(DEFAULT_EPS_LADDER))])
+        r = estimate_correlation_grid(make(), j, n, seed=2).r
+        want = [(r[k, k] - r[k, 0] - r[0, k] + r[0, 0]) / (eps * eps)
+                for k, eps in zip(range(7, 0, -1), DEFAULT_EPS_LADDER)]
+        assert res.generalized.values == want
 
     @pytest.mark.parametrize("make, digest", [(brownian_like, "c8882c5ecd605d28"),
                                               (white_noise, "fbe07ef1a7d4934d")])

@@ -154,12 +154,7 @@ class TestGammaDimension:
         assert est.value == 1.0 and est.trace == []
 
     def test_non_bracketing_raises(self, monkeypatch):
-        from fractalcalc.staircase import MassEstimate
-
-        def fake(curve, a, b, alpha, levels=6):
-            return MassEstimate("zero", 0.0, [0.25], [0.0])
-
-        monkeypatch.setattr(sc, "mass_function", fake)
+        monkeypatch.setattr(sc, "_classify_limit", lambda masses: ("zero", 0.0))
         with pytest.raises(EstimationError):
             sc.gamma_dimension(build_koch(3))
 
@@ -177,8 +172,9 @@ def _koch_polyline(level, relabel):
 
 
 class TestLadderCache:
-    """coarse_mass keeps each rung's chords on the curve; results must not
-    depend on what was asked before."""
+    """gamma_dimension builds each rung's chords once and coarse_mass
+    keeps nothing on the curve; results must not depend on what was asked
+    before."""
 
     TRACES = json.loads((Path(__file__).parent / "data" / "dimension_traces.json").read_text())
 
