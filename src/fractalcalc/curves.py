@@ -1,4 +1,4 @@
-"""Parameterized curves and subdivisions of their parameter interval.
+"""Parameterized curves.
 
 A curve is stored as a polyline refinement: parameter knots t_0 < ... < t_m
 and the matching vertices in R^n, with linear interpolation between
@@ -312,50 +312,3 @@ def load_polyline_csv(path, alpha: float) -> FractalCurve:
         raise CurveDomainError("polyline CSV needs a t column plus coordinates")
     return build_polyline(data[:, 0], data[:, 1:], alpha)
 
-
-@dataclass(frozen=True, eq=False)
-class Subdivision:
-    """Finite set of parameter points a = t_0 < t_1 < ... < t_k = b."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        if pts.ndim != 1 or len(pts) < 2:
-            raise CurveDomainError("a subdivision needs at least two points")
-        if not np.all(np.diff(pts) > 0.0):
-            raise CurveDomainError("subdivision points must be strictly increasing")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def a(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.points[-1])
-
-    @property
-    def mesh(self) -> float:
-        return float(np.diff(self.points).max())
-
-    def refines(self, other: "Subdivision") -> bool:
-        """True when every point of ``other`` appears in this subdivision,
-        up to 1e-12."""
-        idx = np.searchsorted(self.points, other.points)
-        idx = np.clip(idx, 0, len(self.points) - 1)
-        near = np.minimum(
-            np.abs(self.points[idx] - other.points),
-            np.abs(self.points[np.maximum(idx - 1, 0)] - other.points),
-        )
-        return bool(np.all(near <= 1e-12))
-
-
-def make_subdivision(a: float, b: float, k: int) -> Subdivision:
-    """Uniform subdivision of [a, b] with k components (mesh (b-a)/k)."""
-    if not a < b:
-        raise CurveDomainError(f"subdivision needs a < b, got [{a}, {b}]")
-    if k < 1:
-        raise CurveDomainError("component count must be >= 1")
-    return Subdivision(np.linspace(a, b, k + 1))

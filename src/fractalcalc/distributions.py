@@ -26,6 +26,9 @@ from .staircase import StaircaseTable
 #: whatever the count.
 SAMPLE_BLOCK_ROWS = 16384
 
+#: Panels in J of the trapezoid cdf that normalizes a custom pdf.
+CUSTOM_GRID = 2048
+
 
 @dataclass
 class SampleSet:
@@ -50,7 +53,7 @@ class DistributionOnCurve:
     curve's mass range).
     """
 
-    def __init__(self, table, family, lam=None, pdf_j=None, grid=2048):
+    def __init__(self, table, family, lam=None, pdf_j=None):
         self.table = table
         self.family = family
         self.lam = lam
@@ -69,7 +72,7 @@ class DistributionOnCurve:
         if family == "custom":
             if pdf_j is None:
                 raise CurveDomainError("custom family needs a pdf over J")
-            jg = np.linspace(lo, hi, grid + 1)
+            jg = np.linspace(lo, hi, CUSTOM_GRID + 1)
             dens = np.asarray([max(float(pdf_j(v)), 0.0) for v in jg])
             cdf = np.concatenate(
                 ([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(jg)))
@@ -90,8 +93,8 @@ class DistributionOnCurve:
         return cls(table, "memoryless", lam=lam)
 
     @classmethod
-    def custom(cls, table: StaircaseTable, pdf_j, grid: int = 2048) -> "DistributionOnCurve":
-        return cls(table, "custom", pdf_j=pdf_j, grid=grid)
+    def custom(cls, table: StaircaseTable, pdf_j) -> "DistributionOnCurve":
+        return cls(table, "custom", pdf_j=pdf_j)
 
     # -- analytic law in the mass coordinate ---------------------------------
 

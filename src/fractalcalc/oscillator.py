@@ -30,6 +30,9 @@ DEFAULT_ORDER = 20
 #: the ensemble size.
 MC_BLOCK_ROWS = 1024
 
+#: Step in J of the central second difference in ``residual_check``.
+RESIDUAL_STEP = 1e-3
+
 
 def beta_raw_moment(mu: float, nu: float, m: int) -> float:
     """E[B^m] for B ~ Beta(mu, nu): the product of (mu+k)/(mu+nu+k)."""
@@ -37,10 +40,7 @@ def beta_raw_moment(mu: float, nu: float, m: int) -> float:
         raise CurveDomainError("Beta parameters must be positive")
     if m < 0:
         raise CurveDomainError("moment order must be non-negative")
-    out = 1.0
-    for k in range(m):
-        out *= (mu + k) / (mu + nu + k)
-    return out
+    return math.prod(((mu + k) / (mu + nu + k) for k in range(m)), start=1.0)
 
 
 class BetaSquaredAmplitude:
@@ -133,10 +133,7 @@ def _series_weights(spec: MomentSpec, order: int, top: int):
     moments = [spec.a2.moment(k) for k in range(top + 1)]
     if 2 * order + 1 > 170:
         raise CurveDomainError("truncation order too high: 171! exceeds the float range")
-    fact, f = [1.0], 1
-    for k in range(1, 2 * order + 2):
-        f *= k
-        fact.append(float(f))
+    fact = [float(math.factorial(k)) for k in range(2 * order + 2)]
     return moments, fact
 
 
@@ -161,12 +158,6 @@ def mean_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarra
     return coeffs
 
 
-def truncated_mean(spec: MomentSpec, order: int, j_values) -> np.ndarray:
-    """Truncated ensemble mean evaluated at the given mass coordinates."""
-    coeffs = mean_coefficients(spec, order)
-    return np.polynomial.polynomial.polyval(np.asarray(j_values, dtype=float), coeffs)
-
-
 def second_moment_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Polynomial coefficients of the truncated second moment.
 
@@ -188,16 +179,11 @@ def second_moment_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> 
     return coeffs
 
 
-def truncated_second_moment(spec: MomentSpec, order: int, j_values) -> np.ndarray:
-    coeffs = second_moment_coefficients(spec, order)
-    return np.polynomial.polynomial.polyval(np.asarray(j_values, dtype=float), coeffs)
-
-
 def squared_series_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Second-moment coefficients from squaring the truncated series
-    termwise (all even-even and odd-odd pairings kept). Used as the
-    diagnostic cross-check: with deterministic data it collapses to the
-    squared mean exactly."""
+    termwise (all even-even and odd-odd pairings kept): with A^2
+    independent of (X0, X1) this is the exact E[X_N(J)^2] of the order-N
+    series. With deterministic data it collapses to the squared mean."""
     moments, fact = _series_weights(spec, order, 2 * order)
     coeffs = np.zeros(4 * order + 3)
     for n, m, w in _cross_terms(moments, order):
@@ -368,11 +354,10 @@ def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):
     out[3] = np.sqrt(dev_sq / (n - 1)) / math.sqrt(n)
 
 
-def residual_check(a2: float, x0: float, x1: float, order: int, j_grid,
-                   h: float = 1e-3) -> float:
+def residual_check(a2: float, x0: float, x1: float, order: int, j_grid) -> float:
     """Max residual of the truncated pathwise series in the oscillator
-    equation, with the second derivative taken as a central difference in
-    the mass coordinate.
+    equation, with the second derivative taken as a central difference of
+    step ``RESIDUAL_STEP`` in the mass coordinate.
 
     The recurrence kills every interior term, so the residual is the
     differencing error plus a2 times the last two kept series terms; at
@@ -383,6 +368,7 @@ def residual_check(a2: float, x0: float, x1: float, order: int, j_grid,
     coeffs = frobenius_coefficients(x0, x1, a2, 2 * order + 1)
     j = np.asarray(j_grid, dtype=float)
     polyval = np.polynomial.polynomial.polyval
+    h = RESIDUAL_STEP
     second = (polyval(j + h, coeffs) - 2.0 * polyval(j, coeffs)
               + polyval(j - h, coeffs)) / (h * h)
     resid = second + a2 * polyval(j, coeffs)

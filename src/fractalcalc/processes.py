@@ -19,13 +19,22 @@ from .errors import (
     ExistenceError,
     InvariantViolationError,
 )
-from .staircase import StaircaseTable, DIVERGENCE_CAP, CAUCHY_RTOL
+from .staircase import StaircaseTable
 
 #: Offsets (in mass units) used by the limit diagnostics.
 DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
 
+#: Magnitude past which a growing second-difference ladder is divergent.
+DERIVATIVE_CAP = 1e6
+
 #: Panels in J of a mean-square integral and of an improper one's first rung.
 MS_PANELS = 256
+
+#: Panels in J of the pre-check's first sum; the next two take 2x and 4x.
+PRECHECK_PANELS = 128
+
+#: Relative gap between the pre-check's last two sums that counts as Cauchy.
+PRECHECK_RTOL = 0.01
 
 #: Pair products per block of a correlation grid row: one block stays in L2.
 GRID_BLOCK = 2 ** 17
@@ -47,10 +56,10 @@ class FractalProcess:
     correlation: object = None
 
 
-def second_order_check(proc: FractalProcess, j_values, n: int = 4000,
-                       seed: int = 0) -> bool:
-    """Whether the estimated E[X(tau)^2] is finite across the index set."""
-    paths = proc.draw_paths(_rng.stream(seed, 3), np.asarray(j_values, dtype=float), n)
+def second_order_check(proc: FractalProcess, j_values) -> bool:
+    """Whether the estimated E[X(tau)^2] is finite across the index set,
+    over 4000 realizations from seed 0."""
+    paths = proc.draw_paths(_rng.stream(0, 3), np.asarray(j_values, dtype=float), 4000)
     second = (paths ** 2).mean(axis=0)
     return bool(np.all(np.isfinite(second)))
 
@@ -235,20 +244,17 @@ class GeneralizedDerivative:
     divergent: bool
 
 
-def second_generalized_derivative(correlation, tau: float,
-                                  eps_ladder=DEFAULT_EPS_LADDER) -> GeneralizedDerivative:
-    """Mixed second difference of R at the diagonal along an offset ladder.
+def second_generalized_derivative(correlation, tau: float) -> GeneralizedDerivative:
+    """Mixed second difference of R at the diagonal along
+    ``DEFAULT_EPS_LADDER``.
 
-    Divergence is declared for magnitudes growing monotonically past the
-    shared cap; otherwise the limit comes from the most self-consistent
-    Richardson pair (the small-offset tail is cancellation-noisy, so the
-    stable pair is picked rather than the last one).
+    Divergence is declared for magnitudes growing monotonically past
+    ``DERIVATIVE_CAP``; otherwise the limit comes from the most
+    self-consistent Richardson pair (the small-offset tail is
+    cancellation-noisy, so the stable pair is picked rather than the last
+    one).
     """
-    ladder = list(eps_ladder)
-    if len(ladder) < 3 or not all(
-        ladder[i] > ladder[i + 1] > 0.0 for i in range(len(ladder) - 1)
-    ):
-        raise CurveDomainError("eps ladder must be decreasing with >= 3 entries")
+    ladder = DEFAULT_EPS_LADDER
     values = []
     for eps in ladder:
         num = (
@@ -260,7 +266,7 @@ def second_generalized_derivative(correlation, tau: float,
         values.append(num / (eps * eps))
     mags = [abs(v) for v in values]
     growing = all(mags[i] < mags[i + 1] for i in range(len(mags) - 1))
-    if growing and mags[-1] > DIVERGENCE_CAP:
+    if growing and mags[-1] > DERIVATIVE_CAP:
         return GeneralizedDerivative(values, math.nan, True)
     if not all(math.isfinite(v) for v in values):
         return GeneralizedDerivative(values, math.nan, True)
@@ -288,7 +294,8 @@ class ContinuityCheck:
 def ms_continuity_check(proc: FractalProcess, tau: float, n: int = 10000,
                         seed: int = 0) -> ContinuityCheck:
     """Estimate E[(X(tau+eps) - X(tau))^2] along the first five offsets of
-    ``DEFAULT_EPS_LADDER``.
+    ``DEFAULT_EPS_LADDER``, from one draw of n paths over tau and the
+    five offset points.
 
     Continuous means the deltas decay to the measurement's noise floor:
     the final delta sits below ten combined standard errors (referenced
@@ -296,14 +303,11 @@ def ms_continuity_check(proc: FractalProcess, tau: float, n: int = 10000,
     """
     if n < 100:
         raise CurveDomainError("need at least 100 realizations")
-    deltas, stderrs = [], []
-    for i, eps in enumerate(DEFAULT_EPS_LADDER[:5]):
-        paths = proc.draw_paths(
-            _rng.stream(seed, i), np.array([tau, tau + eps], dtype=float), n
-        )
-        sq = (paths[:, 1] - paths[:, 0]) ** 2
-        deltas.append(float(sq.mean()))
-        stderrs.append(float(sq.std(ddof=1) / math.sqrt(n)))
+    j = np.array([tau, *(tau + eps for eps in DEFAULT_EPS_LADDER[:5])])
+    paths = proc.draw_paths(_rng.stream(seed), j, n)
+    sq = (paths[:, 1:] - paths[:, :1]) ** 2
+    deltas = sq.mean(axis=0).tolist()
+    stderrs = (sq.std(axis=0, ddof=1) / math.sqrt(n)).tolist()
     floor = 10.0 * (stderrs[0] + stderrs[-1])
     continuous = deltas[-1] <= max(floor, 1e-12)
     return ContinuityCheck(deltas, stderrs, continuous)
@@ -355,7 +359,7 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
 
 @dataclass
 class ExistencePrecheck:
-    sums: list            # double midpoint sums at panel counts k, 2k, 4k
+    sums: list            # double midpoint sums at 1, 2 and 4 PRECHECK_PANELS
     exists: bool
 
 
@@ -374,6 +378,13 @@ def _mass_panels(table, a, b, k):
     return 0.5 * (j[:-1] + j[1:]), np.diff(j)
 
 
+def _path_sums(proc, mids, w, n, gen):
+    """sum_j w_j X(j) over the indices ``mids`` for each of n paths drawn
+    from ``gen``: one realization of a midpoint sum per row."""
+    paths = np.asarray(proc.draw_paths(gen, mids, n), dtype=float)
+    return np.multiply(paths, w, out=paths).sum(axis=1)
+
+
 def _double_rs_sum(weight, proc, u, table, a, b, k, n, seed):
     mids, dj = _mass_panels(table, a, b, k)
     w = np.asarray(weight(mids, u), dtype=float) * dj
@@ -381,17 +392,17 @@ def _double_rs_sum(weight, proc, u, table, a, b, k, n, seed):
         rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
         return float(((rmat * w).sum(axis=1) * w).sum())
     # w (P^T P / n) w in its realization form: O(n k), no k-by-k matrix
-    paths = np.asarray(proc.draw_paths(_rng.stream(seed, 7), mids, n), dtype=float)
-    return float(np.mean(np.multiply(paths, w, out=paths).sum(axis=1) ** 2))
+    return float(np.mean(_path_sums(proc, mids, w, n, _rng.stream(seed, 7)) ** 2))
 
 
 def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
-                         a: float, b: float, u: float = 0.0, k: int = 128,
+                         a: float, b: float, u: float = 0.0,
                          n: int = 20000, seed: int = 0) -> ExistencePrecheck:
     """Evaluate the double midpoint sum of f(j,u) f(j',u) R(j,j') over k,
-    2k and 4k uniform panels in J; the limit exists when the sums are
-    finite and Cauchy (tight relative agreement, or gaps contracting
-    geometrically toward a finite value).
+    2k and 4k uniform panels in J, k = ``PRECHECK_PANELS``; the limit
+    exists when the sums are finite and Cauchy (within ``PRECHECK_RTOL``
+    of each other, or gaps contracting geometrically toward a finite
+    value).
 
     Every sum is an ordered numpy reduction, not a BLAS product. An analytic
     R is summed row by row; without one, the sum is taken in its realization
@@ -399,14 +410,14 @@ def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
     equals w R_n w for the sample correlation R_n = P^T P / n in exact
     arithmetic and can differ from that Gram form in the last bits."""
     sums = [
-        _double_rs_sum(weight, proc, u, table, a, b, kk, n, seed)
-        for kk in (k, 2 * k, 4 * k)
+        _double_rs_sum(weight, proc, u, table, a, b, k * PRECHECK_PANELS, n, seed)
+        for k in (1, 2, 4)
     ]
     if not all(math.isfinite(v) for v in sums):
         return ExistencePrecheck(sums, False)
     g1 = abs(sums[1] - sums[0])
     g2 = abs(sums[2] - sums[1])
-    tight = g2 <= 100.0 * CAUCHY_RTOL * max(abs(sums[2]), 1e-12)
+    tight = g2 <= PRECHECK_RTOL * max(abs(sums[2]), 1e-12)
     contracting = g2 < 0.75 * g1
     return ExistencePrecheck(sums, tight or contracting)
 
@@ -432,8 +443,7 @@ def ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
         )
     mids, dj = _mass_panels(table, a, b, k)
     coeff = np.asarray(weight(mids, u), dtype=float) * dj
-    paths = np.asarray(proc.draw_paths(_rng.stream(seed, 1), mids, n), dtype=float)
-    realizations = np.multiply(paths, coeff, out=paths).sum(axis=1)
+    realizations = _path_sums(proc, mids, coeff, n, _rng.stream(seed, 1))
     y = float(realizations.mean())
     stderr = float(realizations.std(ddof=1) / math.sqrt(n))
     return MsIntegralResult(y, stderr, realizations, pre)

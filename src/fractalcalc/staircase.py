@@ -16,7 +16,6 @@ import numpy as np
 
 from .curves import (
     FractalCurve,
-    Subdivision,
     _CellIndex,
     _chord_lengths,
     _squared_norms,
@@ -42,11 +41,15 @@ _MAX_DIRECT_POINTS = 1 << 19
 _PROJECT_BLOCK_PAIRS = 1 << 15
 
 
-def sigma_alpha(curve: FractalCurve, sub: Subdivision, alpha: float) -> float:
-    """Sum of alpha-powered chord lengths over a subdivision, normalized
-    by Gamma(alpha + 1)."""
-    curve.check_domain(sub.points)
-    return _power_sum(_chords(curve, sub.points), alpha)
+def sigma_alpha(curve: FractalCurve, points, alpha: float) -> float:
+    """Sum of alpha-powered chord lengths over the subdivision whose
+    parameters are ``points`` (1-D, strictly increasing, at least two),
+    normalized by Gamma(alpha + 1)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or len(pts) < 2 or not np.all(np.diff(pts) > 0.0):
+        raise CurveDomainError(
+            "a subdivision needs at least two strictly increasing points")
+    return _power_sum(_chords(curve, pts), alpha)
 
 
 def _chords(curve, points):
@@ -153,13 +156,11 @@ def _ladder_estimate(rungs, deltas, alpha):
     return MassEstimate(verdict, estimate, list(deltas), masses)
 
 
-def mass_function(curve: FractalCurve, a: float, b: float, alpha: float,
-                  levels: int = 6) -> MassEstimate:
-    """Evaluate the coarse mass along delta_k = (b-a) * 4^-k, k = 1..levels,
-    and classify the resolution limit."""
-    if levels < 3:
-        raise CurveDomainError("need at least 3 ladder levels to classify")
-    deltas = _rung_deltas(a, b, levels)
+def mass_function(curve: FractalCurve, a: float, b: float, alpha: float) -> MassEstimate:
+    """Evaluate the coarse mass along delta_k = (b-a) * 4^-k for k = 1 up
+    to the ``_default_levels`` rungs ``gamma_dimension`` walks, and
+    classify the resolution limit."""
+    deltas = _rung_deltas(a, b, _default_levels(curve))
     return _ladder_estimate([_rung_chords(curve, a, b, d) for d in deltas], deltas, alpha)
 
 

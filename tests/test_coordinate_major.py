@@ -16,7 +16,6 @@ from fractalcalc import (
     build_polyline,
     build_staircase,
     coarse_mass,
-    make_subdivision,
     sigma_alpha,
 )
 from fractalcalc import staircase as sc
@@ -145,9 +144,9 @@ class TestBitIdentity:
             assert_bits_equal(curve.point(t), ref_points(curve, t))
             assert_bits_equal(curve.point(t[-1]), ref_points(curve, t[-1:])[0])
             assert_bits_equal(curve.polyline_length(), ref_polyline_length(curve))
-            sub = make_subdivision(a, b, 37)
+            sub = np.linspace(a, b, 38)
             assert_bits_equal(sigma_alpha(curve, sub, 1.5),
-                              ref_power_sum(ref_chords(curve, sub.points), 1.5))
+                              ref_power_sum(ref_chords(curve, sub), 1.5))
             assert_bits_equal(coarse_mass(curve, a, b, 1.2, (b - a) / 20),
                               ref_coarse_mass(curve, a, b, 1.2, (b - a) / 20))
             p0 = float(t[-1])

@@ -11,10 +11,9 @@ from fractalcalc import (
     build_line,
     build_polyline,
     load_polyline_csv,
-    make_subdivision,
 )
 from fractalcalc.cli import main
-from fractalcalc.curves import Subdivision, _CellIndex
+from fractalcalc.curves import _CellIndex
 from fractalcalc.errors import CurveDomainError, ResourceError
 
 
@@ -128,36 +127,6 @@ class TestEvaluate:
         d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
         d2[np.diag_indices_from(d2)] = np.inf
         assert d2.min() > 0.0
-
-
-class TestSubdivision:
-    def test_uniform_examples(self):
-        sub = make_subdivision(0, 1, 4)
-        np.testing.assert_allclose(sub.points, [0, 0.25, 0.5, 0.75, 1])
-        assert sub.mesh == pytest.approx(0.25)
-        two = make_subdivision(0, 1, 1)
-        np.testing.assert_allclose(two.points, [0, 1])
-        assert two.mesh == pytest.approx(1.0)
-
-    def test_level3_grid_is_quaternary(self):
-        sub = make_subdivision(0, 1, 4 ** 3)
-        np.testing.assert_allclose(sub.points, np.arange(65) / 64.0)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(CurveDomainError):
-            make_subdivision(1, 0, 4)
-        with pytest.raises(CurveDomainError):
-            make_subdivision(0, 1, 0)
-        with pytest.raises(CurveDomainError):
-            Subdivision(np.array([0.0, 0.5, 0.5, 1.0]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(k=st.integers(min_value=1, max_value=200))
-    def test_doubling_refines(self, k):
-        coarse = make_subdivision(0.0, 1.0, k)
-        fine = make_subdivision(0.0, 1.0, 2 * k)
-        assert fine.refines(coarse)
-        assert not (k > 1 and coarse.refines(fine))
 
 
 class TestPolyline:

@@ -246,7 +246,6 @@ class TestMoments:
             dist = DistributionOnCurve.custom(
                 unit_line_table,
                 lambda j, w=width: math.exp(-(((j - 0.5) / w) ** 2)),
-                grid=4096,
             )
             sizes.append(float(dist.variance()[0]))
         assert sizes[0] > sizes[1] > sizes[2]
@@ -261,17 +260,18 @@ class TestMoments:
         assert dist.moment_of_j(1) == pytest.approx(0.5, abs=1e-9)
 
     def test_custom_pdf_runs_once_per_node(self, unit_line_table):
-        # the normalizing grid once, then three Gauss nodes per cell once per law
+        # the 2048-panel normalizing grid once, then three Gauss nodes per
+        # cell once per law
         calls = []
 
         def pdf(j):
             calls.append(j)
             return math.exp(-j)
 
-        dist = DistributionOnCurve.custom(unit_line_table, pdf, grid=64)
+        dist = DistributionOnCurve.custom(unit_line_table, pdf)
         dist.mean(), dist.variance(), dist.moment(2), dist.moment_of_j(1)
         cells = len(np.union1d(unit_line_table.t, unit_line_table.curve.knots)) - 1
-        assert len(calls) == 65 + 3 * cells
+        assert len(calls) == 2049 + 3 * cells
 
     def test_koch5_uniform_mean_y(self):
         # exact: equal mass on every edge, each traversed linearly in J, so the

@@ -15,8 +15,6 @@ from fractalcalc import (
     mc_solution_moments,
     residual_check,
     solve_series,
-    truncated_mean,
-    truncated_second_moment,
 )
 from fractalcalc.errors import CurveDomainError
 from fractalcalc import rng as frng
@@ -130,12 +128,12 @@ class TestTruncatedMean:
     def test_value_at_origin_is_initial_mean(self):
         for spec in (REFERENCE_SPEC,
                      MomentSpec(2.5, 0.0, 6.25, 0.0, 0.0, FixedSquaredAmplitude(4.0))):
-            assert truncated_mean(spec, 8, [0.0])[0] == spec.ex0
+            assert solve_series(spec, 8).mean([0.0])[0] == spec.ex0
 
     def test_deterministic_a2_tracks_cosine(self):
         spec = MomentSpec(1.0, 0.0, 1.0, 0.0, 0.0, FixedSquaredAmplitude(4.0))
         j = np.linspace(0.0, 2.0, 101)
-        vals = truncated_mean(spec, 20, j)
+        vals = solve_series(spec, 20).mean(j)
         np.testing.assert_allclose(vals, np.cos(2.0 * j), atol=1e-10)
 
     def test_truncation_error_scale(self):
@@ -143,7 +141,7 @@ class TestTruncatedMean:
         spec = MomentSpec(1.0, 0.0, 1.0, 0.0, 0.0, FixedSquaredAmplitude(4.0))
         n = 4
         j = 1.5
-        err = abs(truncated_mean(spec, n, [j])[0] - math.cos(2.0 * j))
+        err = abs(solve_series(spec, n).mean([j])[0] - math.cos(2.0 * j))
         bound = (2.0 * j) ** (2 * n + 2) / math.factorial(2 * n + 2)
         assert err <= bound
 
@@ -160,7 +158,7 @@ class TestTruncatedMean:
                               FixedSquaredAmplitude(omega ** 2))
             j = np.linspace(0.0, 1.0, 101)
             exact = 0.7 * np.cos(omega * j) + 0.4 * np.sin(omega * j) / omega
-            err = np.abs(truncated_mean(spec, 20, j) - exact).max()
+            err = np.abs(solve_series(spec, 20).mean(j) - exact).max()
             assert err < 1e-10
 
 
@@ -170,16 +168,19 @@ class TestTruncatedSecondMoment:
         np.testing.assert_allclose(coeffs[:3], [1.0, 2.0, 1.0], atol=1e-12)
 
     def test_value_at_origin(self):
-        assert truncated_second_moment(REFERENCE_SPEC, 8, [0.0])[0] == REFERENCE_SPEC.ex0_sq
+        assert solve_series(REFERENCE_SPEC, 8).second_moment([0.0])[0] == REFERENCE_SPEC.ex0_sq
 
-    def test_squared_series_degenerate_case(self):
+    @pytest.mark.parametrize("a2, order, j, tol", [
+        (1.0, 12, np.linspace(-0.5, 0.5, 41), 1e-6),
+        # the deterministic README recipe: its variance is 0
+        (4.0, 20, np.linspace(0.0, 2.0, 101), 1e-8),
+    ], ids=["a2-1", "recipe"])
+    def test_squared_series_degenerate_case(self, a2, order, j, tol):
         # deterministic data: the termwise square equals the squared mean
-        spec = MomentSpec(1.0, 0.0, 1.0, 0.0, 0.0, FixedSquaredAmplitude(1.0))
-        j = np.linspace(-0.5, 0.5, 41)
-        order = 12
+        spec = MomentSpec(1.0, 0.0, 1.0, 0.0, 0.0, FixedSquaredAmplitude(a2))
         sq = np.polynomial.polynomial.polyval(j, squared_series_coefficients(spec, order))
-        mean = truncated_mean(spec, order, j)
-        assert np.abs(sq - mean ** 2).max() < 1e-6
+        mean = solve_series(spec, order).mean(j)
+        assert np.abs(sq - mean ** 2).max() < tol
 
     def test_variance_nonnegative_for_reference_spec(self):
         sol = solve_series(REFERENCE_SPEC, 20)
@@ -197,6 +198,42 @@ class TestTruncatedSecondMoment:
         with pytest.warns(UserWarning):
             vals = sol.variance(np.array([0.0, 0.1]))
         np.testing.assert_allclose(vals, -1e-6, atol=1e-12)
+
+
+def beta_expectation(f, mu, nu, nodes=200):
+    """Independent oracle: E[f(B)] for B ~ Beta(mu, nu), by Gauss-Legendre
+    quadrature on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    norm = math.gamma(mu + nu) / (math.gamma(mu) * math.gamma(nu))
+    return float((w * x ** (mu - 1) * (1 - x) ** (nu - 1) * norm * f(x)).sum())
+
+
+class TestSquaredSeriesSecondMoment:
+    """The termwise square of the truncated series is its exact second
+    moment E[X_N(J)^2]: with A^2 independent of (X0, X1), at order 20 it
+    is E[ex0sq cos^2(AJ) + ex1sq sin^2(AJ)/A^2 + 2 ex01 cos(AJ) sin(AJ)/A]."""
+
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("mu, nu", [(2.0, 1.0), (3.0, 2.0)])
+    @pytest.mark.parametrize("moments", [(1.0, 1.0, 1.0, 1.0, 1.0),
+                                         (1.0, 0.5, 1.3, 0.7, 0.4)])
+    def test_against_quadrature(self, moments, mu, nu, j):
+        spec = MomentSpec(*moments, BetaSquaredAmplitude(mu, nu))
+
+        def second(a2):
+            a = np.sqrt(a2)
+            c, s = np.cos(a * j), np.sin(a * j) / a
+            return spec.ex0_sq * c * c + spec.ex1_sq * s * s + 2.0 * spec.ex01 * c * s
+
+        got = np.polynomial.polynomial.polyval(j, squared_series_coefficients(spec, 20))
+        assert got == pytest.approx(beta_expectation(second, mu, nu), rel=1e-12)
+
+    def test_reference_spec_at_two(self):
+        # the exact E[X^2]; the diagonal-plus-cross expansion reads 8.131 here
+        got = np.polynomial.polynomial.polyval(
+            2.0, squared_series_coefficients(REFERENCE_SPEC, 20))
+        assert got == pytest.approx(1.7495410279840122, rel=1e-15)
 
 
 class TestClosedForm:
@@ -227,7 +264,7 @@ class TestMonteCarlo:
             BetaSquaredAmplitude(2.0, 1.0), deterministic_initial_data(1.0, 1.0),
             10 ** 5, 7, j,
         )
-        series = truncated_mean(REFERENCE_SPEC, 20, j)
+        series = solve_series(REFERENCE_SPEC, 20).mean(j)
         assert np.all(np.abs(mc.mean - series) <= 3.0 * mc.mean_stderr + 1e-12)
 
     def test_deterministic_paths_have_no_spread(self):
@@ -360,12 +397,12 @@ class TestBlockedMonteCarlo:
 
 class TestResidual:
     def test_high_order_small_residual(self):
-        r = residual_check(1.0, 1.0, 0.5, 16, np.linspace(-1.0, 1.0, 201), h=1e-3)
+        r = residual_check(1.0, 1.0, 0.5, 16, np.linspace(-1.0, 1.0, 201))
         assert r < 1e-5
 
     def test_low_order_dominated_by_truncation(self):
         # degree cap 2N+1 = 5: residual ~ a2 * c4 * J^4 near J = 1
-        r = residual_check(1.0, 1.0, 0.0, 2, np.array([1.0]), h=1e-4)
+        r = residual_check(1.0, 1.0, 0.0, 2, np.array([1.0]))
         assert r == pytest.approx(1.0 / 24.0, rel=1e-2)
 
     def test_zero_solution(self):

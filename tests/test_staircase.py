@@ -17,7 +17,6 @@ from fractalcalc import (
     build_staircase,
     coarse_mass,
     gamma_dimension,
-    make_subdivision,
     mass_function,
     sigma_alpha,
 )
@@ -36,23 +35,30 @@ def test_koch_dimension_identity():
 class TestSigmaAlpha:
     def test_line_single_segment(self):
         line = build_line(0, 1)
-        assert sigma_alpha(line, make_subdivision(0, 1, 1), 1.0) == pytest.approx(1.0)
+        assert sigma_alpha(line, [0.0, 1.0], 1.0) == pytest.approx(1.0)
 
     def test_koch_level1_grid_at_dimension(self):
         # 4 chords of length 1/3 each: 4 * 3^-alpha / Gamma = 1 / Gamma
         curve = build_koch(3)
-        val = sigma_alpha(curve, make_subdivision(0, 1, 4), KOCH_DIMENSION)
+        val = sigma_alpha(curve, np.linspace(0, 1, 5), KOCH_DIMENSION)
         assert val == pytest.approx(1.0 / GAMMA_DIM, rel=1e-12)
 
     def test_line_alpha2_hand_sum(self):
         # (0.5^2 + 0.5^2) / Gamma(3) = 0.5 / 2
         line = build_line(0, 1)
-        val = sigma_alpha(line, make_subdivision(0, 1, 2), 2.0)
+        val = sigma_alpha(line, [0.0, 0.5, 1.0], 2.0)
         assert val == pytest.approx(0.25, rel=1e-12)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(CurveDomainError):
-            sigma_alpha(build_line(0, 1), make_subdivision(0, 1, 2), 0.0)
+            sigma_alpha(build_line(0, 1), [0.0, 0.5, 1.0], 0.0)
+
+    @pytest.mark.parametrize("points", [
+        [0.5], [0.0, 0.5, 0.5, 1.0], [1.0, 0.0], [[0.0, 0.5], [0.5, 1.0]],
+    ], ids=["single", "repeated", "decreasing", "2-d"])
+    def test_rejects_bad_points(self, points):
+        with pytest.raises(CurveDomainError, match="strictly increasing"):
+            sigma_alpha(build_line(0, 1), points, 1.0)
 
 
 class TestCoarseMass:
@@ -97,31 +103,27 @@ class TestCoarseMass:
 
 class TestMassFunction:
     def test_line_finite_one(self):
-        est = mass_function(build_line(0, 1), 0, 1, 1.0, 5)
+        est = mass_function(build_line(0, 1), 0, 1, 1.0)
         assert est.verdict == "finite"
         assert est.estimate == pytest.approx(1.0)
 
     def test_koch_finite_at_dimension(self):
-        est = mass_function(build_koch(6), 0, 1, KOCH_DIMENSION, 6)
+        est = mass_function(build_koch(6), 0, 1, KOCH_DIMENSION)
         assert est.verdict == "finite"
         assert est.estimate == pytest.approx(1.0 / GAMMA_DIM, abs=1e-6)
 
     def test_koch_zero_above_dimension(self):
         # sigma at level k scales like 4^k 3^(-1.5 k) -> 0
-        est = mass_function(build_koch(6), 0, 1, 1.5, 6)
+        est = mass_function(build_koch(6), 0, 1, 1.5)
         assert est.verdict == "zero"
         assert est.estimate == 0.0
         ratios = np.array(est.masses[1:]) / np.array(est.masses[:-1])
         np.testing.assert_allclose(ratios, 4.0 * 3.0 ** (-1.5), rtol=1e-9)
 
     def test_koch_divergent_below_dimension(self):
-        est = mass_function(build_koch(6), 0, 1, 1.0, 6)
+        est = mass_function(build_koch(6), 0, 1, 1.0)
         assert est.verdict == "divergent"
         assert math.isinf(est.estimate)
-
-    def test_levels_floor(self):
-        with pytest.raises(CurveDomainError):
-            mass_function(build_line(0, 1), 0, 1, 1.0, 2)
 
 
 class TestGammaDimension:

@@ -1,0 +1,59 @@
+"""The library's settable surface, pinned.
+
+A setting is a parameter with a default. Each module's count of them and
+the names ``fractalcalc`` exports are pinned here, so a change that adds
+a setting or a public name has to edit this file and say why.
+"""
+
+import ast
+from pathlib import Path
+
+import fractalcalc
+
+PACKAGE = Path(fractalcalc.__file__).resolve().parent
+
+#: Parameters with a default, per module; modules without one are left out.
+SETTINGS = {
+    "calculus": 1,
+    "cli": 2,
+    "distributions": 2,
+    "oscillator": 4,
+    "processes": 20,
+    "rng": 1,
+    "staircase": 4,
+}
+
+EXPORTS = [
+    "BetaSquaredAmplitude", "DistributionOnCurve", "FixedSquaredAmplitude",
+    "FractalCurve", "FractalProcess", "KOCH_DIMENSION", "MomentSpec", "SampleSet",
+    "SeriesSolution", "StaircaseTable", "__version__", "beta_raw_moment",
+    "brownian_like", "build_koch", "build_line", "build_polyline", "build_staircase",
+    "closed_form_sample", "coarse_mass", "correlation_mc", "cosine_phase",
+    "estimate_correlation_grid", "falpha_derivative", "falpha_integral",
+    "frobenius_coefficients", "gamma_dimension", "improper_ms_integral",
+    "ks_distance", "linear_amplitude", "load_polyline_csv", "mass_function",
+    "mc_solution_moments", "ms_continuity_check", "ms_derivative_check",
+    "ms_integral", "ms_integral_precheck", "product_limit_check", "residual_check",
+    "sampling_cdf", "second_generalized_derivative", "second_order_check",
+    "sigma_alpha", "solve_series", "white_noise",
+]
+
+
+def settings_in(path):
+    """Parameters with a default across every function and lambda in ``path``."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return count
+
+
+def test_settings_per_module():
+    counts = {p.stem: settings_in(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: n for name, n in counts.items() if n} == SETTINGS
+    assert sum(SETTINGS.values()) == 34
+
+
+def test_exports():
+    assert sorted(fractalcalc.__all__) == EXPORTS
