@@ -26,7 +26,7 @@ def falpha_derivative(f, table: StaircaseTable, theta, h: float = None) -> float
     span = hi - lo
     if h is None:
         h = span * DERIVATIVE_STEP_FRACTION
-    if h <= 0.0 or h < span * 1e-13:
+    if not h > 0.0 or h < span * 1e-13:
         raise ResolutionError(f"step h={h} is below the table's resolution")
     j0 = table.j_of_theta(theta)
     j_hi = min(j0 + h, hi)

@@ -252,8 +252,10 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _base_meta(cfg, curve, alpha):
-    return {
+def _emit(out, cfg, curve, alpha, extra, columns, *trailing):
+    """Write a command's CSV, its header the stamp every command shares and
+    then the command's ``extra`` keys; returns the exit code 0."""
+    meta = {
         "command": cfg["command"],
         "version": __version__,
         "config_sha256": _config_hash(cfg),
@@ -261,7 +263,10 @@ def _base_meta(cfg, curve, alpha):
         "curve": cfg["curve"],
         "level": curve.level,
         "alpha": alpha,
+        **extra,
     }
+    write_csv(out, meta, columns, trailing)
+    return 0
 
 
 def _output_grid(cfg, curve):
@@ -280,16 +285,14 @@ def cmd_dimension(cfg, out):
     curve = _load_curve(cfg)
     tol = float(cfg["tol"])
     result = gamma_dimension(curve, tol=tol)
-    meta = _base_meta(cfg, curve, cfg["alpha"])
-    meta["tol"] = tol
-    write_csv(out, meta, {
+    code = _emit(out, cfg, curve, cfg["alpha"], {"tol": tol}, {
         "alpha": [alpha for alpha, est in result.trace for _ in est.masses],
         "delta": [d for _, est in result.trace for d in est.deltas],
         "mass": [m for _, est in result.trace for m in est.masses],
-    }, trailing_comments=[f"dimension={_fmt(result.value)}"])
+    }, f"dimension={_fmt(result.value)}")
     if out:
         print(f"dimension={_fmt(result.value)}")
-    return 0
+    return code
 
 
 def cmd_staircase(cfg, out):
@@ -298,10 +301,7 @@ def cmd_staircase(cfg, out):
     p0 = float(cfg["p0"]) if cfg["p0"] else a
     grid = int(cfg["grid"]) if cfg["grid"] else None
     table = build_staircase(curve, alpha, p0, grid)
-    meta = _base_meta(cfg, curve, alpha)
-    meta["p0"] = p0
-    write_csv(out, meta, {"t": table.t, "S": table.s})
-    return 0
+    return _emit(out, cfg, curve, alpha, {"p0": p0}, {"t": table.t, "S": table.s})
 
 
 def cmd_cdf(cfg, out):
@@ -312,39 +312,25 @@ def cmd_cdf(cfg, out):
     dist = DistributionOnCurve.memoryless(table, lam)
     j = table.value(t)
     f = dist.cdf_at_j(j)
-    meta = _base_meta(cfg, curve, alpha)
-    meta["lam"] = lam
-    meta["j_range"] = f"[{_fmt(float(j[0]))},{_fmt(float(j[-1]))}]"
-    meta["f_max"] = float(f[-1])
-    write_csv(out, meta, {"t": t, "J": j, "F_X": f})
-    return 0
+    return _emit(out, cfg, curve, alpha, {
+        "lam": lam, "j_range": f"[{_fmt(float(j[0]))},{_fmt(float(j[-1]))}]",
+        "f_max": float(f[-1])}, {"t": t, "J": j, "F_X": f})
 
 
 def cmd_sample(cfg, out):
     curve, alpha = _resolve_curve(cfg)
     table = build_staircase(curve, alpha)
     family = cfg["family"]
-    if family == "uniform":
-        dist = DistributionOnCurve.uniform(table)
-    elif family == "memoryless":
-        dist = DistributionOnCurve.memoryless(table, float(cfg["lam"]))
-    else:
-        raise CurveDomainError(f"unknown family {family!r}")
+    dist = DistributionOnCurve(table, family, lam=float(cfg["lam"]))
     count = int(cfg["count"])
-    seed = int(cfg["seed"])
-    sample = dist.sample(seed, count)
-    meta = _base_meta(cfg, curve, alpha)
-    meta["family"] = family
-    if family == "memoryless":
-        meta["lam"] = float(cfg["lam"])
-        meta["truncated_mass"] = dist.truncated_mass
-    meta["count"] = count
-    meta["plateau_hits"] = sample.plateau_hits
+    sample = dist.sample(int(cfg["seed"]), count)
+    law = {"lam": dist.lam, "truncated_mass": dist.truncated_mass} \
+        if family == "memoryless" else {}
     coords = [f"x{i}" for i in range(curve.ndim)] if curve.ndim > 2 else \
         ["x", "y"][: curve.ndim]
-    write_csv(out, meta, {"t": sample.t, "J": sample.j,
-                          **dict(zip(coords, sample.points.T))})
-    return 0
+    return _emit(out, cfg, curve, alpha, {
+        "family": family, **law, "count": count, "plateau_hits": sample.plateau_hits,
+    }, {"t": sample.t, "J": sample.j, **dict(zip(coords, sample.points.T))})
 
 
 def cmd_correlation(cfg, out):
@@ -354,14 +340,10 @@ def cmd_correlation(cfg, out):
     lo, hi = table.mass_bounds
     j_values = np.linspace(max(lo, 0.0), hi, int(cfg["points"]))
     grid = estimate_correlation_grid(proc, j_values, int(cfg["n"]), int(cfg["seed"]))
-    meta = _base_meta(cfg, curve, alpha)
-    meta["fixture"] = cfg["fixture"]
-    meta["n"] = grid.n
     m = len(grid.j_values)
-    write_csv(out, meta, {"J1": np.repeat(grid.j_values, m),
-                          "J2": np.tile(grid.j_values, m),
-                          "R": grid.r.ravel(), "stderr": grid.stderr.ravel()})
-    return 0
+    return _emit(out, cfg, curve, alpha, {"fixture": cfg["fixture"], "n": grid.n},
+                 {"J1": np.repeat(grid.j_values, m), "J2": np.tile(grid.j_values, m),
+                  "R": grid.r.ravel(), "stderr": grid.stderr.ravel()})
 
 
 def _make_fixture(name, cfg):
@@ -393,17 +375,13 @@ def cmd_msdiag(cfg, out):
     n = int(cfg["n"])
     seed = int(cfg["seed"])
     checks = [ms_derivative_check(proc, tau, n=n, seed=seed) for proc in procs]
-    meta = _base_meta(cfg, curve, alpha)
-    meta["tau"] = tau
-    meta["n"] = n
-    write_csv(out, meta, {
+    return _emit(out, cfg, curve, alpha, {"tau": tau, "n": n}, {
         "fixture": names,
         "continuous": [c.continuity.continuous for c in checks],
         "differentiable": [c.differentiable for c in checks],
         "second_derivative": [c.value if c.differentiable else math.nan
                               for c in checks],
     })
-    return 0
 
 
 def _a2_provider(cfg):
@@ -432,23 +410,17 @@ def cmd_sde(cfg, out):
     solution = solve_series(spec, order)
     t = _output_grid(cfg, curve)
     j = np.asarray(table.value(t), dtype=float)
-    mean = solution.mean(j)
-    second = solution.second_moment(j)
-    var = second - mean ** 2
+    series = {"mean": solution.mean(j), "second_moment": solution.second_moment(j),
+              "variance": solution.variance(j)}
     mc = mc_solution_moments(
         a2, deterministic_initial_data(ex0, ex1), int(cfg["n"]),
         int(cfg["seed"]), j,
     )
-    meta = _base_meta(cfg, curve, alpha)
-    meta.update({
+    return _emit(out, cfg, curve, alpha, {
         "a2": a2.describe(),
         "ex0": ex0, "ex1": ex1, "ex0sq": ex0sq, "ex1sq": ex1sq, "ex01": ex01,
         "order": order, "n": mc.n,
-    })
-    write_csv(out, meta, {"t": t, "J": j, "mean": mean, "second_moment": second,
-                          "variance": var, "mc_mean": mc.mean,
-                          "mc_stderr": mc.mean_stderr})
-    return 0
+    }, {"t": t, "J": j, **series, "mc_mean": mc.mean, "mc_stderr": mc.mean_stderr})
 
 
 _COMMANDS = {

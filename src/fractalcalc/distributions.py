@@ -50,16 +50,21 @@ class DistributionOnCurve:
 
     Build with one of the classmethods: ``uniform``, ``memoryless`` or
     ``custom`` (a user pdf over the mass coordinate, normalized on the
-    curve's mass range).
+    curve's mass range), or name the family to the constructor. Any other
+    family raises ``CurveDomainError``; a parameter the family does not
+    use is ignored.
     """
 
     def __init__(self, table, family, lam=None, pdf_j=None):
+        if family not in ("uniform", "memoryless", "custom"):
+            raise CurveDomainError(
+                f"unknown family {family!r}; pick uniform, memoryless or custom")
         self.table = table
         self.family = family
         self.lam = lam
         lo, hi = table.mass_bounds
         if family == "memoryless":
-            if lam is None or lam <= 0.0:
+            if lam is None or not lam > 0.0:
                 raise CurveDomainError("memoryless family needs lam > 0")
             lo = max(lo, 0.0)
             if hi <= lo:

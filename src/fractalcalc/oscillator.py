@@ -36,7 +36,7 @@ RESIDUAL_STEP = 1e-3
 
 def beta_raw_moment(mu: float, nu: float, m: int) -> float:
     """E[B^m] for B ~ Beta(mu, nu): the product of (mu+k)/(mu+nu+k)."""
-    if mu <= 0.0 or nu <= 0.0:
+    if not (mu > 0.0 and nu > 0.0):
         raise CurveDomainError("Beta parameters must be positive")
     if m < 0:
         raise CurveDomainError("moment order must be non-negative")
@@ -47,7 +47,7 @@ class BetaSquaredAmplitude:
     """A^2 ~ Beta(mu, nu); supplies raw moments and draws."""
 
     def __init__(self, mu: float, nu: float):
-        if mu <= 0.0 or nu <= 0.0:
+        if not (mu > 0.0 and nu > 0.0):
             raise CurveDomainError("Beta parameters must be positive")
         self.mu = float(mu)
         self.nu = float(nu)
@@ -67,7 +67,7 @@ class FixedSquaredAmplitude:
     reach, e.g. E[A^2] = 4)."""
 
     def __init__(self, value: float):
-        if value < 0.0:
+        if not value >= 0.0:
             raise CurveDomainError("a squared amplitude cannot be negative")
         self.value = float(value)
 
@@ -137,15 +137,6 @@ def _series_weights(spec: MomentSpec, order: int, top: int):
     return moments, fact
 
 
-def _cross_terms(moments, order):
-    """(n, m, (-1)^(n+m) E[(A^2)^(n+m)]) for n, m = 0..order in row order:
-    the pairings of a term n of one series with a term m of another."""
-    for n in range(order + 1):
-        for m in range(order + 1):
-            k = n + m
-            yield n, m, -moments[k] if k % 2 else moments[k]
-
-
 def mean_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Polynomial coefficients (in J) of the truncated ensemble mean."""
     moments, fact = _series_weights(spec, order, order)
@@ -158,25 +149,30 @@ def mean_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarra
     return coeffs
 
 
-def second_moment_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Polynomial coefficients of the truncated second moment.
-
-    Diagonal-plus-cross expansion: the diagonal terms carry
-    E[(A^2)^(2m)] against J^(4m) (even data) and J^(4m+2) (odd data),
-    and the even-odd cross terms carry the alternating E[(A^2)^(n+m)]
-    weights. For the full termwise square of the series see
-    ``squared_series_coefficients``; the two agree through order J but
-    differ from J^2 on.
-    """
+def _paired_coefficients(spec: MomentSpec, order: int, diagonal: bool) -> np.ndarray:
+    """Second-moment coefficients from pairing term n of the series with
+    term m of a second copy, n, m = 0..order in row order, each weighted by
+    (-1)^(n+m) E[(A^2)^(n+m)]: every even-odd pairing, and the even-even and
+    odd-odd ones where n == m or not ``diagonal``."""
     moments, fact = _series_weights(spec, order, 2 * order)
     coeffs = np.zeros(4 * order + 3)
-    for m in range(order + 1):
-        a2m = moments[2 * m]
-        coeffs[4 * m] += spec.ex0_sq * a2m / fact[2 * m] / fact[2 * m]
-        coeffs[4 * m + 2] += spec.ex1_sq * a2m / fact[2 * m + 1] / fact[2 * m + 1]
-    for n, m, w in _cross_terms(moments, order):
-        coeffs[2 * (n + m) + 1] += 2.0 * spec.ex01 * w / fact[2 * n] / fact[2 * m + 1]
+    for n in range(order + 1):
+        for m in range(order + 1):
+            k = n + m
+            w = -moments[k] if k % 2 else moments[k]
+            if n == m or not diagonal:
+                coeffs[2 * k] += spec.ex0_sq * w / fact[2 * n] / fact[2 * m]
+                coeffs[2 * k + 2] += spec.ex1_sq * w / fact[2 * n + 1] / fact[2 * m + 1]
+            coeffs[2 * k + 1] += 2.0 * spec.ex01 * w / fact[2 * n] / fact[2 * m + 1]
     return coeffs
+
+
+def second_moment_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Polynomial coefficients of the truncated second moment: the paper's
+    diagonal-plus-cross expansion, the termwise square
+    ``squared_series_coefficients`` without its n != m even-even and
+    odd-odd pairings. The two agree through order J but differ from J^2 on."""
+    return _paired_coefficients(spec, order, diagonal=True)
 
 
 def squared_series_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -184,14 +180,7 @@ def squared_series_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) ->
     termwise (all even-even and odd-odd pairings kept): with A^2
     independent of (X0, X1) this is the exact E[X_N(J)^2] of the order-N
     series. With deterministic data it collapses to the squared mean."""
-    moments, fact = _series_weights(spec, order, 2 * order)
-    coeffs = np.zeros(4 * order + 3)
-    for n, m, w in _cross_terms(moments, order):
-        k = 2 * (n + m)
-        coeffs[k] += spec.ex0_sq * w / fact[2 * n] / fact[2 * m]
-        coeffs[k + 2] += spec.ex1_sq * w / fact[2 * n + 1] / fact[2 * m + 1]
-        coeffs[k + 1] += 2.0 * spec.ex01 * w / fact[2 * n] / fact[2 * m + 1]
-    return coeffs
+    return _paired_coefficients(spec, order, diagonal=False)
 
 
 @dataclass

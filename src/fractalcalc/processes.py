@@ -159,24 +159,6 @@ BUILTIN_FIXTURES = {
 
 
 @dataclass
-class CorrelationEstimate:
-    r: float
-    stderr: float
-    n: int
-
-
-def correlation_mc(proc: FractalProcess, j1: float, j2: float, n: int,
-                   seed: int = 0) -> CorrelationEstimate:
-    """Monte Carlo estimate of R(j1, j2) = E[X(j1) X(j2)], read from
-    ``estimate_correlation_grid`` over the one or two distinct indices;
-    equal indices share a column."""
-    if n < 100:
-        raise CurveDomainError("need at least 100 realizations")
-    r, stderr = estimate_correlation_grid(proc, np.unique([j1, j2]), n, seed).pair(j1, j2)
-    return CorrelationEstimate(float(r), float(stderr), n)
-
-
-@dataclass
 class CorrelationGrid:
     j_values: np.ndarray
     r: np.ndarray         # (m, m), symmetric by construction
@@ -184,9 +166,19 @@ class CorrelationGrid:
     n: int
 
     def pair(self, j1, j2):
-        """(R, stderr) at j1, j2, two of the ascending ``j_values``."""
-        i1, i2 = np.searchsorted(self.j_values, j1), np.searchsorted(self.j_values, j2)
-        return self.r[i1, i2], self.stderr[i1, i2]
+        """(R, stderr) at j1, j2: scalars or arrays of indices in
+        ``j_values``, which may come in any order. Any other index raises
+        ``CurveDomainError``."""
+        order = np.argsort(self.j_values)
+        at = []
+        for j in (j1, j2):
+            i = order[np.minimum(np.searchsorted(self.j_values, j, sorter=order), len(order) - 1)]
+            missing = self.j_values[i] != j
+            if np.any(missing):
+                raise CurveDomainError(
+                    f"index {float(np.extract(missing, j)[0])} is not on the correlation grid")
+            at.append(i)
+        return self.r[at[0], at[1]], self.stderr[at[0], at[1]]
 
 
 def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
@@ -202,6 +194,8 @@ def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
     j = np.asarray(j_values, dtype=float)
     if len(j) < 1:
         raise CurveDomainError("correlation grid needs at least one index point")
+    if not np.all(np.isfinite(j)):
+        raise CurveDomainError(f"correlation grid index {j[~np.isfinite(j)][0]} is not finite")
     if n < 2:
         raise CurveDomainError("need at least 2 realizations for a standard error")
     m = len(j)
@@ -254,6 +248,8 @@ def second_generalized_derivative(correlation, tau: float) -> GeneralizedDerivat
     cancellation-noisy, so the stable pair is picked rather than the last
     one).
     """
+    if not math.isfinite(tau):
+        raise CurveDomainError(f"tau must be finite, got {tau}")
     ladder = DEFAULT_EPS_LADDER
     values = []
     for eps in ladder:
@@ -303,6 +299,8 @@ def ms_continuity_check(proc: FractalProcess, tau: float, n: int = 10000,
     """
     if n < 100:
         raise CurveDomainError("need at least 100 realizations")
+    if not math.isfinite(tau):
+        raise CurveDomainError(f"tau must be finite, got {tau}")
     j = np.array([tau, *(tau + eps for eps in DEFAULT_EPS_LADDER[:5])])
     paths = proc.draw_paths(_rng.stream(seed), j, n)
     sq = (paths[:, 1:] - paths[:, :1]) ** 2

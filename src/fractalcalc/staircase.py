@@ -58,7 +58,7 @@ def _chords(curve, points):
 
 
 def _power_sum(chords, alpha):
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise CurveDomainError(f"alpha must be positive, got {alpha}")
     return float((chords ** alpha).sum() / math.gamma(alpha + 1.0))
 
@@ -80,7 +80,7 @@ def _lattice_points(curve, a, b, j):
 def _rung_chords(curve, a, b, delta):
     """Chords of the curve's quaternary lattice over [a, b] at the coarsest
     level j whose step (d1 - d0) 4^-j is <= delta."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise CurveDomainError(f"delta must be positive, got {delta}")
     if not a < b:
         raise CurveDomainError(f"segment needs a < b, got [{a}, {b}]")
@@ -380,7 +380,7 @@ def build_staircase(curve: FractalCurve, alpha: float = None, p0: float = None,
     grid size when alpha = 1.
     """
     alpha = curve.alpha if alpha is None else float(alpha)
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise CurveDomainError(f"alpha must be positive, got {alpha}")
     a, b = curve.domain
     p0 = a if p0 is None else float(p0)

@@ -99,6 +99,11 @@ class TestMemoryless:
             DistributionOnCurve.memoryless(unit_line_table, 0.0)
 
 
+def test_unknown_family_rejected_at_construction(unit_line_table):
+    with pytest.raises(CurveDomainError, match="^unknown family 'bogus'"):
+        DistributionOnCurve(unit_line_table, "bogus")
+
+
 class TestNormalization:
     @pytest.mark.parametrize("family", ["uniform", "memoryless", "custom"])
     def test_pdf_integrates_to_one(self, family, koch_table, long_line_table):

@@ -1,0 +1,66 @@
+"""A nan argument is refused, never turned into a verdict or a table.
+
+A guard written ``x <= 0.0`` lets nan through, since every comparison
+with nan is false; each call below once returned a verdict ("finite",
+"not continuous", "divergent"), an all-nan table or a nan estimate.
+"""
+
+import math
+
+import pytest
+
+from fractalcalc import (
+    BetaSquaredAmplitude,
+    DistributionOnCurve,
+    FixedSquaredAmplitude,
+    FractalProcess,
+    beta_raw_moment,
+    build_koch,
+    build_staircase,
+    coarse_mass,
+    cosine_phase,
+    estimate_correlation_grid,
+    falpha_derivative,
+    linear_amplitude,
+    mass_function,
+    ms_continuity_check,
+    ms_derivative_check,
+    second_generalized_derivative,
+    sigma_alpha,
+)
+from fractalcalc.errors import CurveDomainError, ResolutionError
+
+NAN = math.nan
+KOCH = build_koch(3)
+TABLE = build_staircase(KOCH)
+
+CALLS = {
+    "mass_function alpha": lambda: mass_function(KOCH, 0.0, 1.0, NAN),
+    "build_staircase alpha": lambda: build_staircase(KOCH, NAN),
+    "sigma_alpha alpha": lambda: sigma_alpha(KOCH, [0.0, 0.5, 1.0], NAN),
+    "coarse_mass alpha": lambda: coarse_mass(KOCH, 0.0, 1.0, NAN, 0.1),
+    "coarse_mass delta": lambda: coarse_mass(KOCH, 0.0, 1.0, 1.2, NAN),
+    "memoryless lam": lambda: DistributionOnCurve.memoryless(TABLE, NAN),
+    "beta mu": lambda: BetaSquaredAmplitude(NAN, 1.0),
+    "beta nu": lambda: BetaSquaredAmplitude(1.0, NAN),
+    "beta moment": lambda: beta_raw_moment(NAN, 1.0, 2),
+    "fixed a2": lambda: FixedSquaredAmplitude(NAN),
+    "continuity tau": lambda: ms_continuity_check(cosine_phase(), NAN),
+    "derivative tau": lambda: ms_derivative_check(linear_amplitude(), NAN),
+    "estimated derivative tau": lambda: ms_derivative_check(
+        FractalProcess("estimated", linear_amplitude().draw_paths), NAN, n=200),
+    "generalized derivative tau": lambda: second_generalized_derivative(
+        linear_amplitude().correlation, NAN),
+    "grid index": lambda: estimate_correlation_grid(linear_amplitude(), [NAN, 0.5], 200),
+}
+
+
+@pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+def test_nan_is_refused(call):
+    with pytest.raises(CurveDomainError):
+        call()
+
+
+def test_nan_derivative_step_is_refused():
+    with pytest.raises(ResolutionError):
+        falpha_derivative(lambda p: p[..., 0], TABLE, KOCH.point(0.5), NAN)

@@ -9,7 +9,6 @@ from fractalcalc import (
     brownian_like,
     build_line,
     build_staircase,
-    correlation_mc,
     cosine_phase,
     estimate_correlation_grid,
     improper_ms_integral,
@@ -137,30 +136,31 @@ class TestSecondOrder:
             assert not second_order_check(proc, np.array([0.0, 1.0]))
 
 
+def grid_pair(proc, j1, j2, n, seed):
+    """(R, stderr) at (j1, j2), read from the grid over the one or two
+    distinct indices; equal indices share a column."""
+    return estimate_correlation_grid(proc, np.unique([j1, j2]), n, seed).pair(j1, j2)
+
+
 class TestCorrelationMC:
     def test_bilinear_fixture_within_three_sigma(self):
-        proc = linear_amplitude(1.5)
-        est = correlation_mc(proc, 0.4, 0.7, 20000, seed=3)
-        assert abs(est.r - 1.5 * 0.4 * 0.7) <= 3 * est.stderr
+        r, stderr = grid_pair(linear_amplitude(1.5), 0.4, 0.7, 20000, seed=3)
+        assert abs(r - 1.5 * 0.4 * 0.7) <= 3 * stderr
 
     def test_deterministic_unit_process(self):
-        est = correlation_mc(constant_process(1.0), 0.2, 0.9, 500, seed=1)
-        assert est.r == 1.0
-        assert est.stderr == 0.0
+        r, stderr = grid_pair(constant_process(1.0), 0.2, 0.9, 500, seed=1)
+        assert r == 1.0
+        assert stderr == 0.0
 
     def test_cosine_phase_diagonal_half(self):
-        est = correlation_mc(cosine_phase(), 0.5, 0.5, 20000, seed=3)
-        assert abs(est.r - 0.5) <= 3 * est.stderr
+        r, stderr = grid_pair(cosine_phase(), 0.5, 0.5, 20000, seed=3)
+        assert abs(r - 0.5) <= 3 * stderr
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_white_noise_diagonal_reads_one_column(self, seed):
         # R(x, x) = E[Z^2] = 1
-        est = correlation_mc(white_noise(), 0.3, 0.3, 10000, seed=seed)
-        assert abs(est.r - 1.0) <= 4.89 * est.stderr
-
-    def test_sample_floor(self):
-        with pytest.raises(CurveDomainError):
-            correlation_mc(cosine_phase(), 0.1, 0.2, 50)
+        r, stderr = grid_pair(white_noise(), 0.3, 0.3, 10000, seed=seed)
+        assert abs(r - 1.0) <= 4.89 * stderr
 
 
 class TestCorrelationGrid:
@@ -194,6 +194,31 @@ class TestCorrelationGrid:
         assert np.array_equal(grid.stderr, stderr)
 
 
+class TestGridLookup:
+    # indices handed over out of order: 0.1 sits at position 1
+    J = [0.5, 0.1, 0.9]
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return estimate_correlation_grid(linear_amplitude(), self.J, 1000, seed=0)
+
+    def test_scalars_read_their_own_entry(self, grid):
+        for i1, j1 in enumerate(self.J):
+            for i2, j2 in enumerate(self.J):
+                assert grid.pair(j1, j2) == (grid.r[i1, i2], grid.stderr[i1, i2])
+
+    def test_arrays_read_their_own_entries(self, grid):
+        r, stderr = grid.pair(np.array([0.9, 0.1, 0.5]), np.array([0.5, 0.5, 0.1]))
+        assert np.array_equal(r, grid.r[[2, 1, 0], [0, 0, 1]])
+        assert np.array_equal(stderr, grid.stderr[[2, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("j1, j2", [(0.3, 0.3), (2.0, 2.0), (0.5, -1.0),
+                                        ([0.5, 0.3], [0.5, 0.5])])
+    def test_an_index_off_the_grid_is_named(self, grid, j1, j2):
+        with pytest.raises(CurveDomainError, match="index (0.3|2.0|-1.0) is not on"):
+            grid.pair(j1, j2)
+
+
 class TestEstimatorPins:
     # Exact values from the pair-at-a-time estimators that the grid path
     # replaced. Each pair's mean and std(ddof=1) come out of the same draw
@@ -207,8 +232,7 @@ class TestEstimatorPins:
         (white_noise, 0.7, 0.3, 3000, 2, 0.0064959896939106605, 0.01739874252268519),
     ])
     def test_correlation_mc(self, make, j1, j2, n, seed, r, stderr):
-        est = correlation_mc(make(), j1, j2, n, seed=seed)
-        assert (est.r, est.stderr) == (r, stderr)
+        assert grid_pair(make(), j1, j2, n, seed) == (r, stderr)
 
     @pytest.mark.parametrize("make", [linear_amplitude, cosine_phase, white_noise,
                                       brownian_like])

@@ -18,7 +18,7 @@ SETTINGS = {
     "cli": 2,
     "distributions": 2,
     "oscillator": 4,
-    "processes": 20,
+    "processes": 19,
     "rng": 1,
     "staircase": 4,
 }
@@ -28,7 +28,7 @@ EXPORTS = [
     "FractalCurve", "FractalProcess", "KOCH_DIMENSION", "MomentSpec", "SampleSet",
     "SeriesSolution", "StaircaseTable", "__version__", "beta_raw_moment",
     "brownian_like", "build_koch", "build_line", "build_polyline", "build_staircase",
-    "closed_form_sample", "coarse_mass", "correlation_mc", "cosine_phase",
+    "closed_form_sample", "coarse_mass", "cosine_phase",
     "estimate_correlation_grid", "falpha_derivative", "falpha_integral",
     "frobenius_coefficients", "gamma_dimension", "improper_ms_integral",
     "ks_distance", "linear_amplitude", "load_polyline_csv", "mass_function",
@@ -52,7 +52,7 @@ def settings_in(path):
 def test_settings_per_module():
     counts = {p.stem: settings_in(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: n for name, n in counts.items() if n} == SETTINGS
-    assert sum(SETTINGS.values()) == 34
+    assert sum(SETTINGS.values()) == 33
 
 
 def test_exports():
