@@ -223,6 +223,8 @@ def closed_form_sample(a: float, x0: float, x1: float, j):
     constant x0, otherwise the limit form x0 + x1*j is returned (with a
     warning, since the division was removable only in the limit).
     """
+    if not all(map(math.isfinite, (a, x0, x1))):
+        raise CurveDomainError(f"a, x0 and x1 must be finite, got {a}, {x0}, {x1}")
     j = np.asarray(j, dtype=float)
     if a == 0.0:
         if x1 == 0.0:
@@ -354,6 +356,8 @@ def residual_check(a2: float, x0: float, x1: float, order: int, j_grid) -> float
     """
     if order < 2:
         raise CurveDomainError("need truncation order >= 2")
+    if not all(map(math.isfinite, (a2, x0, x1))):
+        raise CurveDomainError(f"a2, x0 and x1 must be finite, got {a2}, {x0}, {x1}")
     coeffs = frobenius_coefficients(x0, x1, a2, 2 * order + 1)
     j = np.asarray(j_grid, dtype=float)
     polyval = np.polynomial.polynomial.polyval

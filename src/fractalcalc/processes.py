@@ -407,6 +407,8 @@ def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
     form: the mean over n paths of (sum_j w_j X(j))^2, w_j = f(j, u) dj. It
     equals w R_n w for the sample correlation R_n = P^T P / n in exact
     arithmetic and can differ from that Gram form in the last bits."""
+    if not math.isfinite(u):
+        raise CurveDomainError(f"u must be finite, got {u}")
     sums = [
         _double_rs_sum(weight, proc, u, table, a, b, k * PRECHECK_PANELS, n, seed)
         for k in (1, 2, 4)
@@ -494,6 +496,8 @@ def product_limit_check(pair_sampler, target: float, index_ladder, n: int,
     """
     if n < 2:
         raise CurveDomainError("need at least 2 realizations for a standard error")
+    if not math.isfinite(target):
+        raise CurveDomainError(f"target must be finite, got {target}")
     estimates, stderrs = [], []
     for i, m in enumerate(index_ladder):
         gen = _rng.stream(seed, i)

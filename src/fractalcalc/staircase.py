@@ -26,11 +26,8 @@ from .errors import (
     GeometryError,
 )
 
-#: Classification thresholds for the resolution limit. A geometric trend
-#: in the coarse-mass ladder is extrapolated before thresholding, since a
-#: finite polyline cannot walk all the way to the raw cutoffs.
-DIVERGENCE_CAP = 1e6
-ZERO_FLOOR = 1e-9
+#: Relative tolerances for the resolution limit: a verdict compares the
+#: masses of one ladder with each other, so the units of x do not move it.
 CAUCHY_RTOL = 1e-4
 _RATIO_EPS = 1e-3
 
@@ -63,14 +60,25 @@ def _power_sum(chords, alpha):
     return float((chords ** alpha).sum() / math.gamma(alpha + 1.0))
 
 
-def _lattice_points(curve, a, b, j):
+def _lattice_points(curve, a, b, delta):
     """The curve's quaternary lattice d0 + (d1 - d0) i/4^j over its domain
-    (d0, d1), restricted to [a, b], with both endpoints included."""
+    (d0, d1) at the coarsest level j whose step is <= delta, restricted to
+    [a, b], with both endpoints included. The points are counted before
+    any array is built, so an over-cap delta costs nothing."""
     d0, d1 = curve.domain
-    width, q = d1 - d0, 4.0 ** (-j)
-    # on a [0, 1] domain, d0 + width * x is x bit for bit
+    width = d1 - d0
+    j = max(0, math.ceil(math.log(width / delta, 4.0) - 1e-9))
+    while width * 4.0 ** (-j) > delta * (1.0 + 1e-12):
+        j += 1
+    q = 4.0 ** (-j)
     lo = math.ceil((a - d0) / (width * q) - 1e-9)
     hi = math.floor((b - d0) / (width * q) + 1e-9)
+    if hi - lo + 1 > _MAX_DIRECT_POINTS:
+        raise CurveDomainError(
+            f"delta={delta} needs {hi - lo + 1} lattice points; "
+            f"cap is {_MAX_DIRECT_POINTS}"
+        )
+    # on a [0, 1] domain, d0 + width * x is x bit for bit
     inner = d0 + width * (np.arange(lo, hi + 1, dtype=float) * q)
     pts = np.concatenate(([a], inner, [b]))
     pts = pts[(pts >= a) & (pts <= b)]
@@ -78,24 +86,14 @@ def _lattice_points(curve, a, b, j):
 
 
 def _rung_chords(curve, a, b, delta):
-    """Chords of the curve's quaternary lattice over [a, b] at the coarsest
-    level j whose step (d1 - d0) 4^-j is <= delta."""
+    """Chords of the curve's quaternary lattice over [a, b] at resolution
+    delta (``_lattice_points``)."""
     if not delta > 0.0:
         raise CurveDomainError(f"delta must be positive, got {delta}")
     if not a < b:
         raise CurveDomainError(f"segment needs a < b, got [{a}, {b}]")
     curve.check_domain([a, b])
-    d0, d1 = curve.domain
-    j = max(0, math.ceil(math.log((d1 - d0) / delta, 4.0) - 1e-9))
-    while (d1 - d0) * 4.0 ** (-j) > delta * (1.0 + 1e-12):
-        j += 1
-    lattice = _lattice_points(curve, a, b, j)
-    if len(lattice) > _MAX_DIRECT_POINTS:
-        raise CurveDomainError(
-            f"delta={delta} needs {len(lattice)} lattice points; "
-            f"cap is {_MAX_DIRECT_POINTS}"
-        )
-    return _chords(curve, lattice)
+    return _chords(curve, _lattice_points(curve, a, b, delta))
 
 
 def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
@@ -126,13 +124,14 @@ class MassEstimate:
 
 def _classify_limit(masses):
     last, prev = masses[-1], masses[-2]
-    if last >= DIVERGENCE_CAP and last >= prev:
+    # an overflowed or underflowed mass would pass the Cauchy test
+    if not last < math.inf:
         return "divergent", math.inf
-    if last <= ZERO_FLOOR:
+    if not last > 0.0:
         return "zero", 0.0
-    if abs(last - prev) <= CAUCHY_RTOL * max(abs(last), 1e-300):
+    if abs(last - prev) <= CAUCHY_RTOL * last:
         return "finite", last
-    # extrapolate a persistent geometric trend toward the thresholds
+    # extrapolate a persistent geometric trend to its limit
     if prev > 0.0 and masses[-3] > 0.0:
         r1 = last / prev
         r0 = prev / masses[-3]
@@ -301,7 +300,9 @@ class StaircaseTable:
     def _parameters(self, thetas):
         """Parameters of an (m, n) block of curve points, by
         nearest-segment projection onto the polyline; a point farther than
-        1e-9 from the curve raises GeometryError."""
+        1e-9 times the block's largest |coordinate| (at least 1e-9) from
+        the curve raises GeometryError, since the projection rounds in
+        ulps of the coordinates."""
         thetas = np.asarray(thetas, dtype=float)
         n = self.curve.ndim
         if thetas.ndim != 2 or thetas.shape[1] != n:
@@ -311,9 +312,9 @@ class StaircaseTable:
             )
         t, dist = _project_points(self.curve, thetas)
         # a nan point fails: its distance is nan
-        if len(dist) and not dist.max() <= 1e-9:
+        if len(dist) and not dist.max() <= (tol := 1e-9 * max(1.0, np.abs(thetas).max())):
             raise GeometryError(
-                f"points up to {dist.max():.3e} away from the curve (tolerance 1e-09)"
+                f"points up to {dist.max():.3e} away from the curve (tolerance {tol:.3g})"
             )
         return t
 

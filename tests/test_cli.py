@@ -58,6 +58,16 @@ class TestDimensionCommand:
         meta, _, _ = read_csv(out)
         assert meta["dimension"] == "1.26171875"
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e-8, 1e6, 1e10])
+    def test_polyline_dimension_ignores_units_of_x(self, tmp_path, scale):
+        # the Koch-5 shape printed 1.15234375 at 1e-8 and exited 3 at 1e-10
+        # while the mass verdicts compared against absolute thresholds
+        code, out = run(tmp_path, "dim.csv", "dimension",
+                        "--curve", str(_koch5_csv(tmp_path, lambda t: t, scale)))
+        assert code == 0
+        meta, _, _ = read_csv(out)
+        assert meta["dimension"] == "1.26171875"
+
     def test_auto_alpha_on_relabelled_knots_is_koch(self, tmp_path):
         path = _koch5_csv(tmp_path, lambda t: 5.0 * t)
         code, out = run(tmp_path, "s.csv", "staircase", "--curve", str(path), "--alpha", "auto")
@@ -66,11 +76,11 @@ class TestDimensionCommand:
         assert float(meta["alpha"]) == KOCH_DIMENSION
 
 
-def _koch5_csv(tmp_path, relabel):
+def _koch5_csv(tmp_path, relabel, scale=1.0):
     koch = build_koch(5)
     path = tmp_path / "koch5.csv"
     rows = [",".join(map(repr, map(float, (t, x, y))))
-            for t, (x, y) in zip(relabel(koch.knots), koch.vertices)]
+            for t, (x, y) in zip(relabel(koch.knots), scale * koch.vertices)]
     path.write_text("t,x,y\n" + "\n".join(rows) + "\n")
     return path
 

@@ -48,11 +48,7 @@ def ref_power_sum(chords, alpha):
 def ref_coarse_mass(curve, a, b, alpha, delta):
     """The lattice chord sum coarse_mass takes, at the coarsest j with
     (d1 - d0) 4^-j <= delta, with every chord from the row-major formula."""
-    d0, d1 = curve.domain
-    j = max(0, math.ceil(math.log((d1 - d0) / delta, 4.0) - 1e-9))
-    while (d1 - d0) * 4.0 ** (-j) > delta * (1.0 + 1e-12):
-        j += 1
-    return ref_power_sum(ref_chords(curve, sc._lattice_points(curve, a, b, j)), alpha)
+    return ref_power_sum(ref_chords(curve, sc._lattice_points(curve, a, b, delta)), alpha)
 
 
 def ref_staircase_s(curve, alpha, p0, grid_size):

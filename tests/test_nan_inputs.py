@@ -2,7 +2,8 @@
 
 A guard written ``x <= 0.0`` lets nan through, since every comparison
 with nan is false; each call below once returned a verdict ("finite",
-"not continuous", "divergent"), an all-nan table or a nan estimate.
+"not continuous", "divergent", "does not exist"), an all-nan table or a
+nan estimate.
 """
 
 import math
@@ -16,15 +17,22 @@ from fractalcalc import (
     FractalProcess,
     beta_raw_moment,
     build_koch,
+    build_line,
     build_staircase,
+    closed_form_sample,
     coarse_mass,
     cosine_phase,
     estimate_correlation_grid,
     falpha_derivative,
+    improper_ms_integral,
     linear_amplitude,
     mass_function,
     ms_continuity_check,
     ms_derivative_check,
+    ms_integral,
+    ms_integral_precheck,
+    product_limit_check,
+    residual_check,
     second_generalized_derivative,
     sigma_alpha,
 )
@@ -33,6 +41,16 @@ from fractalcalc.errors import CurveDomainError, ResolutionError
 NAN = math.nan
 KOCH = build_koch(3)
 TABLE = build_staircase(KOCH)
+LINE_TABLE = build_staircase(build_line(0.0, 1.0))
+
+
+def _weight(j, u):
+    return j * 0.0 + u
+
+
+def _pair(gen, count, m):
+    return (gen.normal(size=count),) * 2
+
 
 CALLS = {
     "mass_function alpha": lambda: mass_function(KOCH, 0.0, 1.0, NAN),
@@ -52,6 +70,19 @@ CALLS = {
     "generalized derivative tau": lambda: second_generalized_derivative(
         linear_amplitude().correlation, NAN),
     "grid index": lambda: estimate_correlation_grid(linear_amplitude(), [NAN, 0.5], 200),
+    "ms_integral_precheck u": lambda: ms_integral_precheck(
+        linear_amplitude(), _weight, LINE_TABLE, 0.0, 1.0, NAN, n=100),
+    "ms_integral u": lambda: ms_integral(
+        linear_amplitude(), _weight, LINE_TABLE, 0.0, 1.0, NAN, n=100),
+    "improper_ms_integral u": lambda: improper_ms_integral(
+        linear_amplitude(), _weight, LINE_TABLE, 0.0, [0.5, 1.0], NAN, n=100),
+    "product_limit_check target": lambda: product_limit_check(_pair, NAN, [1, 4], 100),
+    "closed_form_sample a": lambda: closed_form_sample(NAN, 1.0, 0.0, [0.1]),
+    "closed_form_sample x0": lambda: closed_form_sample(1.0, NAN, 0.0, [0.1]),
+    "closed_form_sample x1": lambda: closed_form_sample(1.0, 1.0, NAN, [0.1]),
+    "residual_check a2": lambda: residual_check(NAN, 1.0, 0.0, 5, [0.1]),
+    "residual_check x0": lambda: residual_check(1.0, NAN, 0.0, 5, [0.1]),
+    "residual_check x1": lambda: residual_check(1.0, 1.0, NAN, 5, [0.1]),
 }
 
 

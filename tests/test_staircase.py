@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -234,12 +235,23 @@ class TestLadderCache:
         i = np.arange(4 ** j + 1, dtype=float)
         lattice = 2.0 + 4.0 * (i * 4.0 ** -j)
         inside = lattice[(lattice >= a) & (lattice <= b)]
-        np.testing.assert_array_equal(sc._lattice_points(curve, a, b, j),
+        np.testing.assert_array_equal(sc._lattice_points(curve, a, b, 4.0 * 4.0 ** -j),
                                       np.unique(np.concatenate(([a], inside, [b]))))
 
     def test_lattice_cap_names_delta(self):
         with pytest.raises(CurveDomainError, match="delta=1e-06"):
             coarse_mass(build_koch(3), 0.0, 1.0, 1.0, 1e-6)
+
+    def test_lattice_cap_is_checked_before_the_lattice_is_built(self):
+        # 4^20 + 1 lattice points would take 8.8 TB as float64
+        tracemalloc.start()
+        try:
+            with pytest.raises(CurveDomainError, match="delta=1e-12"):
+                coarse_mass(build_line(0, 1), 0.0, 1.0, 1.0, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _koch_shape(level):
@@ -259,7 +271,7 @@ class TestRelabellingInvariance:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(level=st.sampled_from([0, 1, 2, 3, 4, 5, 6, "rotated6"]),
            c=_log_uniform(3), d=st.floats(-10.0, 10.0), reverse=st.booleans(),
-           s=_log_uniform(4), theta=st.floats(0.0, 2.0 * math.pi),
+           s=_log_uniform(10), theta=st.floats(0.0, 2.0 * math.pi),
            v=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
     def test_dimension_ignores_units_of_t_and_x(self, level, c, d, reverse, s, theta, v):
         shape = _koch_shape(level)
@@ -271,6 +283,49 @@ class TestRelabellingInvariance:
             knots, verts = -knots[::-1], verts[::-1]
         est = gamma_dimension(build_polyline(knots, verts, 1.0))
         assert abs(est.value - gamma_dimension(shape).value) <= 1e-2
+
+
+#: Vertex scales out to where the chords' squares leave the float range
+#: (about 1e-154 and 1e154).
+_SCALES = [1e-150, 1e-100, 1e-50, 1e-12, 1e-10, 1e-8, 1e-4,
+           1e4, 1e6, 1e8, 1e10, 1e12, 1e50, 1e100, 1e150]
+
+
+def _ladders():
+    """Five-rung mass ladders m0 r^i, each rung jittered: Cauchy,
+    geometric trends both ways and the fallback all occur."""
+    return st.builds(
+        lambda m0, r, jitter: [m0 * r ** i * e for i, e in enumerate(jitter)],
+        st.floats(1e-3, 1e3), st.floats(0.25, 4.0),
+        st.lists(st.floats(0.99, 1.01), min_size=5, max_size=5))
+
+
+class TestUnitsOfX:
+    """A verdict compares the masses of one ladder with each other, so
+    scaling the vertices moves no verdict and no dimension."""
+
+    @pytest.mark.parametrize("scale", _SCALES)
+    @pytest.mark.parametrize("level", [3, 4, 5, 6, "rotated6"])
+    def test_dimension_of_scaled_vertices_is_exact(self, level, scale):
+        shape = _koch_shape(level)
+        scaled = build_polyline(shape.knots, scale * shape.vertices, 1.0)
+        assert gamma_dimension(scaled).value == gamma_dimension(shape).value
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(masses=_ladders(), k=st.integers(-600, 600))
+    def test_verdict_is_scale_free(self, masses, k):
+        # multiplying by 2^k is exact: every ratio and difference of the
+        # ladder scales exactly, so the verdict must not move
+        verdict, estimate = sc._classify_limit(masses)
+        scaled = [math.ldexp(m, k) for m in masses]
+        assert sc._classify_limit(scaled) == (verdict, math.ldexp(estimate, k))
+
+    @pytest.mark.parametrize("masses, verdict", [
+        ([1.0, 2.0, math.inf], ("divergent", math.inf)),
+        ([1e-300, 1e-310, 0.0], ("zero", 0.0)),
+    ], ids=["overflow", "underflow"])
+    def test_float_range_edges(self, masses, verdict):
+        assert sc._classify_limit(masses) == verdict
 
 
 class TestStaircase:
@@ -337,6 +392,20 @@ class TestChart:
         table = build_staircase(build_koch(3))
         with pytest.raises(GeometryError):
             table.j_of_theta(np.array([0.5, -0.3]))
+
+    @pytest.mark.parametrize("scale", [1e8, 1e10, 1e14])
+    def test_points_of_scaled_vertices_stay_on_the_curve(self, scale):
+        # point(t) rounds in ulps of the coordinates, so the snap
+        # tolerance grows with them; a point off by 1e-6 of them is not
+        # on the curve at any scale
+        koch = build_koch(4)
+        curve = build_polyline(koch.knots, scale * koch.vertices, koch.alpha)
+        table = build_staircase(curve)
+        t = np.linspace(0.0, 1.0, 1001)
+        err = np.abs(table.j_of_many(curve.point(t)) - table.value(t))
+        assert err.max() <= 64 * _EPS * table.total_mass
+        with pytest.raises(GeometryError):
+            table.j_of_theta(curve.point(0.5) + [0.0, 1e-6 * scale])
 
     @pytest.mark.parametrize("thetas", [[[0.0]], [[0.0], [0.5], [1.0]], [0.0, 0.0]],
                              ids=["one-coordinate", "three-one-coordinate", "flat"])
