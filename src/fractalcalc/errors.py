@@ -34,7 +34,3 @@ class ExistenceError(FractalCalcError):
     """The double-integral pre-check failed; the mean-square integral is
     not formed."""
 
-
-class InvariantViolationError(FractalCalcError):
-    """An internal consistency invariant was violated (e.g. a process
-    judged differentiable but not continuous)."""

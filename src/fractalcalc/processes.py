@@ -14,18 +14,11 @@ import numpy as np
 
 from . import _threads
 from . import rng as _rng
-from .errors import (
-    CurveDomainError,
-    ExistenceError,
-    InvariantViolationError,
-)
+from .errors import CurveDomainError, ExistenceError
 from .staircase import StaircaseTable
 
 #: Offsets (in mass units) used by the limit diagnostics.
 DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
-
-#: Magnitude past which a growing second-difference ladder is divergent.
-DERIVATIVE_CAP = 1e6
 
 #: Panels in J of a mean-square integral and of an improper one's first rung.
 MS_PANELS = 256
@@ -165,21 +158,6 @@ class CorrelationGrid:
     stderr: np.ndarray
     n: int
 
-    def pair(self, j1, j2):
-        """(R, stderr) at j1, j2: scalars or arrays of indices in
-        ``j_values``, which may come in any order. Any other index raises
-        ``CurveDomainError``."""
-        order = np.argsort(self.j_values)
-        at = []
-        for j in (j1, j2):
-            i = order[np.minimum(np.searchsorted(self.j_values, j, sorter=order), len(order) - 1)]
-            missing = self.j_values[i] != j
-            if np.any(missing):
-                raise CurveDomainError(
-                    f"index {float(np.extract(missing, j)[0])} is not on the correlation grid")
-            at.append(i)
-        return self.r[at[0], at[1]], self.stderr[at[0], at[1]]
-
 
 def estimate_correlation_grid(proc: FractalProcess, j_values, n: int,
                               seed: int = 0) -> CorrelationGrid:
@@ -238,77 +216,11 @@ class GeneralizedDerivative:
     divergent: bool
 
 
-def second_generalized_derivative(correlation, tau: float) -> GeneralizedDerivative:
-    """Mixed second difference of R at the diagonal along
-    ``DEFAULT_EPS_LADDER``.
-
-    Divergence is declared for magnitudes growing monotonically past
-    ``DERIVATIVE_CAP``; otherwise the limit comes from the most
-    self-consistent Richardson pair (the small-offset tail is
-    cancellation-noisy, so the stable pair is picked rather than the last
-    one).
-    """
-    if not math.isfinite(tau):
-        raise CurveDomainError(f"tau must be finite, got {tau}")
-    ladder = DEFAULT_EPS_LADDER
-    values = []
-    for eps in ladder:
-        num = (
-            float(correlation(tau + eps, tau + eps))
-            - float(correlation(tau + eps, tau))
-            - float(correlation(tau, tau + eps))
-            + float(correlation(tau, tau))
-        )
-        values.append(num / (eps * eps))
-    mags = [abs(v) for v in values]
-    growing = all(mags[i] < mags[i + 1] for i in range(len(mags) - 1))
-    if growing and mags[-1] > DERIVATIVE_CAP:
-        return GeneralizedDerivative(values, math.nan, True)
-    if not all(math.isfinite(v) for v in values):
-        return GeneralizedDerivative(values, math.nan, True)
-    extrap = []
-    for i in range(len(values) - 1):
-        rho = ladder[i + 1] / ladder[i]
-        extrap.append((values[i + 1] - rho * rho * values[i]) / (1.0 - rho * rho))
-    best = extrap[0]
-    best_gap = math.inf
-    for i in range(1, len(extrap)):
-        gap = abs(extrap[i] - extrap[i - 1])
-        if gap < best_gap:
-            best_gap = gap
-            best = extrap[i]
-    return GeneralizedDerivative(values, best, False)
-
-
 @dataclass
 class ContinuityCheck:
     deltas: list
     stderrs: list
     continuous: bool
-
-
-def ms_continuity_check(proc: FractalProcess, tau: float, n: int = 10000,
-                        seed: int = 0) -> ContinuityCheck:
-    """Estimate E[(X(tau+eps) - X(tau))^2] along the first five offsets of
-    ``DEFAULT_EPS_LADDER``, from one draw of n paths over tau and the
-    five offset points.
-
-    Continuous means the deltas decay to the measurement's noise floor:
-    the final delta sits below ten combined standard errors (referenced
-    to the largest-offset measurement, whose stderr sets the floor).
-    """
-    if n < 100:
-        raise CurveDomainError("need at least 100 realizations")
-    if not math.isfinite(tau):
-        raise CurveDomainError(f"tau must be finite, got {tau}")
-    j = np.array([tau, *(tau + eps for eps in DEFAULT_EPS_LADDER[:5])])
-    paths = proc.draw_paths(_rng.stream(seed), j, n)
-    sq = (paths[:, 1:] - paths[:, :1]) ** 2
-    deltas = sq.mean(axis=0).tolist()
-    stderrs = (sq.std(axis=0, ddof=1) / math.sqrt(n)).tolist()
-    floor = 10.0 * (stderrs[0] + stderrs[-1])
-    continuous = deltas[-1] <= max(floor, 1e-12)
-    return ContinuityCheck(deltas, stderrs, continuous)
 
 
 @dataclass
@@ -319,37 +231,105 @@ class DerivativeCheck:
     continuity: ContinuityCheck
 
 
+def second_generalized_derivative(correlation, tau: float) -> GeneralizedDerivative:
+    """Mixed second difference of a bare correlation at the diagonal along
+    ``DEFAULT_EPS_LADDER``: the exact ladder of ``ms_derivative_check``."""
+    return ms_derivative_check(FractalProcess("correlation", None, correlation), tau).generalized
+
+
+def ms_continuity_check(proc: FractalProcess, tau: float, n: int = 10000,
+                        seed: int = 0) -> ContinuityCheck:
+    """Mean-square continuity at tau, read from ``ms_derivative_check``'s
+    ladder."""
+    return ms_derivative_check(proc, tau, n, seed).continuity
+
+
+def _rises(a, b, c):
+    """Whether the magnitudes a, b, c of three rungs a decade apart rise by
+    at least sqrt(10) per decade."""
+    return 0.0 < b and math.sqrt(10.0) * a <= b and math.sqrt(10.0) * b <= c
+
+
+def _settles(d, se):
+    """Whether three rungs d of D a decade apart fall, each step by more than
+    ten combined standard errors se, toward a limit at most half the last
+    rung. The limit is Aitken's extrapolation, which is 0 for D = eps^p at
+    every p > 0 and L for D = L + eps^p; it is read in ratios to the first
+    rung, so no product leaves the float range."""
+    (a, b, c), (sa, sb, sc) = d, se
+    x, y = b / a, c / a
+    return (a - b > 10.0 * (sa + sb) and b - c > 10.0 * (sb + sc)
+            and 2.0 * (x - y) ** 2 >= y * (1.0 - 2.0 * x + y))
+
+
 def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
                         seed: int = 0) -> DerivativeCheck:
-    """Differentiability in mean square, via the generalized second
-    derivative of the correlation at the diagonal along
-    ``DEFAULT_EPS_LADDER``, next to the continuity check. A bare
-    correlation goes to ``second_generalized_derivative``.
+    """Mean-square continuity and differentiability at tau, both read from
+    one ladder of D(eps) = E[(X(tau+eps) - X(tau))^2] along
+    ``DEFAULT_EPS_LADDER``, whose rungs are a decade apart.
 
-    Without an analytic R, every R estimate comes from one
-    ``estimate_correlation_grid`` over tau and each tau + eps, so all
-    four terms of every second difference share one draw of n paths
-    (noisy; the small-offset tail is cancellation-limited).
+    With an analytic R, D(eps) = R(tau+eps, tau+eps) - R(tau+eps, tau)
+    - R(tau, tau+eps) + R(tau, tau), with zero standard errors and no draw.
+    The four terms cancel at R's scale, so a rung whose |D| is within 64
+    ulps of the terms' summed magnitude is rounding noise; the rules read
+    the resolved rungs before the first such one. Without an analytic R,
+    D and its standard error are the mean and stderr of the squared
+    differences over one draw of n >= 100 paths at tau and every tau + eps,
+    and every rung counts.
 
-    A differentiable verdict must co-occur with a continuous one; the
-    contradiction raises rather than returning silently.
+    Each rule compares rungs of the ladder with each other, so no verdict
+    depends on the units of X:
+    - divergent: some D/eps^2 is not finite, or |D/eps^2| rises by at least
+      sqrt(10) per decade over the last three resolved rungs. Otherwise the
+      limit comes from the most self-consistent Richardson pair over the
+      whole ladder (the stable pair rather than the last one);
+    - continuous: not divergent; or D falls toward 0 over the last three
+      resolved rungs (``_settles``), at any power of eps; or the last D is
+      within its rounding noise plus ten combined standard errors of the
+      first and last rungs, which covers D = 0.
+    A differentiable process is therefore continuous by construction.
     """
-    correlation = proc.correlation
-    if correlation is None:
-        j = np.unique([tau, *(tau + eps for eps in DEFAULT_EPS_LADDER)])
-        grid = estimate_correlation_grid(proc, j, n, seed)
-
-        def correlation(j1, j2):
-            return grid.pair(j1, j2)[0]
-
-    gsd = second_generalized_derivative(correlation, tau)
-    differentiable = not gsd.divergent
-    continuity = ms_continuity_check(proc, tau, n, seed)
-    if differentiable and not continuity.continuous:
-        raise InvariantViolationError(
-            f"{proc.name}: differentiable verdict without continuity"
-        )
-    return DerivativeCheck(differentiable, gsd.limit, gsd, continuity)
+    if not math.isfinite(tau):
+        raise CurveDomainError(f"tau must be finite, got {tau}")
+    ladder = DEFAULT_EPS_LADDER
+    r = proc.correlation
+    if r is not None:
+        terms = [(float(r(tau + eps, tau + eps)), float(r(tau + eps, tau)),
+                  float(r(tau, tau + eps)), float(r(tau, tau))) for eps in ladder]
+        deltas = [a - b - c + d for a, b, c, d in terms]
+        noise = [64.0 * math.ulp(1.0) * sum(map(abs, t)) for t in terms]
+        stderrs = [0.0] * len(ladder)
+    else:
+        if n < 100:
+            raise CurveDomainError("need at least 100 realizations")
+        j = np.array([tau, *(tau + eps for eps in ladder)])
+        pt = np.ascontiguousarray(proc.draw_paths(_rng.stream(seed), j, n).T, dtype=float)
+        sq = np.square(pt[1:] - pt[0])
+        deltas = sq.mean(axis=1).tolist()
+        noise = [0.0] * len(ladder)
+        stderrs = (sq.std(axis=1, ddof=1) / math.sqrt(n)).tolist()
+    values = [d / (eps * eps) for d, eps in zip(deltas, ladder)]
+    m = next((k for k, (d, z) in enumerate(zip(deltas, noise)) if not abs(d) > z), len(ladder))
+    last = slice(m - 3, m)
+    divergent = (not all(map(math.isfinite, values))
+                 or (m >= 3 and _rises(*map(abs, values[last]))))
+    continuous = (not divergent or (m >= 3 and _settles(deltas[last], stderrs[last]))
+                  or deltas[-1] <= noise[-1] + 10.0 * (stderrs[0] + stderrs[-1]))
+    best = math.nan
+    if not divergent:
+        extrap = []
+        for i in range(len(values) - 1):
+            rho = ladder[i + 1] / ladder[i]
+            extrap.append((values[i + 1] - rho * rho * values[i]) / (1.0 - rho * rho))
+        best = extrap[0]
+        best_gap = math.inf
+        for i in range(1, len(extrap)):
+            gap = abs(extrap[i] - extrap[i - 1])
+            if gap < best_gap:
+                best_gap = gap
+                best = extrap[i]
+    return DerivativeCheck(not divergent, best, GeneralizedDerivative(values, best, divergent),
+                           ContinuityCheck(deltas, stderrs, continuous))
 
 
 # -- mean-square integrals -----------------------------------------------------
@@ -417,7 +397,7 @@ def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
         return ExistencePrecheck(sums, False)
     g1 = abs(sums[1] - sums[0])
     g2 = abs(sums[2] - sums[1])
-    tight = g2 <= PRECHECK_RTOL * max(abs(sums[2]), 1e-12)
+    tight = g2 <= PRECHECK_RTOL * abs(sums[2])
     contracting = g2 < 0.75 * g1
     return ExistencePrecheck(sums, tight or contracting)
 

@@ -215,6 +215,24 @@ class TestMsdiagCommand:
         assert verdicts["brownian-like"][0] == "true"
         assert verdicts["brownian-like"][1] == "false"
 
+    @pytest.mark.parametrize("sigma2", ["1", "1e-10", "1e-14"])
+    def test_white_noise_verdicts_ignore_sigma2(self, tmp_path, sigma2):
+        code, out = run(tmp_path, "m.csv", "msdiag", "--curve", "line", "--fixture",
+                        "white-noise", "--tau", "0.3", "--sigma2", sigma2)
+        assert code == 0
+        _, _, rows = read_csv(out)
+        (row,) = rows
+        assert row[:3] == ["white-noise", "false", "false"] and math.isnan(row[3])
+
+    def test_verdicts_far_along_a_long_line(self, tmp_path):
+        code, out = run(tmp_path, "m.csv", "msdiag", "--curve", "line", "--line-b", "10000",
+                        "--tau", "6405.920704482398")
+        assert code == 0
+        _, _, rows = read_csv(out)
+        assert {row[0]: row[1:3] for row in rows} == {
+            "brownian-like": ["true", "false"], "cosine-phase": ["true", "true"],
+            "linear-amplitude": ["true", "true"], "white-noise": ["false", "false"]}
+
     def test_unknown_fixture_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "m.csv", "msdiag", "--fixture", "bogus")
         assert code == 2

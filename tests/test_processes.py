@@ -23,7 +23,12 @@ from fractalcalc import (
 )
 from fractalcalc import rng as frng
 from fractalcalc.errors import CurveDomainError, ExistenceError
-from fractalcalc.processes import DEFAULT_EPS_LADDER, FractalProcess, constant_process
+from fractalcalc.processes import (
+    BUILTIN_FIXTURES,
+    DEFAULT_EPS_LADDER,
+    FractalProcess,
+    constant_process,
+)
 from walks import lognormal_walk
 
 
@@ -77,10 +82,10 @@ class TestEstimatedCorrelation:
     def test_estimates_within_band_of_analytic(self):
         pairs = [(0.0, 0.0), (0.2, 0.5), (1.0, 0.0), (0.3, 2.5), (3.0, 1.0)]
         j1, j2 = np.array(pairs).T
+        j = np.unique(pairs)
         grid = estimate_correlation_grid(
-            FractalProcess("cosine-estimated", cosine_phase().draw_paths),
-            np.unique(pairs), self.N, seed=4)
-        r = grid.pair(j1, j2)[0]
+            FractalProcess("cosine-estimated", cosine_phase().draw_paths), j, self.N, seed=4)
+        r = grid.r[np.searchsorted(j, j1), np.searchsorted(j, j2)]
         band = 4.89 * math.sqrt(0.125 / self.N)
         np.testing.assert_array_less(np.abs(r - 0.5 * np.cos(j1 - j2)), band)
 
@@ -138,8 +143,11 @@ class TestSecondOrder:
 
 def grid_pair(proc, j1, j2, n, seed):
     """(R, stderr) at (j1, j2), read from the grid over the one or two
-    distinct indices; equal indices share a column."""
-    return estimate_correlation_grid(proc, np.unique([j1, j2]), n, seed).pair(j1, j2)
+    distinct indices by position; equal indices share a column."""
+    j = np.unique([j1, j2])
+    grid = estimate_correlation_grid(proc, j, n, seed)
+    i1, i2 = np.searchsorted(j, [j1, j2])
+    return grid.r[i1, i2], grid.stderr[i1, i2]
 
 
 class TestCorrelationMC:
@@ -194,31 +202,6 @@ class TestCorrelationGrid:
         assert np.array_equal(grid.stderr, stderr)
 
 
-class TestGridLookup:
-    # indices handed over out of order: 0.1 sits at position 1
-    J = [0.5, 0.1, 0.9]
-
-    @pytest.fixture(scope="class")
-    def grid(self):
-        return estimate_correlation_grid(linear_amplitude(), self.J, 1000, seed=0)
-
-    def test_scalars_read_their_own_entry(self, grid):
-        for i1, j1 in enumerate(self.J):
-            for i2, j2 in enumerate(self.J):
-                assert grid.pair(j1, j2) == (grid.r[i1, i2], grid.stderr[i1, i2])
-
-    def test_arrays_read_their_own_entries(self, grid):
-        r, stderr = grid.pair(np.array([0.9, 0.1, 0.5]), np.array([0.5, 0.5, 0.1]))
-        assert np.array_equal(r, grid.r[[2, 1, 0], [0, 0, 1]])
-        assert np.array_equal(stderr, grid.stderr[[2, 1, 0], [0, 0, 1]])
-
-    @pytest.mark.parametrize("j1, j2", [(0.3, 0.3), (2.0, 2.0), (0.5, -1.0),
-                                        ([0.5, 0.3], [0.5, 0.5])])
-    def test_an_index_off_the_grid_is_named(self, grid, j1, j2):
-        with pytest.raises(CurveDomainError, match="index (0.3|2.0|-1.0) is not on"):
-            grid.pair(j1, j2)
-
-
 class TestEstimatorPins:
     # Exact values from the pair-at-a-time estimators that the grid path
     # replaced. Each pair's mean and std(ddof=1) come out of the same draw
@@ -236,7 +219,7 @@ class TestEstimatorPins:
 
     @pytest.mark.parametrize("make", [linear_amplitude, cosine_phase, white_noise,
                                       brownian_like])
-    def test_derivative_check_reads_one_grid(self, make):
+    def test_derivative_check_reads_one_draw(self, make):
         draws = []
 
         def counted(gen, j, n):
@@ -245,15 +228,17 @@ class TestEstimatorPins:
 
         tau, n = 0.3, 500
         res = ms_derivative_check(FractalProcess("counted", counted), tau, n=n, seed=2)
-        # one draw over tau and the seven offsets, then one over tau and
-        # the five continuity offsets
-        assert draws == [8, 6]
-        # the grid's indices ascend: tau, then the offsets from the smallest
-        j = np.array([tau, *(tau + eps for eps in reversed(DEFAULT_EPS_LADDER))])
-        r = estimate_correlation_grid(make(), j, n, seed=2).r
-        want = [(r[k, k] - r[k, 0] - r[0, k] + r[0, 0]) / (eps * eps)
-                for k, eps in zip(range(7, 0, -1), DEFAULT_EPS_LADDER)]
+        # one draw over tau and the seven offsets, in ladder order
+        assert draws == [8]
+        j = np.array([tau, *(tau + eps for eps in DEFAULT_EPS_LADDER)])
+        paths = make().draw_paths(frng.stream(2), j, n)
+        want = [np.mean((paths[:, k] - paths[:, 0]) ** 2) / (eps * eps)
+                for k, eps in enumerate(DEFAULT_EPS_LADDER, 1)]
         assert res.generalized.values == want
+        # with its analytic R the same sampler is never called
+        ms_derivative_check(FractalProcess("counted", counted, make().correlation), tau,
+                            n=n, seed=2)
+        assert draws == [8]
 
     @pytest.mark.parametrize("make, digest", [(brownian_like, "c8882c5ecd605d28"),
                                               (white_noise, "fbe07ef1a7d4934d")])
@@ -302,6 +287,15 @@ class TestContinuity:
     def test_brownian_continuous(self):
         assert ms_continuity_check(brownian_like(), 0.3, n=10000).continuous
 
+    @pytest.mark.parametrize("tau", [0.3, 1e3])
+    @pytest.mark.parametrize("jump", [0.5, 1e-3, 1e-6])
+    def test_brownian_with_a_jump_not_continuous(self, jump, tau):
+        # D = eps + 2 jump levels off at the jump, however small against eps
+        b, w = brownian_like(), white_noise(jump)
+        proc = FractalProcess("jump", None, lambda j1, j2: b.correlation(j1, j2)
+                              + w.correlation(j1, j2))
+        assert not ms_continuity_check(proc, tau).continuous
+
 
 class TestDerivativeCheck:
     def test_bilinear_differentiable_value_sigma2(self):
@@ -324,12 +318,115 @@ class TestDerivativeCheck:
         assert not chk.differentiable
         assert not chk.continuity.continuous
 
+    def test_fewer_than_100_paths_refused_only_when_drawn(self):
+        with pytest.raises(CurveDomainError, match="at least 100"):
+            ms_derivative_check(scaled(cosine_phase(), 0, True), 0.3, n=50)
+        assert ms_derivative_check(cosine_phase(), 0.3, n=50).differentiable
+
     def test_no_fixture_violates_implication(self):
         for proc in (linear_amplitude(1.0), cosine_phase(), white_noise(),
                      brownian_like()):
             chk = ms_derivative_check(proc, 0.25, n=4000)
             if chk.differentiable:
                 assert chk.continuity.continuous
+
+
+def scaled(proc, k, sampled=False):
+    """``proc`` with X times 2^(k/2), so that R is 2^k R; a sampled copy
+    keeps only the path sampler."""
+    c = 2.0 ** k
+
+    def draw(gen, j, n):
+        return proc.draw_paths(gen, j, n) * math.sqrt(c)
+
+    def corr(j1, j2):
+        return c * proc.correlation(j1, j2)
+
+    return FractalProcess(proc.name, draw, None if sampled else corr)
+
+
+def fbm(hurst):
+    """Fractional Brownian motion over J, drawn from the eigenvectors of its
+    covariance at the queried indices."""
+
+    def corr(j1, j2):
+        j1, j2 = np.asarray(j1, dtype=float), np.asarray(j2, dtype=float)
+        h = 2.0 * hurst
+        return 0.5 * (np.abs(j1) ** h + np.abs(j2) ** h - np.abs(j1 - j2) ** h)
+
+    def draw(gen, j, n):
+        j = np.asarray(j, dtype=float)
+        w, v = np.linalg.eigh(corr(j[:, None], j[None, :]))
+        return gen.standard_normal((n, len(j))) @ (v * np.sqrt(np.clip(w, 0.0, None))).T
+
+    return FractalProcess("fbm", draw, corr)
+
+
+class TestUnitsOfX:
+    # Scaling X by 2^(k/2) scales R and every rung of the mean-square ladder
+    # by 2^k. The rules compare rungs with each other, so no verdict moves.
+    K = range(-60, 61)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize("name, verdict", [
+        ("linear-amplitude", (True, True)), ("cosine-phase", (True, True)),
+        ("white-noise", (False, False)), ("brownian-like", (True, False))])
+    def test_fixture_verdicts_at_every_scale(self, name, verdict, sampled):
+        proc = BUILTIN_FIXTURES[name]()
+        for k in self.K:
+            chk = ms_derivative_check(scaled(proc, k, sampled), 0.3, n=2000)
+            assert (chk.continuity.continuous, chk.differentiable) == verdict, k
+
+    def test_brownian_kernel_diverges_at_every_scale(self):
+        for k in self.K:
+            assert second_generalized_derivative(
+                lambda a, b: min(a, b) * 2.0 ** k, 0.3).divergent, k
+
+    @pytest.mark.parametrize("proc, weight, exists", [
+        (linear_amplitude(), lambda j, u: 1.0 / np.abs(j - u), False),
+        (linear_amplitude(), lambda j, u: np.ones_like(j), True),
+        (brownian_like(), lambda j, u: np.ones_like(j), True),
+        (constant_process(0.0), lambda j, u: np.ones_like(j), True),
+    ], ids=["singular-weight", "linear", "brownian", "zero"])
+    def test_precheck_verdicts_at_every_scale(self, unit_table, proc, weight, exists):
+        # 4^k R: every sum is scaled exactly, so a few k stand for all
+        for k in range(-30, 31, 5):
+            pre = ms_integral_precheck(scaled(proc, 2 * k), weight, unit_table, 0, 1, u=0.5)
+            assert pre.exists == exists, k
+
+    def test_singular_weight_at_tiny_variance_does_not_exist(self, unit_table):
+        # the sums grow by about 9 per doubling of the panels at any sigma2
+        for sigma2 in (1.0, 1e-10, 1e-16, 1e-20):
+            pre = ms_integral_precheck(linear_amplitude(sigma2), lambda j, u: 1.0 / np.abs(j - u),
+                                       unit_table, 0, 1, u=0.5)
+            assert not pre.exists, sigma2
+
+
+class TestFarAlongTheIndex:
+    # Far along J an analytic rung's four terms cancel at R(tau, tau)'s scale;
+    # the rules read only the rungs above that rounding noise. At the two odd
+    # tau the linear-amplitude tail's noise rises by more than sqrt(10) per
+    # decade.
+    TAUS = (0.3, 1e2, 1e3, 2770.888466262316, 6405.920704482398, 1e4, 1e6)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize("name, verdict", [
+        ("linear-amplitude", (True, True)), ("cosine-phase", (True, True)),
+        ("white-noise", (False, False)), ("brownian-like", (True, False))])
+    def test_fixture_verdicts_at_every_tau(self, name, verdict, sampled):
+        proc = scaled(BUILTIN_FIXTURES[name](), 0, sampled)
+        for tau in self.TAUS:
+            chk = ms_derivative_check(proc, tau, n=2000)
+            assert (chk.continuity.continuous, chk.differentiable) == verdict, tau
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize("hurst", [0.05, 0.2, 0.45])
+    def test_fbm_verdicts_at_every_tau(self, hurst, sampled):
+        # D = eps^(2H) falls by less than sqrt(10) per decade for H < 1/4
+        proc = scaled(fbm(hurst), 0, sampled)
+        for tau in self.TAUS:
+            chk = ms_derivative_check(proc, tau, n=2000)
+            assert (chk.continuity.continuous, chk.differentiable) == (True, False), tau
 
 
 class TestLinearityOfQuotients:
