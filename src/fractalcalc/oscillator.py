@@ -25,10 +25,10 @@ from .errors import CurveDomainError
 
 DEFAULT_ORDER = 20
 
-#: Rows of the Monte Carlo path matrix handled per step of
-#: ``mc_solution_moments``; its temporaries are this many rows, whatever
-#: the ensemble size.
-MC_BLOCK_ROWS = 1024
+#: Path values that ``mc_solution_moments`` holds at once, shared out as
+#: one slab per thread. A slab sets how many grid columns a chunk takes,
+#: and it is reduced a sixteenth at a time, so each block stays in cache.
+MC_SLAB_VALUES = 2 ** 21
 
 #: Step in J of the central second difference in ``residual_check``.
 RESIDUAL_STEP = 1e-3
@@ -271,24 +271,36 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     evaluates the closed form per path, and returns ensemble mean and
     second-moment curves with their standard errors.
 
-    The n paths are filled in blocks of ``MC_BLOCK_ROWS`` rows, and every
-    temporary is one block. Each mean is one pass of column sums carried
-    from block to block; each standard error is one more pass of squared
-    deviations from that mean. For grids of two or more points the column
-    sums add the rows in order, so the four curves are bit-identical to
-    ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` of the whole path matrix.
-    A one-point grid may differ in the last bits, since numpy sums a single
-    column pairwise. Large ensembles are split into groups of at least two
-    columns, one per CPU the process may use; each group sums its own
-    columns in row order, so the curves do not depend on the group count.
+    The grid is split into groups, one per CPU the process may use, and
+    each thread walks its group in chunks of near-equal width, as few as
+    keep every chunk's paths within its share of ``MC_SLAB_VALUES``.
+    Groups and chunks are at least two columns wide. A thread fills its
+    one slab with a chunk's n paths, reduces it a block of rows at a time
+    and writes the chunk's curves before it takes the next chunk, so the
+    peak does not depend on the grid size. Each mean is one pass of column
+    sums carried from block to block; each standard error is one more pass
+    of squared deviations from that mean. The column sums add the rows in
+    order, so for grids of two or more points the four curves are
+    bit-identical to ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` of the
+    whole path matrix, whatever the group and chunk widths. A one-point
+    grid may differ in the last bits, since numpy sums a single column
+    pairwise.
     """
     if n < 2:
         raise CurveDomainError("need at least 2 realizations")
     j = np.asarray(j_values, dtype=float)
-    m, rows = len(j), min(n, MC_BLOCK_ROWS)
-    # a one-column group would be summed pairwise, not in row order
-    groups = max(1, min(_threads.workers(n * m), m // 2))
-    cuts = [m * g // groups for g in range(groups + 1)]
+    if len(j) < 1:
+        raise CurveDomainError("Monte Carlo grid needs at least one index point")
+    if not np.all(np.isfinite(j)):
+        raise CurveDomainError(f"Monte Carlo grid index {j[~np.isfinite(j)][0]} is not finite")
+    m = len(j)
+    groups = _runs(0, m, _threads.workers(n * m))
+    share = MC_SLAB_VALUES // (len(groups) - 1)
+    # as few chunks as keep each within the columns a thread's share holds
+    cols = max(2, share // n)
+    chunks = [_runs(lo, hi, -(-(hi - lo) // cols)) for lo, hi in zip(groups, groups[1:])]
+    width = max(hi - lo for edges in chunks for lo, hi in zip(edges, edges[1:]))
+    rows = min(n, max(1, share // 16 // width))
     gen = _rng.stream(seed, 0)
     a2 = np.asarray(a2_provider.sample(gen, n), dtype=float)
     x0, x1 = initial_sampler(_rng.stream(seed, 1), n)
@@ -296,14 +308,32 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     zero = a == 0.0
     a_div = np.where(zero, 1.0, a)
     # every buffer comes from the calling thread (see _threads.run)
-    paths, scratch = np.empty(n * m), np.empty(rows * m)
+    slabs = np.empty((len(chunks), n * width))
+    scratch = np.empty((len(chunks), rows * width))
     out = np.empty((4, m))
     _threads.run([
-        partial(_column_moments, j[lo:hi], a, a_div, zero, x0, x1,
-                paths[n * lo:n * hi].reshape(n, hi - lo),
-                scratch[rows * lo:rows * hi].reshape(rows, hi - lo), out[:, lo:hi])
-        for lo, hi in zip(cuts, cuts[1:])])
+        partial(_chunk_moments, edges, rows, j, a, a_div, zero, x0, x1, slab, block, out)
+        for edges, slab, block in zip(chunks, slabs, scratch)])
     return EnsembleMoments(*out, n)
+
+
+def _runs(lo, hi, parts):
+    """Edges of ``parts`` runs of near-equal width over columns lo..hi-1,
+    fewer where a run would be one column wide: numpy sums a single
+    column pairwise, not in row order."""
+    parts = max(1, min(parts, (hi - lo) // 2))
+    return [lo + (hi - lo) * k // parts for k in range(parts + 1)]
+
+
+def _chunk_moments(edges, rows, j, a, a_div, zero, x0, x1, slab, scratch, out):
+    """``_column_moments`` of each chunk between consecutive ``edges``, in
+    the flat buffers ``slab`` (n rows of paths) and ``scratch`` (``rows``
+    rows), each viewed as wide as the chunk."""
+    n = len(a)
+    for lo, hi in zip(edges, edges[1:]):
+        w = hi - lo
+        _column_moments(j[lo:hi], a, a_div, zero, x0, x1, slab[:n * w].reshape(n, w),
+                        scratch[:rows * w].reshape(rows, w), out[:, lo:hi])
 
 
 def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):

@@ -128,8 +128,9 @@ def brownian_like() -> FractalProcess:
         steps = np.diff(np.concatenate(([0.0], sorted_j)))
         if np.any(steps < 0.0):
             raise CurveDomainError("brownian-like paths need non-negative indices")
-        incs = gen.normal(0.0, 1.0, (n, len(j))) * np.sqrt(steps)[None, :]
-        walked = np.cumsum(incs, axis=1)
+        walked = gen.normal(0.0, 1.0, (n, len(j)))
+        walked *= np.sqrt(steps)
+        np.cumsum(walked, axis=1, out=walked)
         out = np.empty_like(walked)
         out[:, order] = walked
         return out

@@ -27,6 +27,7 @@ from fractalcalc import (
     improper_ms_integral,
     linear_amplitude,
     mass_function,
+    mc_solution_moments,
     ms_continuity_check,
     ms_derivative_check,
     ms_integral,
@@ -52,6 +53,12 @@ def _pair(gen, count, m):
     return (gen.normal(size=count),) * 2
 
 
+def _ensemble(j_values):
+    """Monte Carlo moments of the oscillator on ``j_values``."""
+    return mc_solution_moments(FixedSquaredAmplitude(1.0), lambda gen, size: (
+        gen.normal(size=size), gen.normal(size=size)), 100, 0, j_values)
+
+
 CALLS = {
     "mass_function alpha": lambda: mass_function(KOCH, 0.0, 1.0, NAN),
     "build_staircase alpha": lambda: build_staircase(KOCH, NAN),
@@ -70,6 +77,8 @@ CALLS = {
     "generalized derivative tau": lambda: second_generalized_derivative(
         linear_amplitude().correlation, NAN),
     "grid index": lambda: estimate_correlation_grid(linear_amplitude(), [NAN, 0.5], 200),
+    "mc_solution_moments index": lambda: _ensemble([0.0, NAN, 1.0]),
+    "mc_solution_moments infinite index": lambda: _ensemble([0.0, math.inf]),
     "ms_integral_precheck u": lambda: ms_integral_precheck(
         linear_amplitude(), _weight, LINE_TABLE, 0.0, 1.0, NAN, n=100),
     "ms_integral u": lambda: ms_integral(
@@ -90,6 +99,17 @@ CALLS = {
 def test_nan_is_refused(call):
     with pytest.raises(CurveDomainError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda j: estimate_correlation_grid(linear_amplitude(), j, 200), _ensemble],
+    ids=["estimate_correlation_grid", "mc_solution_moments"])
+@pytest.mark.parametrize("j, message", [
+    ([], "needs at least one index point"), ([0.0, NAN, 1.0], "index nan is not finite"),
+    ([0.0, math.inf], "index inf is not finite")], ids=["empty", "nan", "inf"])
+def test_degenerate_grid_is_refused_by_name(call, j, message):
+    with pytest.raises(CurveDomainError, match=message):
+        call(j)
 
 
 def test_nan_derivative_step_is_refused():

@@ -17,9 +17,10 @@ from fractalcalc import (
     solve_series,
 )
 from fractalcalc.errors import CurveDomainError
+from fractalcalc import _threads, oscillator
 from fractalcalc import rng as frng
 from fractalcalc.oscillator import (
-    MC_BLOCK_ROWS,
+    MC_SLAB_VALUES,
     EnsembleMoments,
     deterministic_initial_data,
     mean_coefficients,
@@ -369,8 +370,11 @@ def one_shot_moments(a2_provider, initial_sampler, n, seed, j_values):
 
 class TestBlockedMonteCarlo:
     @pytest.mark.parametrize("points", [2, 9, 129])
-    @pytest.mark.parametrize("n", [2, MC_BLOCK_ROWS - 1, MC_BLOCK_ROWS,
-                                   MC_BLOCK_ROWS + 1, 5000])
+    # below 2^18 path values one thread takes the 129-point grid as one
+    # chunk, in blocks of MC_SLAB_VALUES // 16 // 129 rows
+    @pytest.mark.parametrize("n", [2, MC_SLAB_VALUES // 16 // 129 - 1,
+                                   MC_SLAB_VALUES // 16 // 129,
+                                   MC_SLAB_VALUES // 16 // 129 + 1, 5000])
     @pytest.mark.parametrize("a2, initial", [
         (ZeroMixedBeta(), correlated_initial_data),
         (BetaSquaredAmplitude(2.0, 1.0), deterministic_initial_data(1.0, 2.0)),
@@ -382,17 +386,41 @@ class TestBlockedMonteCarlo:
         for name in ("mean", "second", "mean_stderr", "second_stderr"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-    def test_peak_memory_is_one_path_matrix(self):
-        n, points = 20000, 129
-        tracemalloc.start()
-        try:
-            mc_solution_moments(BetaSquaredAmplitude(2.0, 1.0),
-                                correlated_initial_data, n, 3,
-                                np.linspace(0.0, 2.0, points))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * n * points * 8
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 7, 10, 13, 29])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_narrow_chunks(self, monkeypatch, width, cpus, points):
+        # a share of two or three columns per thread: a run of 3, 5, 7, ...
+        # columns cannot be cut into even pairs, nor 4, 7, 10, ... into
+        # threes, and no chunk may be left one column wide
+        n = 40
+        monkeypatch.setattr(oscillator, "MC_SLAB_VALUES", width * n * cpus)
+        monkeypatch.setattr(_threads, "MIN_SPLIT", 1)
+        monkeypatch.setattr(_threads, "cpus", lambda: cpus)
+        a2, initial = ZeroMixedBeta(), correlated_initial_data
+        j = np.linspace(0.0, 2.5, points)
+        got = mc_solution_moments(a2, initial, n, 17, j)
+        want = one_shot_moments(a2, initial, n, 17, j)
+        for name in ("mean", "second", "mean_stderr", "second_stderr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch, cpus):
+        # the slabs share MC_SLAB_VALUES path values and each thread adds a
+        # block of a sixteenth of its slab, whatever the grid; the draws and
+        # per-path factors, about ten arrays of n, come on top
+        n = 10000
+        monkeypatch.setattr(_threads, "cpus", lambda: cpus)
+        for points in (33, 129, 1025):
+            tracemalloc.start()
+            try:
+                mc_solution_moments(BetaSquaredAmplitude(2.0, 1.0),
+                                    correlated_initial_data, n, 3,
+                                    np.linspace(0.0, 2.0, points))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (MC_SLAB_VALUES * 17 // 16 + 16 * n) * 8, points
 
 
 class TestResidual:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from fractalcalc import (
     second_generalized_derivative,
     white_noise,
 )
+from fractalcalc import _threads
 from fractalcalc import rng as frng
 from fractalcalc.errors import CurveDomainError, ExistenceError
 from fractalcalc.processes import (
     BUILTIN_FIXTURES,
     DEFAULT_EPS_LADDER,
+    GRID_BLOCK,
     FractalProcess,
     constant_process,
 )
@@ -169,6 +172,42 @@ class TestCorrelationMC:
         # R(x, x) = E[Z^2] = 1
         r, stderr = grid_pair(white_noise(), 0.3, 0.3, 10000, seed=seed)
         assert abs(r - 1.0) <= 4.89 * stderr
+
+
+def brownian_three_copies(gen, j, n):
+    """The brownian-like draw as three (n, m) arrays: increments, their
+    running sums, and the sums put back in the order of ``j``."""
+    order = np.argsort(j)
+    steps = np.diff(np.concatenate(([0.0], j[order])))
+    incs = gen.normal(0.0, 1.0, (n, len(j))) * np.sqrt(steps)[None, :]
+    walked = np.cumsum(incs, axis=1)
+    out = np.empty_like(walked)
+    out[:, order] = walked
+    return out
+
+
+class TestBrownianDraw:
+    @pytest.mark.parametrize("j", [
+        [0.1, 0.4, 0.9, 2.0], [0.9, 0.1, 2.0, 0.4], [0.5, 0.5, 0.2, 0.5, 0.0],
+        [1.3, 0.0, 0.7, 1.3, 0.0, 0.2]], ids=["sorted", "unsorted", "repeated", "mixed"])
+    def test_in_place_draw_matches_three_copies(self, j):
+        j = np.asarray(j)
+        got = brownian_like().draw_paths(frng.stream(4), j, 257)
+        assert np.array_equal(got, brownian_three_copies(frng.stream(4), j, 257))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_grid_peak_memory(self, monkeypatch, cpus):
+        # the draw and the grid's transposed copy, one (n, m) array each, and
+        # one block of products per thread
+        n, points = 8000, 100
+        monkeypatch.setattr(_threads, "cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            estimate_correlation_grid(brownian_like(), np.linspace(0.0, 1.5, points), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2.25 * n * points + cpus * GRID_BLOCK) * 8
 
 
 class TestCorrelationGrid:
