@@ -4,7 +4,7 @@ taken against the cumulative-mass coordinate of a staircase table."""
 import numpy as np
 
 from .errors import CurveDomainError, EvaluationError, ResolutionError
-from .staircase import StaircaseTable
+from .staircase import StaircaseTable, _first_of_runs
 
 #: Default differencing step, as a fraction of the table's mass range.
 DERIVATIVE_STEP_FRACTION = 1e-4
@@ -43,7 +43,7 @@ def cell_nodes(table: StaircaseTable, a: float, b: float):
     """(points, J, weights) of the rule every staircase integral uses:
     [a, b] cut at each table and curve knot, where J and the point are
     affine in t, and a 3-point Gauss rule in J on each cell."""
-    cuts = np.union1d(table.t, table.curve.knots)
+    cuts = _first_of_runs(np.sort(np.concatenate((table.t, table.curve.knots))))
     t = np.concatenate(([a], cuts[(cuts > a) & (cuts < b)], [b]))
     j, pts = table.value(t), table.curve.point(t)
     # nodes interpolate each cell's end values; rows are (node, cell)

@@ -434,15 +434,20 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command) -> argparse.ArgumentParser:
+    """The parser: every command with its summary, and the options of
+    ``command`` alone (None or an unknown name gets none). A call parses
+    one command, and each option costs argparse a help formatter."""
     parser = argparse.ArgumentParser(
         prog="fractalcalc",
         description="Mass, calculus, and mean-square statistics on fractal curves",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, own) in _COMMAND_OPTIONS.items():
-        p = sub.add_parser(command, help=summary)
+    for name, (summary, own) in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(name, help=summary)
+        if name != command:
+            continue
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--out", help="output CSV path (default stdout)")
         for key, (kind, default, text) in {**_SHARED_OPTIONS, **own}.items():
@@ -452,8 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level options take no value: the first non-option names the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         cfg = _effective_config(args)
         return _COMMANDS[args.command](cfg, args.out)

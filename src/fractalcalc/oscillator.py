@@ -285,6 +285,11 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     whole path matrix, whatever the group and chunk widths. A one-point
     grid may differ in the last bits, since numpy sums a single column
     pairwise.
+
+    When every X1 is zero and no |X0| is below 2^-900, the sine term is
+    left out and no sine is taken. It would add a signed zero to x0 cos(aJ),
+    which cannot change that product's bits since it is never zero: |cos|
+    of a double stays above 2^-62.
     """
     if n < 2:
         raise CurveDomainError("need at least 2 realizations")
@@ -307,6 +312,9 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     a = np.sqrt(a2)
     zero = a == 0.0
     a_div = np.where(zero, 1.0, a)
+    # the sine term would add a signed zero to a normal x0 cos(aJ)
+    if not np.any(x1) and np.all(np.abs(x0) >= 2.0 ** -900):
+        x1 = None
     # every buffer comes from the calling thread (see _threads.run)
     slabs = np.empty((len(chunks), n * width))
     scratch = np.empty((len(chunks), rows * width))
@@ -339,7 +347,8 @@ def _chunk_moments(edges, rows, j, a, a_div, zero, x0, x1, slab, scratch, out):
 def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):
     """Mean, second moment and their standard errors at the indices ``j``
     into the rows of ``out``. ``paths`` (n, len(j)) receives the paths;
-    ``scratch`` holds one block of rows."""
+    ``scratch`` holds one block of rows. ``x1`` None leaves the sine term
+    out."""
     n = len(paths)
     blocks = [slice(lo, min(lo + len(scratch), n)) for lo in range(0, n, len(scratch))]
     total = total_sq = None
@@ -347,14 +356,19 @@ def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):
         blk, tmp = paths[rows], scratch[:rows.stop - rows.start]
         # x0 cos(a j) + x1 sin(a j) / a, with the a -> 0 limit j for the sine term
         np.multiply.outer(a[rows], j, out=tmp)
-        np.sin(tmp, out=blk)
-        blk /= a_div[rows, None]
-        blk[zero[rows]] = j
-        blk *= x1[rows, None]
-        np.cos(tmp, out=tmp)
-        tmp *= x0[rows, None]
-        blk += tmp
-        tmp[...] = blk  # _carry_sum overwrites its first row
+        if x1 is None:
+            np.cos(tmp, out=tmp)
+            tmp *= x0[rows, None]
+            blk[...] = tmp
+        else:
+            np.sin(tmp, out=blk)
+            blk /= a_div[rows, None]
+            blk[zero[rows]] = j
+            blk *= x1[rows, None]
+            np.cos(tmp, out=tmp)
+            tmp *= x0[rows, None]
+            blk += tmp
+            tmp[...] = blk  # _carry_sum overwrites its first row
         total = _carry_sum(tmp, total)
         np.square(blk, out=tmp)
         total_sq = _carry_sum(tmp, total_sq)

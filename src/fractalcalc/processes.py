@@ -131,6 +131,8 @@ def brownian_like() -> FractalProcess:
         walked = gen.normal(0.0, 1.0, (n, len(j)))
         walked *= np.sqrt(steps)
         np.cumsum(walked, axis=1, out=walked)
+        if np.all(order[1:] > order[:-1]):
+            return walked  # j was sorted: the scatter would only copy
         out = np.empty_like(walked)
         out[:, order] = walked
         return out

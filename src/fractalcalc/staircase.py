@@ -82,7 +82,18 @@ def _lattice_points(curve, a, b, delta):
     inner = d0 + width * (np.arange(lo, hi + 1, dtype=float) * q)
     pts = np.concatenate(([a], inner, [b]))
     pts = pts[(pts >= a) & (pts <= b)]
-    return np.unique(pts)
+    return _first_of_runs(pts)
+
+
+def _first_of_runs(x):
+    """The first value of each run of equal values of ``x``: its distinct
+    values when ``x`` is sorted. ``np.unique`` would sort it again, and in
+    numpy 2.4 it (and ``np.union1d`` through it) imports numpy.ma on its
+    first call."""
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def _rung_chords(curve, a, b, delta):
@@ -245,7 +256,7 @@ class StaircaseTable:
         ds = np.diff(s)
         flat = ds == 0.0
         self.plateau_cells = int(np.count_nonzero(flat))
-        self._plateau_values = np.unique(s[:-1][flat])
+        self._plateau_values = _first_of_runs(s[:-1][flat])
         self.plateau_hits = 0
         if self.plateau_cells >= 2:
             warnings.warn(

@@ -368,6 +368,18 @@ def one_shot_moments(a2_provider, initial_sampler, n, seed, j_values):
                            sq.std(axis=0, ddof=1) / math.sqrt(n), n)
 
 
+#: Deterministic (x0, x1) with X1 = 0: the sine term is left out for the
+#: first two. The last two give a zero or subnormal x0 cos(aJ), so it is
+#: kept: leaving it out could turn a +0 path value into -0.
+COSINE_ONLY_DATA = [(1.0, 0.0), (-2.5, 0.0), (0.0, 0.0), (5e-324, 0.0)]
+
+
+def assert_same_bytes(got, want):
+    """The four curves bit for bit, signed zeros included."""
+    for name in ("mean", "second", "mean_stderr", "second_stderr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 class TestBlockedMonteCarlo:
     @pytest.mark.parametrize("points", [2, 9, 129])
     # below 2^18 path values one thread takes the 129-point grid as one
@@ -378,13 +390,46 @@ class TestBlockedMonteCarlo:
     @pytest.mark.parametrize("a2, initial", [
         (ZeroMixedBeta(), correlated_initial_data),
         (BetaSquaredAmplitude(2.0, 1.0), deterministic_initial_data(1.0, 2.0)),
-    ], ids=["zero-mixed-correlated", "beta-deterministic"])
+        *[(a2, deterministic_initial_data(x0, x1))
+          for a2 in (BetaSquaredAmplitude(2.0, 1.0), ZeroMixedBeta())
+          for x0, x1 in COSINE_ONLY_DATA],
+    ], ids=["zero-mixed-correlated", "beta-deterministic",
+            *[f"{name}-x0={x0!r}-x1={x1!r}" for name in ("beta", "zero-mixed")
+              for x0, x1 in COSINE_ONLY_DATA]])
     def test_bit_identical_to_one_shot(self, a2, initial, n, points):
         j = np.linspace(0.0, 2.5, points)
         got = mc_solution_moments(a2, initial, n, 17, j)
         want = one_shot_moments(a2, initial, n, 17, j)
-        for name in ("mean", "second", "mean_stderr", "second_stderr"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("a2", [BetaSquaredAmplitude(2.0, 1.0), ZeroMixedBeta()],
+                             ids=["beta", "zero-mixed"])
+    @pytest.mark.parametrize("x0, x1", COSINE_ONLY_DATA[:2] + [(3.0, -0.0)])
+    def test_no_sine_when_x1_is_zero(self, monkeypatch, a2, x0, x1):
+        # 3000 x 129 path values: split across threads on two or more CPUs
+        j = np.linspace(0.0, 2.5, 129)
+        initial = deterministic_initial_data(x0, x1)
+        want = one_shot_moments(a2, initial, 3000, 17, j)
+
+        def no_sine(*args, **kwargs):
+            raise AssertionError("np.sin called")
+
+        monkeypatch.setattr(np, "sin", no_sine)
+        assert_same_bytes(mc_solution_moments(a2, initial, 3000, 17, j), want)
+
+    @pytest.mark.parametrize("x0, x1", COSINE_ONLY_DATA[2:] + [(1.0, 2.0), (1.0, 5e-324)])
+    def test_sine_taken_when_it_can_move_a_bit(self, monkeypatch, x0, x1):
+        calls = []
+        sin = np.sin
+
+        def counted_sine(*args, **kwargs):
+            calls.append(args)
+            return sin(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counted_sine)
+        mc_solution_moments(BetaSquaredAmplitude(2.0, 1.0),
+                            deterministic_initial_data(x0, x1), 100, 17, [0.0, 1.0])
+        assert calls
 
     @pytest.mark.parametrize("points", [2, 3, 4, 5, 7, 10, 13, 29])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -401,8 +446,7 @@ class TestBlockedMonteCarlo:
         j = np.linspace(0.0, 2.5, points)
         got = mc_solution_moments(a2, initial, n, 17, j)
         want = one_shot_moments(a2, initial, n, 17, j)
-        for name in ("mean", "second", "mean_stderr", "second_stderr"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch, cpus):

@@ -195,6 +195,23 @@ class TestBrownianDraw:
         got = brownian_like().draw_paths(frng.stream(4), j, 257)
         assert np.array_equal(got, brownian_three_copies(frng.stream(4), j, 257))
 
+    def test_sorted_and_shuffled_indices_give_the_same_columns(self):
+        j = np.linspace(0.0, 1.5, 37)
+        perm = np.random.default_rng(0).permutation(len(j))
+        walked = brownian_like().draw_paths(frng.stream(4), j, 257)
+        shuffled = brownian_like().draw_paths(frng.stream(4), j[perm], 257)
+        assert shuffled.tobytes() == walked[:, perm].tobytes()
+
+    def test_sorted_draw_holds_one_path_matrix(self):
+        n, points = 8000, 100
+        tracemalloc.start()
+        try:
+            brownian_like().draw_paths(frng.stream(4), np.linspace(0.0, 1.5, points), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * points * 8
+
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_grid_peak_memory(self, monkeypatch, cpus):
         # the draw and the grid's transposed copy, one (n, m) array each, and
