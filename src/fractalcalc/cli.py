@@ -252,7 +252,7 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _emit(out, cfg, curve, alpha, extra, columns, *trailing):
+def _emit(out, cfg, alpha, extra, columns, *trailing):
     """Write a command's CSV, its header the stamp every command shares and
     then the command's ``extra`` keys; returns the exit code 0."""
     meta = {
@@ -261,7 +261,7 @@ def _emit(out, cfg, curve, alpha, extra, columns, *trailing):
         "config_sha256": _config_hash(cfg),
         "seed": int(cfg["seed"]),
         "curve": cfg["curve"],
-        "level": curve.level,
+        "level": int(cfg["level"]) if cfg["curve"] == "koch" else 0,
         "alpha": alpha,
         **extra,
     }
@@ -285,7 +285,7 @@ def cmd_dimension(cfg, out):
     curve = _load_curve(cfg)
     tol = float(cfg["tol"])
     result = gamma_dimension(curve, tol=tol)
-    code = _emit(out, cfg, curve, cfg["alpha"], {"tol": tol}, {
+    code = _emit(out, cfg, cfg["alpha"], {"tol": tol}, {
         "alpha": [alpha for alpha, est in result.trace for _ in est.masses],
         "delta": [d for _, est in result.trace for d in est.deltas],
         "mass": [m for _, est in result.trace for m in est.masses],
@@ -301,7 +301,7 @@ def cmd_staircase(cfg, out):
     p0 = float(cfg["p0"]) if cfg["p0"] else a
     grid = int(cfg["grid"]) if cfg["grid"] else None
     table = build_staircase(curve, alpha, p0, grid)
-    return _emit(out, cfg, curve, alpha, {"p0": p0}, {"t": table.t, "S": table.s})
+    return _emit(out, cfg, alpha, {"p0": p0}, {"t": table.t, "S": table.s})
 
 
 def cmd_cdf(cfg, out):
@@ -312,7 +312,7 @@ def cmd_cdf(cfg, out):
     dist = DistributionOnCurve.memoryless(table, lam)
     j = table.value(t)
     f = dist.cdf_at_j(j)
-    return _emit(out, cfg, curve, alpha, {
+    return _emit(out, cfg, alpha, {
         "lam": lam, "j_range": f"[{_fmt(float(j[0]))},{_fmt(float(j[-1]))}]",
         "f_max": float(f[-1])}, {"t": t, "J": j, "F_X": f})
 
@@ -328,7 +328,7 @@ def cmd_sample(cfg, out):
         if family == "memoryless" else {}
     coords = [f"x{i}" for i in range(curve.ndim)] if curve.ndim > 2 else \
         ["x", "y"][: curve.ndim]
-    return _emit(out, cfg, curve, alpha, {
+    return _emit(out, cfg, alpha, {
         "family": family, **law, "count": count, "plateau_hits": sample.plateau_hits,
     }, {"t": sample.t, "J": sample.j, **dict(zip(coords, sample.points.T))})
 
@@ -341,7 +341,7 @@ def cmd_correlation(cfg, out):
     j_values = np.linspace(max(lo, 0.0), hi, int(cfg["points"]))
     grid = estimate_correlation_grid(proc, j_values, int(cfg["n"]), int(cfg["seed"]))
     m = len(grid.j_values)
-    return _emit(out, cfg, curve, alpha, {"fixture": cfg["fixture"], "n": grid.n},
+    return _emit(out, cfg, alpha, {"fixture": cfg["fixture"], "n": grid.n},
                  {"J1": np.repeat(grid.j_values, m), "J2": np.tile(grid.j_values, m),
                   "R": grid.r.ravel(), "stderr": grid.stderr.ravel()})
 
@@ -375,7 +375,7 @@ def cmd_msdiag(cfg, out):
     n = int(cfg["n"])
     seed = int(cfg["seed"])
     checks = [ms_derivative_check(proc, tau, n=n, seed=seed) for proc in procs]
-    return _emit(out, cfg, curve, alpha, {"tau": tau, "n": n}, {
+    return _emit(out, cfg, alpha, {"tau": tau, "n": n}, {
         "fixture": names,
         "continuous": [c.continuity.continuous for c in checks],
         "differentiable": [c.differentiable for c in checks],
@@ -416,7 +416,7 @@ def cmd_sde(cfg, out):
         a2, deterministic_initial_data(ex0, ex1), int(cfg["n"]),
         int(cfg["seed"]), j,
     )
-    return _emit(out, cfg, curve, alpha, {
+    return _emit(out, cfg, alpha, {
         "a2": a2.describe(),
         "ex0": ex0, "ex1": ex1, "ex0sq": ex0sq, "ex1sq": ex1sq, "ex01": ex01,
         "order": order, "n": mc.n,

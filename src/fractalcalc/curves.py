@@ -31,9 +31,9 @@ _SIN60 = math.sqrt(3.0) / 2.0
 class FractalCurve:
     """Polyline representation of a curve w: [a1, b1] -> R^n.
 
-    Immutable after construction; safe to share across workers.
-    ``alpha`` is the calculus order attached to the curve (the ideal
-    object's dimension for the Koch family, 1 for straight segments).
+    Immutable after construction; safe to share across workers. The curve
+    is its knots, vertices and ``alpha``, the calculus order attached to it
+    (the ideal object's dimension for the Koch family, 1 for lines).
     The vertices are stored once, coordinate-major, in the read-only
     C-contiguous (n, m+1) array ``_cols``; ``vertices`` is its (m+1, n)
     transpose view, and every per-edge kernel runs one coordinate at a
@@ -45,11 +45,9 @@ class FractalCurve:
     ``_edges``.
     """
 
-    kind: str                      # "koch" | "line" | "polyline"
     knots: np.ndarray              # (m+1,) strictly increasing
     vertices: np.ndarray           # (m+1, n)
     alpha: float
-    level: int = 0
 
     def __post_init__(self):
         knots = np.ascontiguousarray(np.asarray(self.knots, dtype=float))
@@ -96,11 +94,12 @@ class FractalCurve:
         return float(_chord_lengths(self._cols).sum())
 
     def check_domain(self, t):
-        """Raise CurveDomainError unless every t lies in the domain up to
-        1e-12; a nan fails, since min and max carry it through."""
+        """Raise CurveDomainError unless every t lies in [a, b] up to
+        1e-12 max(|a|, |b|, b - a); a nan fails, as min and max carry it."""
         a, b = self.domain
         t = np.asarray(t, dtype=float)
-        if t.size and not (a - 1e-12 <= t.min() and t.max() <= b + 1e-12):
+        slack = 1e-12 * max(abs(a), abs(b), b - a)
+        if t.size and not (a - slack <= t.min() and t.max() <= b + slack):
             raise CurveDomainError(
                 f"parameter outside curve domain [{a}, {b}]"
             )
@@ -250,7 +249,7 @@ def build_koch(level: int) -> FractalCurve:
     for _ in range(level):
         cols = _koch_step(cols)
     knots = np.linspace(0.0, 1.0, cols.shape[1])
-    return FractalCurve("koch", knots, cols.T, KOCH_DIMENSION, level)
+    return FractalCurve(knots, cols.T, KOCH_DIMENSION)
 
 
 def _koch_step(cols):
@@ -285,12 +284,12 @@ def build_line(a: float, b: float) -> FractalCurve:
     if not a < b:
         raise CurveDomainError(f"line needs a < b, got [{a}, {b}]")
     knots = np.array([a, b], dtype=float)
-    return FractalCurve("line", knots, knots.copy()[:, None], 1.0, 0)
+    return FractalCurve(knots, knots.copy()[:, None], 1.0)
 
 
 def build_polyline(knots, vertices, alpha: float) -> FractalCurve:
     """Custom polyline from explicit parameter knots and vertices."""
-    return FractalCurve("polyline", np.asarray(knots), np.asarray(vertices), alpha)
+    return FractalCurve(np.asarray(knots), np.asarray(vertices), alpha)
 
 
 def load_polyline_csv(path, alpha: float) -> FractalCurve:

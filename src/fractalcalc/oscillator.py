@@ -36,8 +36,8 @@ RESIDUAL_STEP = 1e-3
 
 def beta_raw_moment(mu: float, nu: float, m: int) -> float:
     """E[B^m] for B ~ Beta(mu, nu): the product of (mu+k)/(mu+nu+k)."""
-    if not (mu > 0.0 and nu > 0.0):
-        raise CurveDomainError("Beta parameters must be positive")
+    if not (0.0 < mu < math.inf and 0.0 < nu < math.inf):
+        raise CurveDomainError("Beta parameters must be positive and finite")
     if m < 0:
         raise CurveDomainError("moment order must be non-negative")
     return math.prod(((mu + k) / (mu + nu + k) for k in range(m)), start=1.0)
@@ -47,8 +47,8 @@ class BetaSquaredAmplitude:
     """A^2 ~ Beta(mu, nu); supplies raw moments and draws."""
 
     def __init__(self, mu: float, nu: float):
-        if not (mu > 0.0 and nu > 0.0):
-            raise CurveDomainError("Beta parameters must be positive")
+        if not (0.0 < mu < math.inf and 0.0 < nu < math.inf):
+            raise CurveDomainError("Beta parameters must be positive and finite")
         self.mu = float(mu)
         self.nu = float(nu)
 
@@ -67,8 +67,8 @@ class FixedSquaredAmplitude:
     reach, e.g. E[A^2] = 4)."""
 
     def __init__(self, value: float):
-        if not value >= 0.0:
-            raise CurveDomainError("a squared amplitude cannot be negative")
+        if not 0.0 <= value < math.inf:
+            raise CurveDomainError("a squared amplitude must be finite and non-negative")
         self.value = float(value)
 
     def moment(self, m: int) -> float:

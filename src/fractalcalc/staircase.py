@@ -175,9 +175,8 @@ def mass_function(curve: FractalCurve, a: float, b: float, alpha: float) -> Mass
 
 
 def _default_levels(curve):
-    if curve.kind == "koch":
-        return max(3, min(curve.level, 8))
-    return 5
+    # the finest rung not below the mean knot spacing, in [3, 8]: Koch-L walks L
+    return max(3, min((curve.edge_count.bit_length() - 1) // 2, 8))
 
 
 @dataclass
@@ -286,8 +285,10 @@ class StaircaseTable:
         its knot cell, and shares its interpolation."""
         lo, hi = self.mass_bounds
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        # a nan fails: min and max carry it through
-        if s_arr.size and not (lo - 1e-9 <= s_arr.min() and s_arr.max() <= hi + 1e-9):
+        # relative to the mass range (one subnormal when it is all 0); a nan
+        # fails: min and max carry it through
+        slack = max(1e-9 * max(abs(lo), abs(hi), hi - lo), math.ulp(0.0))
+        if s_arr.size and not (lo - slack <= s_arr.min() and s_arr.max() <= hi + slack):
             raise CurveDomainError(f"mass value outside [{lo}, {hi}]")
         s_arr = np.clip(s_arr, lo, hi)
         if len(self._plateau_values):
@@ -374,22 +375,24 @@ def _project_points(curve, pts):
 
 
 def _staircase_grid(curve, grid_size):
-    a, b = curve.domain
-    if curve.kind == "koch" and curve.level >= 1:
-        g = int(round(math.log(max(grid_size, 4), 4.0)))
-        g = max(1, min(g, curve.level))
-        return np.linspace(a, b, 4 ** g + 1)
-    return np.linspace(a, b, grid_size + 1)
+    m = curve.edge_count
+    level = (m.bit_length() - 1) // 2
+    if m == 4 ** level > 1 and np.array_equal(curve.knots, np.linspace(*curve.domain, m + 1)):
+        g = min(level, 6) if grid_size is None else \
+            int(round(math.log(max(grid_size, 4), 4.0)))
+        grid_size = 4 ** max(1, min(g, level))
+    return np.linspace(*curve.domain, (grid_size or 1024) + 1)
 
 
 def build_staircase(curve: FractalCurve, alpha: float = None, p0: float = None,
                     grid_size: int = None) -> StaircaseTable:
     """Tabulate S(t): cumulative alpha-powered chord mass from p0.
 
-    S is positive ahead of p0 and negative behind it. Koch grids snap to
-    the quaternary lattice (clamped to the curve's own refinement) so the
-    table is exact at lattice points; straight segments are exact at any
-    grid size when alpha = 1.
+    S is positive ahead of p0 and negative behind it. The grid has
+    ``grid_size`` cells, 1024 by default. When the knots are the domain's
+    quaternary lattice of 4^L cells, as on Koch-L, it snaps to 4^g cells,
+    g in [1, L] (4^min(L, 6) by default), so the table is exact at lattice
+    points; straight segments are exact at any grid size when alpha = 1.
     """
     alpha = curve.alpha if alpha is None else float(alpha)
     if not alpha > 0.0:
@@ -398,9 +401,7 @@ def build_staircase(curve: FractalCurve, alpha: float = None, p0: float = None,
     p0 = a if p0 is None else float(p0)
     if not a <= p0 <= b:
         raise CurveDomainError(f"p0 must lie in the domain [{a}, {b}]")
-    if grid_size is None:
-        grid_size = 4 ** max(1, min(curve.level, 6)) if curve.kind == "koch" else 1024
-    if grid_size < 1:
+    if grid_size is not None and grid_size < 1:
         raise CurveDomainError(f"grid_size must be >= 1, got {grid_size}")
     t = _staircase_grid(curve, grid_size)
     if p0 not in t:

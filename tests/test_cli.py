@@ -406,7 +406,7 @@ class TestCsvBytes:
         ("msdiag --curve line --n 2000", "8e9069ab2cca0086"),
         ("sde --curve line --a2 4 --grid 8 --n 200", "275733c1a301688c"),
         # alpha = auto on straight curves: the dimension estimate gives 1
-        ("staircase --level 0", "a35faa60bb843458"),
+        ("staircase --level 0", "0061c3e098a7ab70"),
         ("cdf --level 0 --grid 8", "adca14b20c74b153"),
         ("staircase --curve line --line-a 0.5 --line-b 3 --grid 5", "c3f5816c9fcb9c9a"),
     ], ids=lambda v: v.split()[0] if " " in v else None)

@@ -112,6 +112,23 @@ class TestEvaluate:
         with pytest.raises(CurveDomainError):
             line.check_domain(-np.inf)
 
+    @pytest.mark.parametrize("a, b, t, inside", [
+        (0.0, 1e-13, 5e-13, False),                        # five widths past b
+        (0.0, 1e-13, 1e-13 + 1e-26, True),
+        (1e6, 1e6 + 1.0, np.nextafter(1e6 + 1.0, 2e6), True),  # one ulp past b
+        (1e6, 1e6 + 1.0, 1e6 + 1.0 + 1e-5, False),
+        (0.0, 1.0, 1.0 + 0.5e-12, True),                    # [0, 1] keeps 1e-12
+        (0.0, 1.0, 1.0 + 2e-12, False),
+    ])
+    def test_tolerance_follows_the_domain(self, a, b, t, inside):
+        # the slack is 1e-12 max(|a|, |b|, b - a), not an absolute 1e-12
+        curve = build_polyline([a, b], [[0.0, 0.0], [1.0, 1.0]], 1.0)
+        if inside:
+            curve.check_domain(t)
+        else:
+            with pytest.raises(CurveDomainError):
+                curve.check_domain(t)
+
     def test_vectorized_evaluation(self):
         curve = build_koch(3)
         t = np.linspace(0, 1, 37)
@@ -134,7 +151,6 @@ class TestPolyline:
         path = tmp_path / "poly.csv"
         path.write_text("t,x,y\n0,0,0\n0.5,1,0\n1,1,1\n")
         curve = load_polyline_csv(path, alpha=1.0)
-        assert curve.kind == "polyline"
         np.testing.assert_allclose(curve.point(0.25), [0.5, 0.0])
         np.testing.assert_allclose(curve.point(0.75), [1.0, 0.5])
 

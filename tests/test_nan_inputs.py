@@ -70,6 +70,11 @@ CALLS = {
     "beta nu": lambda: BetaSquaredAmplitude(1.0, NAN),
     "beta moment": lambda: beta_raw_moment(NAN, 1.0, 2),
     "fixed a2": lambda: FixedSquaredAmplitude(NAN),
+    # an infinite amplitude parameter would give nan moments
+    "fixed a2 infinite": lambda: FixedSquaredAmplitude(math.inf),
+    "beta mu infinite": lambda: BetaSquaredAmplitude(math.inf, 1.0),
+    "beta nu infinite": lambda: BetaSquaredAmplitude(1.0, math.inf),
+    "beta moment infinite": lambda: beta_raw_moment(1.0, math.inf, 2),
     "continuity tau": lambda: ms_continuity_check(cosine_phase(), NAN),
     "derivative tau": lambda: ms_derivative_check(linear_amplitude(), NAN),
     "estimated derivative tau": lambda: ms_derivative_check(

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fractalcalc import (
     KOCH_DIMENSION,
@@ -187,7 +188,7 @@ class TestLadderCache:
         ("walk3d", lambda: lognormal_walk(3, 4096, 3)),
     ])
     def test_traces_are_pinned(self, name, make):
-        # recorded before the rung cache existed; compared exactly
+        # compared exactly
         pinned = self.TRACES[name]
         est = gamma_dimension(make())
         assert est.value == pinned["value"]
@@ -208,8 +209,8 @@ class TestLadderCache:
 
     @pytest.mark.parametrize("make, rungs", [
         (lambda: build_koch(6), 6),
-        (lambda: _koch_polyline(6, lambda t: 5.0 * t), 5),
-        (lambda: _koch_polyline(6, lambda t: t + 0.3), 5),
+        (lambda: _koch_polyline(6, lambda t: 5.0 * t), 6),
+        (lambda: _koch_polyline(6, lambda t: t + 0.3), 6),
     ], ids=["koch6", "knots-5t", "knots-t+0.3"])
     def test_bisection_reuses_rung_chords(self, monkeypatch, make, rungs):
         curve = make()
@@ -254,6 +255,45 @@ class TestLadderCache:
         assert peak < 1 << 20
 
 
+def _trace_rows(est):
+    return [(alpha, m.verdict, m.deltas, m.masses) for alpha, m in est.trace]
+
+
+def _rungs(curve):
+    return len(gamma_dimension(curve).trace[0][1].masses)
+
+
+class TestKnotsSetTheChoices:
+    """The ladder depth and the staircase grid are read from the knots, so
+    Koch-L and the polyline of its knots and vertices give one answer."""
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_koch_and_its_polyline_agree(self, level):
+        koch = build_koch(level)
+        poly = build_polyline(koch.knots, koch.vertices, koch.alpha)
+        est = gamma_dimension(koch)
+        assert _trace_rows(gamma_dimension(poly)) == _trace_rows(est)
+        assert len(est.trace[0][1].masses) == max(3, min(level, 8))
+        for grid_size in (None, 16, 100, 4 ** level):
+            ref = build_staircase(koch, grid_size=grid_size)
+            table = build_staircase(poly, grid_size=grid_size)
+            assert table.t.tobytes() == ref.t.tobytes()
+            assert table.s.tobytes() == ref.s.tobytes()
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    @pytest.mark.parametrize("level", range(9))
+    def test_dyadic_relabelling_keeps_rungs_and_snapped_grid(self, level, k):
+        # t -> 2^k t + 1/4 maps the knots onto the new domain's lattice
+        # exactly, so the grid still snaps and reads the same vertices
+        koch = build_koch(level)
+        moved = _koch_polyline(level, lambda t: 2.0 ** k * t + 0.25)
+        assert _rungs(moved) == _rungs(koch)
+        if level:
+            ref, table = build_staircase(koch), build_staircase(moved)
+            np.testing.assert_array_equal(table.t, 2.0 ** k * ref.t + 0.25)
+            assert table.s.tobytes() == ref.s.tobytes()
+
+
 def _koch_shape(level):
     if level == "rotated6":
         return _rotated_koch6()
@@ -264,11 +304,23 @@ def _log_uniform(decades):
     return st.floats(-decades, decades).map(lambda e: 10.0 ** e)
 
 
+def _relabelling_examples(test):
+    """Fixed rows for the relabelling property: Hypothesis seeds its draws
+    with constants from every imported module, so the drawn examples
+    depend on which test files are collected, and these do not."""
+    for level, reverse, c in itertools.product([0, 3, 6, "rotated6"], [False, True],
+                                               [5.0, 2.0 ** -3]):
+        test = example(level=level, c=c, d=0.3, reverse=reverse, s=7.0, theta=0.3,
+                       v=(1.0, -2.0))(test)
+    return test
+
+
 class TestRelabellingInvariance:
     """The dimension belongs to the curve: an affine change of t, a
     reversal, or a similarity of R^2 leaves the estimate within tol."""
 
     @settings(max_examples=100, derandomize=True, deadline=None)
+    @_relabelling_examples
     @given(level=st.sampled_from([0, 1, 2, 3, 4, 5, 6, "rotated6"]),
            c=_log_uniform(3), d=st.floats(-10.0, 10.0), reverse=st.booleans(),
            s=_log_uniform(10), theta=st.floats(0.0, 2.0 * math.pi),
@@ -418,6 +470,18 @@ class TestChart:
         table = build_staircase(build_line(0, 1))
         with pytest.raises(CurveDomainError):
             table.j_inverse(1.5)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_mass_tolerance_follows_the_mass_range(self, scale):
+        # the slack is 1e-9 of the mass range: an absolute 1e-9 would span 14
+        # mass ranges at scale 1e-8 and fall below one ulp of hi at scale 1e8
+        koch = build_koch(3)
+        table = build_staircase(build_polyline(koch.knots, scale * koch.vertices, 1.26))
+        lo, hi = table.mass_bounds
+        assert table.t_from_mass([lo - 0.5e-9 * hi, hi + 0.5e-9 * hi]).tolist() == [0.0, 1.0]
+        for bad in (lo - 2e-9 * hi, hi + 2e-9 * hi):
+            with pytest.raises(CurveDomainError):
+                table.t_from_mass(bad)
 
     @pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan], [math.nan, 0.2]])
     def test_nan_rejected(self, bad):

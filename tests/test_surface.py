@@ -1,14 +1,17 @@
 """The library's settable surface, pinned.
 
-A setting is a parameter with a default. Each module's count of them and
-the names ``fractalcalc`` exports are pinned here, so a change that adds
-a setting or a public name has to edit this file and say why.
+A setting is a parameter with a default. Each module's count of them,
+the names ``fractalcalc`` exports and the fields of a curve are pinned
+here, so a change that adds a setting, a public name or a field has to
+edit this file and say why.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import fractalcalc
+from fractalcalc import FractalCurve
 
 PACKAGE = Path(fractalcalc.__file__).resolve().parent
 
@@ -57,3 +60,8 @@ def test_settings_per_module():
 
 def test_exports():
     assert sorted(fractalcalc.__all__) == EXPORTS
+
+
+def test_curve_fields():
+    # a curve is its data: nothing records how it was built
+    assert [f.name for f in dataclasses.fields(FractalCurve)] == ["knots", "vertices", "alpha"]
