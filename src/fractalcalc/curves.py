@@ -26,6 +26,9 @@ KOCH_DIMENSION = math.log(4.0) / math.log(3.0)
 _COS60 = 0.5
 _SIN60 = math.sqrt(3.0) / 2.0
 
+#: Edges per block of ``_koch_step``, whose temporaries stay block-sized.
+_KOCH_BLOCK_EDGES = 1 << 13
+
 
 @dataclass(frozen=True, eq=False)
 class FractalCurve:
@@ -256,25 +259,27 @@ def _koch_step(cols):
     """One generator step on a coordinate-major (2, m+1) polyline: each
     edge p -> q becomes p, s1, tip, s2 with d = (q - p) / 3, s1 = p + d,
     tip = s1 + rot60(d) and s2 = p + 2d, written into strided slices of
-    the (2, 4m+1) result."""
+    the (2, 4m+1) result, ``_KOCH_BLOCK_EDGES`` edges at a time."""
     m = cols.shape[1] - 1
     new = np.empty((2, 4 * m + 1))
-    (x, y), (nx, ny) = cols, new
-    px, py = x[:-1], y[:-1]
-    dx = x[1:] - px
-    dx /= 3.0
-    dy = y[1:] - py
-    dy /= 3.0
-    nx[0:-1:4], ny[0:-1:4] = px, py
-    s1x = np.add(px, dx, out=nx[1::4])
-    s1y = np.add(py, dy, out=ny[1::4])
-    # apex: rotate the middle-third direction by +60 degrees
-    np.add(s1x, dx * _COS60 - dy * _SIN60, out=nx[2::4])
-    np.add(s1y, dx * _SIN60 + dy * _COS60, out=ny[2::4])
-    dx *= 2.0
-    dy *= 2.0
-    np.add(px, dx, out=nx[3::4])
-    np.add(py, dy, out=ny[3::4])
+    for lo in range(0, m, _KOCH_BLOCK_EDGES):
+        hi = min(lo + _KOCH_BLOCK_EDGES, m)
+        (x, y), (nx, ny) = cols[:, lo:hi + 1], new[:, 4 * lo:4 * hi]
+        px, py = x[:-1], y[:-1]
+        dx = x[1:] - px
+        dx /= 3.0
+        dy = y[1:] - py
+        dy /= 3.0
+        nx[0::4], ny[0::4] = px, py
+        s1x = np.add(px, dx, out=nx[1::4])
+        s1y = np.add(py, dy, out=ny[1::4])
+        # apex: rotate the middle-third direction by +60 degrees
+        np.add(s1x, dx * _COS60 - dy * _SIN60, out=nx[2::4])
+        np.add(s1y, dx * _SIN60 + dy * _COS60, out=ny[2::4])
+        dx *= 2.0
+        dy *= 2.0
+        np.add(px, dx, out=nx[3::4])
+        np.add(py, dy, out=ny[3::4])
     new[:, -1] = cols[:, -1]
     return new
 

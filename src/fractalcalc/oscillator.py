@@ -199,12 +199,13 @@ class SeriesSolution:
 
     def variance(self, j):
         """Pointwise E[X^2] - E[X]^2. Truncation can push small-J values
-        slightly negative; dips beyond 1e-9 are reported, not fatal."""
-        var = self.second_moment(j) - self.mean(j) ** 2
-        worst = float(np.min(var)) if np.size(var) else 0.0
-        if worst < -1e-9:
+        slightly negative; a dip beyond 1e-9 max(|E[X^2]|, E[X]^2) at the
+        same J is reported, not fatal."""
+        second, mean_sq = self.second_moment(j), self.mean(j) ** 2
+        var = second - mean_sq
+        if np.any(var < -1e-9 * np.maximum(np.abs(second), mean_sq)):
             warnings.warn(
-                f"truncated variance dips to {worst:.3e}; raise the order",
+                f"truncated variance dips to {float(np.min(var)):.3e}; raise the order",
                 stacklevel=2,
             )
         return var

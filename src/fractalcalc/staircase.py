@@ -37,6 +37,9 @@ _MAX_DIRECT_POINTS = 1 << 19
 #: is one block, small enough to stay in cache.
 _PROJECT_BLOCK_PAIRS = 1 << 15
 
+#: Chords per block of ``_chords``, whose temporaries stay block-sized.
+_CHORD_BLOCK = 1 << 13
+
 
 def sigma_alpha(curve: FractalCurve, points, alpha: float) -> float:
     """Sum of alpha-powered chord lengths over the subdivision whose
@@ -50,8 +53,14 @@ def sigma_alpha(curve: FractalCurve, points, alpha: float) -> float:
 
 
 def _chords(curve, points):
-    # point() gives the (m, n) transpose of a coordinate-major array
-    return _chord_lengths(curve.point(points).T)
+    """Chords between consecutive curve points at ``points``, in blocks
+    that overlap by one point; each is the same double as in one pass."""
+    out = np.empty(len(points) - 1)
+    for lo in range(0, len(out), _CHORD_BLOCK):
+        # point() gives the (m, n) transpose of a coordinate-major array
+        cols = curve.point(points[lo:lo + _CHORD_BLOCK + 1]).T
+        out[lo:lo + _CHORD_BLOCK] = _chord_lengths(cols)
+    return out
 
 
 def _power_sum(chords, alpha):

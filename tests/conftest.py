@@ -1,3 +1,5 @@
+import tracemalloc
+
 ACCEPTANCE_LINES = []
 
 
@@ -6,3 +8,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def traced_peak(fn):
+    """Peak bytes that Python and numpy allocate while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -12,9 +12,11 @@ from fractalcalc import (
     build_polyline,
     load_polyline_csv,
 )
+from fractalcalc import curves as cv
 from fractalcalc.cli import main
-from fractalcalc.curves import _CellIndex
+from fractalcalc.curves import _CellIndex, _koch_step
 from fractalcalc.errors import CurveDomainError, ResourceError
+from conftest import traced_peak
 
 
 def koch_generator_step(points):
@@ -69,6 +71,23 @@ class TestBuildKoch:
             build_koch(13)
         with pytest.raises(CurveDomainError):
             build_koch(-1)
+
+    def test_koch_step_peak_memory(self):
+        cols = build_koch(9)._cols
+        # the 16 MiB level-10 result and the blocks' temporaries; d, the
+        # rotated term and its products over every edge made it 24 MiB
+        assert traced_peak(lambda: _koch_step(cols)) <= (16 + 2.5) * 2 ** 20
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None])
+    def test_koch_step_blocks_match_one_pass(self, monkeypatch, offset):
+        # B - 1, B, B + 1 and 2B + 1 edges, B the block; bytes compared
+        block = cv._KOCH_BLOCK_EDGES
+        edges = 2 * block + 1 if offset is None else block + offset
+        rng = np.random.default_rng(edges)
+        cols = np.cumsum(rng.normal(size=(2, edges + 1)), axis=1)
+        blocked = _koch_step(cols)
+        monkeypatch.setattr(cv, "_KOCH_BLOCK_EDGES", edges)
+        assert blocked.tobytes() == _koch_step(cols).tobytes()
 
 
 class TestEvaluate:

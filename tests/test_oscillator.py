@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,44 @@ class TestTruncatedSecondMoment:
         with pytest.warns(UserWarning):
             vals = sol.variance(np.array([0.0, 0.1]))
         np.testing.assert_allclose(vals, -1e-6, atol=1e-12)
+
+
+class _NoLawAmplitude:
+    """E[A^2] = 1 and E[A^4] = 0 (and every higher moment 0): no law has
+    these moments, so the truncated variance goes negative, at J > 2."""
+
+    def moment(self, m: int) -> float:
+        return 1.0 if m < 2 else 0.0
+
+
+def _scaled_variance(spec, k):
+    """The order-20 variance on J in [0, 3] with X scaled by 2^k, and how
+    many warnings it gave."""
+    scaled = MomentSpec(
+        spec.ex0 * 2.0 ** k, spec.ex1 * 2.0 ** k, spec.ex0_sq * 4.0 ** k,
+        spec.ex1_sq * 4.0 ** k, spec.ex01 * 4.0 ** k, spec.a2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        var = solve_series(scaled, 20).variance(np.linspace(0.0, 3.0, 61))
+    return var, len(caught)
+
+
+class TestVarianceDipIsRelative:
+    """X -> 2^k X scales the mean by 2^k and the second moment and the
+    variance by 4^k exactly, so it must neither add nor remove the dip
+    warning."""
+
+    @pytest.mark.parametrize("spec, warned", [
+        (MomentSpec(1.0, 0.0, 1.0, 0.0, 0.0, _NoLawAmplitude()), 1),
+        (REFERENCE_SPEC, 0),
+    ], ids=["no-law-amplitude", "reference"])
+    def test_scaling_keeps_the_warning(self, spec, warned):
+        base, caught = _scaled_variance(spec, 0)
+        assert caught == warned
+        for k in range(-60, 61):
+            var, caught = _scaled_variance(spec, k)
+            assert var.tobytes() == (base * 4.0 ** k).tobytes(), k
+            assert caught == warned, k
 
 
 def beta_expectation(f, mu, nu, nodes=200):

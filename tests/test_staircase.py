@@ -24,6 +24,8 @@ from fractalcalc import (
 )
 from fractalcalc.errors import CurveDomainError, EstimationError, GeometryError
 from fractalcalc import staircase as sc
+from fractalcalc.curves import _chord_lengths
+from conftest import traced_peak
 from walks import lognormal_walk, plateau_polyline, underflow_polyline
 
 GAMMA_DIM = math.gamma(KOCH_DIMENSION + 1.0)
@@ -253,6 +255,46 @@ class TestLadderCache:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _one_pass_chords(curve, points):
+    return _chord_lengths(curve.point(points).T)
+
+
+_BLOCK = sc._CHORD_BLOCK
+_BLOCK_EDGE_COUNTS = [2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1]
+
+
+class TestChordBlocks:
+    """``_chords`` takes its points in overlapping blocks; every chord,
+    and so every staircase S, is the same double as in one pass."""
+
+    @pytest.mark.parametrize("count", _BLOCK_EDGE_COUNTS)
+    @pytest.mark.parametrize("make", [lambda: build_koch(8),
+                                      lambda: lognormal_walk(3, 4096, 3)],
+                             ids=["koch8", "walk3d"])
+    def test_chords_match_one_pass(self, make, count):
+        curve = make()
+        points = np.linspace(*curve.domain, count)
+        got = sc._chords(curve, points)
+        assert got.tobytes() == _one_pass_chords(curve, points).tobytes()
+
+    @pytest.mark.parametrize("count", _BLOCK_EDGE_COUNTS)
+    @pytest.mark.parametrize("make", [lambda: _koch_polyline(8, lambda t: t * t),
+                                      lambda: lognormal_walk(3, 4096, 3)],
+                             ids=["koch8-squared-knots", "walk3d"])
+    def test_staircase_matches_one_pass(self, monkeypatch, make, count):
+        # knots off the quaternary lattice, so the grid takes count points
+        curve = make()
+        table = build_staircase(curve, grid_size=count - 1)
+        assert len(table.t) == count
+        monkeypatch.setattr(sc, "_chords", _one_pass_chords)
+        assert table.s.tobytes() == build_staircase(curve, grid_size=count - 1).s.tobytes()
+
+    def test_koch10_dimension_peak_memory(self):
+        # the 16 MiB vertices, 8 MiB knots, knot index and rung chords; one
+        # pass over a 65,537-point rung made it 29.7 MiB
+        assert traced_peak(lambda: gamma_dimension(build_koch(10))) <= 27 * 2 ** 20
 
 
 def _trace_rows(est):
