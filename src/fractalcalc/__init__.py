@@ -18,7 +18,7 @@ from .staircase import (
     sigma_alpha,
 )
 from .calculus import falpha_derivative, falpha_integral
-from .distributions import DistributionOnCurve, SampleSet, ks_distance, sampling_cdf
+from .distributions import DistributionOnCurve, sampling_cdf
 from .processes import (
     FractalProcess,
     brownian_like,
@@ -30,9 +30,7 @@ from .processes import (
     ms_derivative_check,
     ms_integral,
     ms_integral_precheck,
-    product_limit_check,
     second_generalized_derivative,
-    second_order_check,
     white_noise,
 )
 from .oscillator import (
@@ -42,9 +40,7 @@ from .oscillator import (
     SeriesSolution,
     beta_raw_moment,
     closed_form_sample,
-    frobenius_coefficients,
     mc_solution_moments,
-    residual_check,
     solve_series,
 )
 
@@ -66,8 +62,6 @@ __all__ = [
     "falpha_derivative",
     "falpha_integral",
     "DistributionOnCurve",
-    "SampleSet",
-    "ks_distance",
     "sampling_cdf",
     "FractalProcess",
     "brownian_like",
@@ -79,9 +73,7 @@ __all__ = [
     "ms_derivative_check",
     "ms_integral",
     "ms_integral_precheck",
-    "product_limit_check",
     "second_generalized_derivative",
-    "second_order_check",
     "white_noise",
     "BetaSquaredAmplitude",
     "FixedSquaredAmplitude",
@@ -89,9 +81,7 @@ __all__ = [
     "SeriesSolution",
     "beta_raw_moment",
     "closed_form_sample",
-    "frobenius_coefficients",
     "mc_solution_moments",
-    "residual_check",
     "solve_series",
     "__version__",
 ]

@@ -30,9 +30,6 @@ DEFAULT_ORDER = 20
 #: and it is reduced a sixteenth at a time, so each block stays in cache.
 MC_SLAB_VALUES = 2 ** 21
 
-#: Step in J of the central second difference in ``residual_check``.
-RESIDUAL_STEP = 1e-3
-
 
 def beta_raw_moment(mu: float, nu: float, m: int) -> float:
     """E[B^m] for B ~ Beta(mu, nu): the product of (mu+k)/(mu+nu+k)."""
@@ -97,29 +94,22 @@ class MomentSpec:
 
     def __post_init__(self):
         slack = 1e-12
-        # E[v v^T], v = (1, X0, X1), is PSD under every joint law; a slack
-        # that scales with the matrix keeps rank-one data such as ex0 = 1e6
+        # E[v v^T], v = (1, X0, X1), is PSD under every joint law. It is
+        # judged in correlation form D^-1/2 M D^-1/2 over the rows with a
+        # positive diagonal, so the verdict does not change with the units
+        # of X; a zero second moment forces the rest of its row to zero
         m = np.array([[1.0, self.ex0, self.ex1], [self.ex0, self.ex0_sq, self.ex01],
                       [self.ex1, self.ex01, self.ex1_sq]])
-        if not np.linalg.eigvalsh(m).min() >= -slack * max(1.0, *m.diagonal()):
+        d = m.diagonal()
+        live = d > 0.0
+        r = np.sqrt(d[live])
+        if not (np.all(d >= 0.0) and not np.any(m[~live])
+                and np.linalg.eigvalsh(m[np.ix_(live, live)] / np.outer(r, r)).min() >= -slack):
             raise CurveDomainError(
                 "no joint law of (X0, X1) has these moments: "
                 "[[1, ex0, ex1], [ex0, ex0sq, ex01], [ex1, ex01, ex1sq]] is not PSD")
         if abs(self.a2.moment(0) - 1.0) > slack:
             raise CurveDomainError("A^2 moment provider must return 1 at order 0")
-
-
-def frobenius_coefficients(x0: float, x1: float, a2: float, n_max: int) -> np.ndarray:
-    """Series coefficients c[0..n_max] from the two-term recurrence
-    c[m+2] = -a2 * c[m] / ((m+2)(m+1)), seeded by c[0]=x0, c[1]=x1."""
-    if n_max < 2:
-        raise CurveDomainError("need n_max >= 2 for the recurrence to act")
-    c = np.zeros(n_max + 1)
-    c[0] = x0
-    c[1] = x1
-    for m in range(n_max - 1):
-        c[m + 2] = -a2 * c[m] / ((m + 2) * (m + 1))
-    return c
 
 
 def _series_weights(spec: MomentSpec, order: int, top: int):
@@ -388,26 +378,3 @@ def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):
     out[0], out[1] = mean, second
     out[2] = np.sqrt(dev / (n - 1)) / math.sqrt(n)
     out[3] = np.sqrt(dev_sq / (n - 1)) / math.sqrt(n)
-
-
-def residual_check(a2: float, x0: float, x1: float, order: int, j_grid) -> float:
-    """Max residual of the truncated pathwise series in the oscillator
-    equation, with the second derivative taken as a central difference of
-    step ``RESIDUAL_STEP`` in the mass coordinate.
-
-    The recurrence kills every interior term, so the residual is the
-    differencing error plus a2 times the last two kept series terms; at
-    low orders the truncation tail dominates.
-    """
-    if order < 2:
-        raise CurveDomainError("need truncation order >= 2")
-    if not all(map(math.isfinite, (a2, x0, x1))):
-        raise CurveDomainError(f"a2, x0 and x1 must be finite, got {a2}, {x0}, {x1}")
-    coeffs = frobenius_coefficients(x0, x1, a2, 2 * order + 1)
-    j = np.asarray(j_grid, dtype=float)
-    polyval = np.polynomial.polynomial.polyval
-    h = RESIDUAL_STEP
-    second = (polyval(j + h, coeffs) - 2.0 * polyval(j, coeffs)
-              + polyval(j - h, coeffs)) / (h * h)
-    resid = second + a2 * polyval(j, coeffs)
-    return float(np.abs(resid).max())

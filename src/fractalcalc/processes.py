@@ -49,14 +49,6 @@ class FractalProcess:
     correlation: object = None
 
 
-def second_order_check(proc: FractalProcess, j_values) -> bool:
-    """Whether the estimated E[X(tau)^2] is finite across the index set,
-    over 4000 realizations from seed 0."""
-    paths = proc.draw_paths(_rng.stream(0, 3), np.asarray(j_values, dtype=float), 4000)
-    second = (paths ** 2).mean(axis=0)
-    return bool(np.all(np.isfinite(second)))
-
-
 def constant_process(value: float = 1.0) -> FractalProcess:
     def draw(gen, j, n):
         return np.full((n, len(j)), value)
@@ -467,26 +459,3 @@ def improper_ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
                 converged = True
                 break
     return ImproperIntegralResult(values, stderrs, values[-1], converged)
-
-
-def product_limit_check(pair_sampler, target: float, index_ladder, n: int,
-                        seed: int = 0):
-    """Check E[X_m X'_m] -> E[X X'] along an index ladder.
-
-    ``pair_sampler(gen, count, m)`` draws the coupled pair at ladder index
-    m. Returns (ok, estimates, stderrs): ok means the final estimate sits
-    within three standard errors of the target.
-    """
-    if n < 2:
-        raise CurveDomainError("need at least 2 realizations for a standard error")
-    if not math.isfinite(target):
-        raise CurveDomainError(f"target must be finite, got {target}")
-    estimates, stderrs = [], []
-    for i, m in enumerate(index_ladder):
-        gen = _rng.stream(seed, i)
-        x, xp = pair_sampler(gen, n, m)
-        prod = np.asarray(x) * np.asarray(xp)
-        estimates.append(float(prod.mean()))
-        stderrs.append(float(prod.std(ddof=1) / math.sqrt(n)))
-    ok = abs(estimates[-1] - target) <= 3.0 * stderrs[-1] + 1e-12
-    return ok, estimates, stderrs

@@ -18,7 +18,6 @@ from fractalcalc import (
     build_staircase,
     falpha_derivative,
     falpha_integral,
-    ks_distance,
     linear_amplitude,
     ms_continuity_check,
     ms_derivative_check,
@@ -28,6 +27,7 @@ from fractalcalc import (
     solve_series,
     white_noise,
 )
+from ks import ks_distance
 from fractalcalc.cli import main, read_csv
 from fractalcalc.oscillator import (
     deterministic_initial_data,

@@ -15,10 +15,10 @@ from fractalcalc import (
     build_staircase,
     falpha_derivative,
     falpha_integral,
-    ks_distance,
     sampling_cdf,
 )
 from fractalcalc.errors import CurveDomainError
+from ks import ks_distance
 from walks import lognormal_walk, plateau_polyline
 
 

@@ -32,8 +32,6 @@ from fractalcalc import (
     ms_derivative_check,
     ms_integral,
     ms_integral_precheck,
-    product_limit_check,
-    residual_check,
     second_generalized_derivative,
     sigma_alpha,
 )
@@ -47,10 +45,6 @@ LINE_TABLE = build_staircase(build_line(0.0, 1.0))
 
 def _weight(j, u):
     return j * 0.0 + u
-
-
-def _pair(gen, count, m):
-    return (gen.normal(size=count),) * 2
 
 
 def _ensemble(j_values):
@@ -90,13 +84,9 @@ CALLS = {
         linear_amplitude(), _weight, LINE_TABLE, 0.0, 1.0, NAN, n=100),
     "improper_ms_integral u": lambda: improper_ms_integral(
         linear_amplitude(), _weight, LINE_TABLE, 0.0, [0.5, 1.0], NAN, n=100),
-    "product_limit_check target": lambda: product_limit_check(_pair, NAN, [1, 4], 100),
     "closed_form_sample a": lambda: closed_form_sample(NAN, 1.0, 0.0, [0.1]),
     "closed_form_sample x0": lambda: closed_form_sample(1.0, NAN, 0.0, [0.1]),
     "closed_form_sample x1": lambda: closed_form_sample(1.0, 1.0, NAN, [0.1]),
-    "residual_check a2": lambda: residual_check(NAN, 1.0, 0.0, 5, [0.1]),
-    "residual_check x0": lambda: residual_check(1.0, NAN, 0.0, 5, [0.1]),
-    "residual_check x1": lambda: residual_check(1.0, 1.0, NAN, 5, [0.1]),
 }
 
 

@@ -12,9 +12,7 @@ from fractalcalc import (
     MomentSpec,
     beta_raw_moment,
     closed_form_sample,
-    frobenius_coefficients,
     mc_solution_moments,
-    residual_check,
     solve_series,
 )
 from fractalcalc.errors import CurveDomainError
@@ -43,6 +41,12 @@ REFERENCE_SPEC = MomentSpec(
     ex0=1.0, ex1=1.0, ex0_sq=1.0, ex1_sq=1.0, ex01=1.0,
     a2=BetaSquaredAmplitude(2.0, 1.0),
 )
+
+
+def fixed_spec(x0, x1, a2):
+    """Deterministic initial data x0, x1 and a fixed A^2 = a2: the mean
+    series is the pathwise series of that one solution."""
+    return MomentSpec(x0, x1, x0 * x0, x1 * x1, x0 * x1, FixedSquaredAmplitude(a2))
 
 
 class TestBetaMoments:
@@ -77,43 +81,68 @@ class TestBetaMoments:
             beta_raw_moment(1.0, 1.0, -1)
 
 
+IMPOSSIBLE_MOMENTS = {
+    "variance-x0": (1.0, 0.0, 0.5, 1.0, 0.0),     # E[X0^2] < E[X0]^2
+    "cauchy-schwarz": (0.0, 0.0, 1.0, 1.0, 2.0),  # |E[X0 X1]| over the Cauchy-Schwarz bound
+    # each pairwise bound holds, but both variances are 0, so the covariance
+    # ex01 - ex0 ex1 = -0.5 is impossible; the matrix has eigenvalue -0.186
+    "joint-only": (1.0, 1.0, 1.0, 1.0, 0.5),
+}
+
+POSSIBLE_MOMENTS = {
+    "perfect-correlation": (1.0, 1.0, 1.0, 1.0, 1.0),
+    "deterministic-1e6": (1e6, 0.0, 1e12, 0.0, 0.0),     # rank one at a large scale
+    "deterministic-pair": (0.7, 0.4, 0.49, 0.16, 0.28),
+    "covariance": (1.0, 0.5, 1.5, 0.5, 0.3),             # a proper covariance
+}
+
+
 class TestMomentSpec:
     @pytest.mark.parametrize("moments", [
-        (1.0, 0.0, 0.5, 1.0, 0.0),   # E[X0^2] < E[X0]^2
-        (0.0, 0.0, 1.0, 1.0, 2.0),   # |E[X0 X1]| over the Cauchy-Schwarz bound
-        # each pairwise bound holds, but both variances are 0, so the covariance
-        # ex01 - ex0 ex1 = -0.5 is impossible; the matrix has eigenvalue -0.186
-        (1.0, 1.0, 1.0, 1.0, 0.5),
-        (math.nan, 0.0, 1.0, 1.0, 0.0),
-    ], ids=["variance-x0", "cauchy-schwarz", "joint-only", "nan"])
+        *IMPOSSIBLE_MOMENTS.values(), (math.nan, 0.0, 1.0, 1.0, 0.0)],
+        ids=[*IMPOSSIBLE_MOMENTS, "nan"])
     def test_rejects_impossible_moments(self, moments):
         with pytest.raises(CurveDomainError, match="no joint law"):
             MomentSpec(*moments, FixedSquaredAmplitude(1.0))
 
-    @pytest.mark.parametrize("moments", [
-        (1.0, 1.0, 1.0, 1.0, 1.0),       # perfect correlation
-        (1e6, 0.0, 1e12, 0.0, 0.0),      # deterministic, rank one at a large scale
-        (0.7, 0.4, 0.49, 0.16, 0.28),    # deterministic pair
-        (1.0, 0.5, 1.5, 0.5, 0.3),       # a proper covariance
-    ], ids=["perfect-correlation", "deterministic-1e6", "deterministic-pair", "covariance"])
+    @pytest.mark.parametrize("moments", POSSIBLE_MOMENTS.values(), ids=POSSIBLE_MOMENTS)
     def test_accepts_possible_moments(self, moments):
         MomentSpec(*moments, FixedSquaredAmplitude(1.0))
+
+    @pytest.mark.parametrize("moments, possible", [
+        # a variance of X0 at -2^-10 ex0^2
+        ((1.0, 0.0, 1.0 - 2.0 ** -10, 0.0, 0.0), False),
+        *((m, False) for m in IMPOSSIBLE_MOMENTS.values()),
+        *((m, True) for m in POSSIBLE_MOMENTS.values()),
+    ], ids=["variance-x0-small", *IMPOSSIBLE_MOMENTS, *POSSIBLE_MOMENTS])
+    def test_verdict_does_not_depend_on_the_units_of_x(self, moments, possible):
+        # X -> 2^k X scales the first moments by 2^k and the second by 4^k
+        ex0, ex1, ex0_sq, ex1_sq, ex01 = moments
+        for k in range(-60, 61):
+            scaled = (math.ldexp(ex0, k), math.ldexp(ex1, k), math.ldexp(ex0_sq, 2 * k),
+                      math.ldexp(ex1_sq, 2 * k), math.ldexp(ex01, 2 * k))
+            try:
+                MomentSpec(*scaled, FixedSquaredAmplitude(1.0))
+            except CurveDomainError:
+                assert not possible, k
+            else:
+                assert possible, k
 
 
 class TestFrobenius:
     def test_recurrence_low_orders(self):
-        c = frobenius_coefficients(1.0, 1.0, 1.0, 3)
+        c = mean_coefficients(fixed_spec(1.0, 1.0, 1.0), 1)
         assert c[2] == pytest.approx(-0.5)       # -A^2 X0 / 2
         assert c[3] == pytest.approx(-1.0 / 6.0)  # -A^2 X1 / 6
 
     def test_deterministic_frequency_gives_trig_taylor(self):
         omega = 1.7
-        c = frobenius_coefficients(1.0, 0.0, omega ** 2, 12)
+        c = mean_coefficients(fixed_spec(1.0, 0.0, omega ** 2), 5)
         for m in range(6):
             expected = (-1) ** m * omega ** (2 * m) / math.factorial(2 * m)
             assert c[2 * m] == pytest.approx(expected, rel=1e-12)
             assert c[2 * m + 1] == 0.0
-        s = frobenius_coefficients(0.0, 1.0, omega ** 2, 12)
+        s = mean_coefficients(fixed_spec(0.0, 1.0, omega ** 2), 5)
         for m in range(6):
             expected = (-1) ** m * omega ** (2 * m) / math.factorial(2 * m + 1)
             assert s[2 * m + 1] == pytest.approx(expected, rel=1e-12)
@@ -507,18 +536,33 @@ class TestBlockedMonteCarlo:
 
 
 class TestResidual:
-    def test_high_order_small_residual(self):
-        r = residual_check(1.0, 1.0, 0.5, 16, np.linspace(-1.0, 1.0, 201))
-        assert r < 1e-5
+    """P = mean_coefficients(spec, N) under a fixed A^2 = a2 solves the
+    oscillator equation up to its truncation: the recurrence cancels every
+    coefficient of P'' + a2 P but a2 times P's top two, of degree 2N and
+    2N + 1. No step size enters, since P'' is taken exactly."""
+
+    @staticmethod
+    def residual(a2, x0, x1, order, j):
+        """P'' + a2 P at ``j``, summed coefficient by coefficient, and P."""
+        p = mean_coefficients(fixed_spec(x0, x1, a2), order)
+        poly = np.polynomial.polynomial
+        return poly.polyval(j, poly.polyadd(poly.polyder(p, 2), a2 * p)), p
+
+    @pytest.mark.parametrize("a2, x0, x1, order", [
+        (1.0, 1.0, 0.5, 16), (2.89, 1.0, 0.0, 5), (4.0, 0.7, 0.4, 20), (0.5, -1.0, 2.0, 2)])
+    def test_only_the_top_two_terms_remain(self, a2, x0, x1, order):
+        j = np.linspace(-1.0, 1.0, 201)
+        resid, p = self.residual(a2, x0, x1, order, j)
+        top = a2 * (p[-2] * j ** (2 * order) + p[-1] * j ** (2 * order + 1))
+        # on |J| <= 1 each term of a2 P is at most its coefficient, so the
+        # cancelled ones leave at most one ulp of their sum
+        np.testing.assert_allclose(resid, top, rtol=0.0,
+                                   atol=np.finfo(float).eps * a2 * np.abs(p).sum())
 
     def test_low_order_dominated_by_truncation(self):
-        # degree cap 2N+1 = 5: residual ~ a2 * c4 * J^4 near J = 1
-        r = residual_check(1.0, 1.0, 0.0, 2, np.array([1.0]))
-        assert r == pytest.approx(1.0 / 24.0, rel=1e-2)
+        # degree cap 2N+1 = 5: the residual is a2 * c4 * J^4 = 1/24 at J = 1
+        assert self.residual(1.0, 1.0, 0.0, 2, 1.0)[0] == 1.0 / 24.0
 
     def test_zero_solution(self):
-        assert residual_check(1.0, 0.0, 0.0, 16, np.linspace(-1.0, 1.0, 101)) == 0.0
-
-    def test_order_floor(self):
-        with pytest.raises(CurveDomainError):
-            residual_check(1.0, 1.0, 0.0, 1, [0.5])
+        resid, _ = self.residual(1.0, 0.0, 0.0, 16, np.linspace(-1.0, 1.0, 101))
+        assert not np.any(resid)
