@@ -18,12 +18,13 @@ import numpy as np
 
 from . import rng as _rng
 from .calculus import cell_nodes
+from .curves import FractalCurve
 from .errors import CurveDomainError, EstimationError
 from .staircase import StaircaseTable
 
-#: Draws per step of ``DistributionOnCurve.sample``: u -> J -> (t, point)
-#: runs one block at a time, so its temporaries are this many rows,
-#: whatever the count.
+#: Draws per step of ``DistributionOnCurve.sample`` (u -> J -> t) and of
+#: ``SampleSet.points`` (t -> point): each runs one block at a time, so its
+#: temporaries are this many rows, whatever the count.
 SAMPLE_BLOCK_ROWS = 16384
 
 #: Panels in J of the trapezoid cdf that normalizes a custom pdf.
@@ -32,17 +33,25 @@ CUSTOM_GRID = 2048
 
 @dataclass
 class SampleSet:
-    """Points drawn on the curve, with the seed that made them."""
+    """Draws on a curve: their parameters t and mass coordinates J."""
 
-    points: np.ndarray      # (count, n)
+    curve: FractalCurve
     t: np.ndarray           # (count,) parameters
     j: np.ndarray           # (count,) mass coordinates
-    seed: int
     plateau_hits: int
 
     @property
     def count(self) -> int:
         return len(self.t)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The (count, n) curve points w(t), built in blocks on first read."""
+        pts = np.empty((self.count, self.curve.ndim))
+        for lo in range(0, self.count, SAMPLE_BLOCK_ROWS):
+            rows = slice(lo, lo + SAMPLE_BLOCK_ROWS)
+            pts[rows] = self.curve.point(self.t[rows])
+        return pts
 
 
 class DistributionOnCurve:
@@ -151,12 +160,14 @@ class DistributionOnCurve:
     def sample(self, seed: int, count: int) -> SampleSet:
         """Inverse-transform sampling driven by a counter-based stream.
 
-        The same seed always reproduces the same points.
-        Draws landing on a staircase plateau snap to its right edge and
-        are counted. The draws run in blocks of ``SAMPLE_BLOCK_ROWS``;
-        the stream yields the same numbers whatever the block size. J goes
-        to t through ``StaircaseTable.t_from_mass``, t to its point through
-        ``FractalCurve.point``; both look up cells in any order.
+        Each draw runs u -> J -> t: the inverse cdf takes a uniform u to
+        its mass coordinate J, and ``StaircaseTable.t_from_mass`` takes J
+        to t, looking up cells in any order. The same seed always
+        reproduces the same draws. Draws landing on a staircase plateau
+        snap to its right edge and are counted. The draws run in blocks of
+        ``SAMPLE_BLOCK_ROWS``; the stream yields the same numbers whatever
+        the block size. No point is computed here: ``SampleSet.points``
+        builds them from t, in blocks, on first read.
         """
         if count < 1:
             raise CurveDomainError("sample count must be >= 1")
@@ -164,15 +175,12 @@ class DistributionOnCurve:
         table = self.table
         j = np.empty(count)
         t = np.empty(count)
-        pts = np.empty((count, table.curve.ndim))
         before = table.plateau_hits
         for lo in range(0, count, SAMPLE_BLOCK_ROWS):
             rows = slice(lo, min(lo + SAMPLE_BLOCK_ROWS, count))
             j[rows] = self._inverse_cdf(gen.random(rows.stop - lo))
             t[rows] = table.t_from_mass(j[rows])
-            pts[rows] = table.curve.point(t[rows])
-        hits = table.plateau_hits - before
-        return SampleSet(pts, t, j, seed, hits)
+        return SampleSet(table.curve, t, j, table.plateau_hits - before)
 
     # -- moments ---------------------------------------------------------------
 

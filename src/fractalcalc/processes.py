@@ -49,16 +49,6 @@ class FractalProcess:
     correlation: object = None
 
 
-def constant_process(value: float = 1.0) -> FractalProcess:
-    def draw(gen, j, n):
-        return np.full((n, len(j)), value)
-
-    def corr(j1, j2):
-        return value * value * np.ones_like(np.asarray(j1, dtype=float) * np.asarray(j2, dtype=float))
-
-    return FractalProcess("constant", draw, corr)
-
-
 def linear_amplitude(sigma2: float = 1.0) -> FractalProcess:
     """X(tau) = A * J(tau) with E[A] = 0 and Var[A] = sigma2; the
     correlation is the bilinear sigma2 * j1 * j2."""

@@ -28,14 +28,16 @@ from fractalcalc import (
     white_noise,
 )
 from ks import ks_distance
-from fractalcalc.cli import main, read_csv
+from emitted import read_csv
+from fractalcalc.cli import main
 from fractalcalc.oscillator import (
     deterministic_initial_data,
     mc_solution_moments,
     mean_coefficients,
     second_moment_coefficients,
 )
-from fractalcalc.processes import FractalProcess, constant_process
+from fractalcalc.processes import FractalProcess
+from constant import constant_process
 from fractalcalc import rng as frng
 
 

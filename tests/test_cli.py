@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 
 from fractalcalc import KOCH_DIMENSION, build_koch
 from fractalcalc import cli
-from fractalcalc.cli import main, read_csv
+from fractalcalc.cli import main
+from emitted import read_csv
 
 
 def run(tmp_path, name, *args):
@@ -538,6 +540,23 @@ class TestOptionTable:
         text = " ".join(capsys.readouterr().out.split())
         for command, (summary, _) in cli._COMMAND_OPTIONS.items():
             assert f"{command} {summary}" in text
+
+
+def readme_recipes():
+    """The ``fractalcalc ...`` lines of README's command-line usage block."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("fractalcalc ")]
+
+
+@pytest.mark.parametrize("recipe", readme_recipes(), ids=lambda r: r[r.index("--out") + 1])
+def test_readme_recipe_runs(tmp_path, recipe):
+    at = recipe.index("--out") + 1
+    out = tmp_path / recipe[at]
+    assert main([*recipe[:at], str(out), *recipe[at + 1:]]) == 0
+    _, header, rows = read_csv(out)
+    assert header and len(rows) >= 1
 
 
 # numpy 2.4's np.unique and np.union1d import numpy.ma on their first

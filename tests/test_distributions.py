@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fractalcalc import (
     KOCH_DIMENSION,
     DistributionOnCurve,
+    FractalCurve,
     build_koch,
     build_line,
     build_polyline,
@@ -17,7 +18,9 @@ from fractalcalc import (
     falpha_integral,
     sampling_cdf,
 )
+from fractalcalc.distributions import SAMPLE_BLOCK_ROWS
 from fractalcalc.errors import CurveDomainError
+from conftest import traced_peak
 from ks import ks_distance
 from walks import lognormal_walk, plateau_polyline
 
@@ -201,6 +204,28 @@ class TestSampling:
             tracemalloc.stop()
         assert smp.count == count
         assert peak <= 56 * count
+
+    @pytest.mark.parametrize("count", [2 * 10 ** 5, 10 ** 6])
+    def test_sampler_leaves_points_to_first_read(self, koch_table, monkeypatch, count):
+        # a draw keeps t and J, 16 bytes; its (count, 2) points are built
+        # from t on the first read of .points, one block at a time
+        calls = []
+        point = FractalCurve.point
+
+        def counted(curve, t):
+            calls.append(len(t))
+            return point(curve, t)
+
+        monkeypatch.setattr(FractalCurve, "point", counted)
+        dist = DistributionOnCurve.memoryless(koch_table, 1.3)
+        drawn = []
+        assert traced_peak(lambda: drawn.append(dist.sample(7, count))) <= 16 * count + 2 ** 21
+        assert calls == []
+        smp = drawn[0]
+        assert traced_peak(lambda: smp.points) <= 32 * count + 2 ** 21
+        assert sum(calls) == count
+        assert smp.points is smp.points
+        assert len(calls) == -(-count // SAMPLE_BLOCK_ROWS)
 
     def test_count_floor(self, koch_table):
         with pytest.raises(CurveDomainError):

@@ -29,8 +29,8 @@ from fractalcalc.processes import (
     DEFAULT_EPS_LADDER,
     GRID_BLOCK,
     FractalProcess,
-    constant_process,
 )
+from constant import constant_process
 from walks import lognormal_walk
 
 

@@ -23,7 +23,7 @@ SETTINGS = {
     "cli": 2,
     "distributions": 2,
     "oscillator": 4,
-    "processes": 18,
+    "processes": 17,
     "rng": 1,
     "staircase": 4,
 }
@@ -57,7 +57,7 @@ def settings_in(path):
 def test_settings_per_module():
     counts = {p.stem: settings_in(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: n for name, n in counts.items() if n} == SETTINGS
-    assert sum(SETTINGS.values()) == 32
+    assert sum(SETTINGS.values()) == 31
 
 
 def test_exports():
