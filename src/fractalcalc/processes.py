@@ -20,11 +20,9 @@ from .staircase import StaircaseTable
 #: Offsets (in mass units) used by the limit diagnostics.
 DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
 
-#: Panels in J of a mean-square integral and of an improper one's first rung.
+#: Panels in J of a mean-square integral and of an improper one's first rung;
+#: the existence pre-check sums over half, one and two times as many.
 MS_PANELS = 256
-
-#: Panels in J of the pre-check's first sum; the next two take 2x and 4x.
-PRECHECK_PANELS = 128
 
 #: Relative gap between the pre-check's last two sums that counts as Cauchy.
 PRECHECK_RTOL = 0.01
@@ -322,7 +320,7 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
 
 @dataclass
 class ExistencePrecheck:
-    sums: list            # double midpoint sums at 1, 2 and 4 PRECHECK_PANELS
+    sums: list            # double midpoint sums at 1/2, 1 and 2 times MS_PANELS panels
     exists: bool
 
 
@@ -334,84 +332,104 @@ class MsIntegralResult:
     precheck: ExistencePrecheck
 
 
-def _mass_panels(table, a, b, k):
-    """Midpoints and widths of k uniform panels in J: the integrands depend
-    on J alone, and g(S(t)) dS(t) over [a, b] is g(j) dj over [S(a), S(b)]."""
+def _mass_panels(weight, table, a, b, u, k):
+    """Midpoints of k uniform panels in J and their weights f(j, u) dj: the
+    integrands depend on J alone, and g(S(t)) dS(t) over [a, b] is g(j) dj
+    over [S(a), S(b)]."""
     j = np.linspace(*table.value([a, b]), k + 1)
-    return 0.5 * (j[:-1] + j[1:]), np.diff(j)
+    mids = 0.5 * (j[:-1] + j[1:])
+    return mids, np.asarray(weight(mids, u), dtype=float) * np.diff(j)
 
 
-def _path_sums(proc, mids, w, n, gen):
-    """sum_j w_j X(j) over the indices ``mids`` for each of n paths drawn
-    from ``gen``: one realization of a midpoint sum per row."""
-    paths = np.asarray(proc.draw_paths(gen, mids, n), dtype=float)
+def _path_sums(proc, weight, table, a, b, u, k, n, seed):
+    """sum_j w_j X(j) over k panels for each of n paths drawn from
+    ``stream(seed, 7)``: one realization of a midpoint sum per row."""
+    mids, w = _mass_panels(weight, table, a, b, u, k)
+    paths = np.asarray(proc.draw_paths(_rng.stream(seed, 7), mids, n), dtype=float)
     return np.multiply(paths, w, out=paths).sum(axis=1)
 
 
-def _double_rs_sum(weight, proc, u, table, a, b, k, n, seed):
-    mids, dj = _mass_panels(table, a, b, k)
-    w = np.asarray(weight(mids, u), dtype=float) * dj
-    if proc.correlation is not None:
-        rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
-        return float(((rmat * w).sum(axis=1) * w).sum())
-    # w (P^T P / n) w in its realization form: O(n k), no k-by-k matrix
-    return float(np.mean(_path_sums(proc, mids, w, n, _rng.stream(seed, 7)) ** 2))
+def _double_rs_sum(proc, weight, table, a, b, u, k, n, seed):
+    """The double midpoint sum over k panels and, without an analytic R,
+    the path sums whose mean square it is (else None)."""
+    if proc.correlation is None:
+        # w (P^T P / n) w in its realization form: O(n k), no k-by-k matrix
+        drawn = _path_sums(proc, weight, table, a, b, u, k, n, seed)
+        return float(np.mean(drawn ** 2)), drawn
+    mids, w = _mass_panels(weight, table, a, b, u, k)
+    rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
+    return float(((rmat * w).sum(axis=1) * w).sum()), None
+
+
+def _precheck(proc, weight, table, a, b, u, n, seed):
+    """``ms_integral_precheck`` and its rungs' path sums by panel count,
+    for the estimate to reuse."""
+    if not a < b:
+        raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
+    if not math.isfinite(u):
+        raise CurveDomainError(f"u must be finite, got {u}")
+    sums, drawn = [], {}
+    for k in (MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS):
+        total, drawn[k] = _double_rs_sum(proc, weight, table, a, b, u, k, n, seed)
+        sums.append(total)
+    if not all(math.isfinite(v) for v in sums):
+        return ExistencePrecheck(sums, False), drawn
+    g1 = abs(sums[1] - sums[0])
+    g2 = abs(sums[2] - sums[1])
+    tight = g2 <= PRECHECK_RTOL * abs(sums[2])
+    contracting = g2 < 0.75 * g1
+    return ExistencePrecheck(sums, tight or contracting), drawn
 
 
 def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
                          a: float, b: float, u: float = 0.0,
                          n: int = 20000, seed: int = 0) -> ExistencePrecheck:
-    """Evaluate the double midpoint sum of f(j,u) f(j',u) R(j,j') over k,
-    2k and 4k uniform panels in J, k = ``PRECHECK_PANELS``; the limit
+    """Evaluate the double midpoint sum of f(j,u) f(j',u) R(j,j') over k/2,
+    k and 2k uniform panels in J over [a, b], k = ``MS_PANELS``; the limit
     exists when the sums are finite and Cauchy (within ``PRECHECK_RTOL``
     of each other, or gaps contracting geometrically toward a finite
     value).
 
     Every sum is an ordered numpy reduction, not a BLAS product. An analytic
     R is summed row by row; without one, the sum is taken in its realization
-    form: the mean over n paths of (sum_j w_j X(j))^2, w_j = f(j, u) dj. It
-    equals w R_n w for the sample correlation R_n = P^T P / n in exact
-    arithmetic and can differ from that Gram form in the last bits."""
-    if not math.isfinite(u):
-        raise CurveDomainError(f"u must be finite, got {u}")
-    sums = [
-        _double_rs_sum(weight, proc, u, table, a, b, k * PRECHECK_PANELS, n, seed)
-        for k in (1, 2, 4)
-    ]
-    if not all(math.isfinite(v) for v in sums):
-        return ExistencePrecheck(sums, False)
-    g1 = abs(sums[1] - sums[0])
-    g2 = abs(sums[2] - sums[1])
-    tight = g2 <= PRECHECK_RTOL * abs(sums[2])
-    contracting = g2 < 0.75 * g1
-    return ExistencePrecheck(sums, tight or contracting)
+    form: the mean over n paths, drawn from ``stream(seed, 7)``, of
+    (sum_j w_j X(j))^2, w_j = f(j, u) dj. It equals w R_n w for the sample
+    correlation R_n = P^T P / n in exact arithmetic and can differ from that
+    Gram form in the last bits."""
+    return _precheck(proc, weight, table, a, b, u, n, seed)[0]
+
+
+def _ms_integral(proc, weight, table, a, b, u, k, n, seed):
+    """``ms_integral`` over k panels in J. The estimate reuses the
+    pre-check's rung of k panels where one was drawn; otherwise it draws
+    that rung once, from the pre-check's stream."""
+    if n < 2:
+        raise CurveDomainError("need at least 2 realizations for a standard error")
+    pre, drawn = _precheck(proc, weight, table, a, b, u, n, seed)
+    if not pre.exists:
+        raise ExistenceError(
+            f"double-integral pre-check failed: sums {pre.sums} are not Cauchy"
+        )
+    realizations = drawn.get(k)
+    if realizations is None:
+        realizations = _path_sums(proc, weight, table, a, b, u, k, n, seed)
+    y = float(realizations.mean())
+    stderr = float(realizations.std(ddof=1) / math.sqrt(n))
+    return MsIntegralResult(y, stderr, realizations, pre)
 
 
 def ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
-                a: float, b: float, u: float = 0.0, k: int = MS_PANELS,
+                a: float, b: float, u: float = 0.0,
                 n: int = 2000, seed: int = 0) -> MsIntegralResult:
     """Mean-square integral of f(tau, u) X(tau) against the staircase.
 
     The existence pre-check runs first; failure raises without forming
     the integral. The estimate averages per-realization midpoint sums over
-    k uniform panels in J, and the realizations are returned for
+    ``MS_PANELS`` uniform panels in J: without an analytic R, the sums of
+    the pre-check's middle rung. The realizations are returned for
     downstream statistics.
     """
-    if not a < b:
-        raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
-    if n < 2:
-        raise CurveDomainError("need at least 2 realizations for a standard error")
-    pre = ms_integral_precheck(proc, weight, table, a, b, u, n=n, seed=seed)
-    if not pre.exists:
-        raise ExistenceError(
-            f"double-integral pre-check failed: sums {pre.sums} are not Cauchy"
-        )
-    mids, dj = _mass_panels(table, a, b, k)
-    coeff = np.asarray(weight(mids, u), dtype=float) * dj
-    realizations = _path_sums(proc, mids, coeff, n, _rng.stream(seed, 1))
-    y = float(realizations.mean())
-    stderr = float(realizations.std(ddof=1) / math.sqrt(n))
-    return MsIntegralResult(y, stderr, realizations, pre)
+    return _ms_integral(proc, weight, table, a, b, u, MS_PANELS, n, seed)
 
 
 @dataclass
@@ -435,12 +453,16 @@ def improper_ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
     if len(ladder) < 2 or not all(lo < hi for lo, hi in zip([a, *ladder], ladder)):
         raise CurveDomainError("upper-limit ladder must increase from a")
     s = table.value([a, *ladder])
+    if not s[1] > s[0]:
+        raise CurveDomainError(
+            f"first upper limit {ladder[0]} carries no mass above a = {a}: "
+            "the panel density is undefined")
     values, stderrs = [], []
     converged = False
     for b, s_b in zip(ladder, s[1:]):
         # constant panel density in J, so quadrature drift cannot mask the tail
         k_b = max(MS_PANELS, math.ceil(MS_PANELS * (s_b - s[0]) / (s[1] - s[0])))
-        res = ms_integral(proc, weight, table, a, b, u, k_b, n, seed)
+        res = _ms_integral(proc, weight, table, a, b, u, k_b, n, seed)
         values.append(res.y)
         stderrs.append(res.stderr)
         if len(values) >= 2:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fractalcalc import (
     brownian_like,
     build_line,
+    build_polyline,
     build_staircase,
     cosine_phase,
     estimate_correlation_grid,
@@ -28,10 +29,12 @@ from fractalcalc.processes import (
     BUILTIN_FIXTURES,
     DEFAULT_EPS_LADDER,
     GRID_BLOCK,
+    MS_PANELS,
     FractalProcess,
 )
+from conftest import traced_peak
 from constant import constant_process
-from walks import lognormal_walk
+from walks import lognormal_walk, underflow_polyline
 
 
 @pytest.fixture(scope="module")
@@ -629,6 +632,73 @@ class TestImproperIntegral:
             improper_ms_integral(constant_process(1.0),
                                  lambda j, u: np.ones_like(j), long_table,
                                  0.0, [0, 5], n=300)
+
+
+class TestSharedDraw:
+    # The estimate of a k-panel integral reads the pre-check's rung of k
+    # panels, which is drawn from stream 7, instead of drawing it again.
+
+    @staticmethod
+    def spied(proc, widths):
+        """``proc`` without its analytic R, recording each draw's width."""
+        def draw(gen, j, n):
+            widths.append(len(j))
+            return proc.draw_paths(gen, j, n)
+
+        return FractalProcess(proc.name, draw)
+
+    def test_estimate_reads_the_precheck_rung(self, unit_table):
+        widths = []
+        weight = lambda j, u: np.cos(j - u)
+        res = ms_integral(self.spied(cosine_phase(), widths), weight, unit_table,
+                          0, 1, u=0.3, n=500, seed=11)
+        assert widths == [MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS]
+        j = np.linspace(0.0, 1.0, MS_PANELS + 1)
+        mids = 0.5 * (j[:-1] + j[1:])
+        paths = cosine_phase().draw_paths(frng.stream(11, 7), mids, 500)
+        want = np.multiply(paths, weight(mids, 0.3) * np.diff(j), out=paths).sum(axis=1)
+        assert res.realizations.tobytes() == want.tobytes()
+        assert res.precheck.sums[1] == np.mean(res.realizations ** 2)
+
+    def test_improper_rungs_draw_only_past_the_precheck(self, long_table):
+        # first-rung masses 5, 10, 20 take 256, 512 and 1024 panels: the
+        # first two are pre-check rungs, the third is drawn once more
+        widths = []
+        res = improper_ms_integral(self.spied(constant_process(1.0), widths),
+                                   lambda j, u: np.ones_like(j), long_table,
+                                   0.0, [5, 10, 20], n=300, seed=5)
+        rungs = [MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS]
+        assert widths == [*rungs, *rungs, *rungs, 4 * MS_PANELS]
+        np.testing.assert_allclose(res.values, [5, 10, 20], rtol=1e-9)
+
+    def test_analytic_ladder_peak_memory(self, long_table):
+        # the pre-check's rungs stay at 128, 256 and 512 panels whatever a
+        # rung's k; rungs relative to k would build 3072-square R matrices
+        peak = traced_peak(lambda: improper_ms_integral(
+            constant_process(1.0), lambda j, u: np.ones_like(j), long_table,
+            0.0, [5, 10, 15, 20, 25, 30], n=300, seed=5))
+        assert peak <= 6 * 2 ** 20
+
+
+@pytest.mark.parametrize("curve, ladder", [
+    (underflow_polyline, [0.5, 1.0]),
+    (lambda: build_polyline([0, .25, .5, 1], [[0, 0], [1e-200, 0], [.5, 0], [1, 0]], 2.0),
+     [0.25, 1.0]),
+], ids=["all-zero", "zero-first-rung"])
+def test_massless_first_rung_is_refused(curve, ladder):
+    with pytest.warns(UserWarning, match="flat cells"):
+        table = build_staircase(curve(), alpha=2.0)
+    with pytest.raises(CurveDomainError,
+                       match=f"first upper limit {ladder[0]} .* panel density is undefined"):
+        improper_ms_integral(constant_process(1.0), lambda j, u: np.ones_like(j), table,
+                             0.0, ladder, n=300)
+
+
+@pytest.mark.parametrize("call", [ms_integral_precheck, ms_integral])
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.5, 0.5)], ids=["reversed", "empty"])
+def test_interval_must_increase(unit_table, call, a, b):
+    with pytest.raises(CurveDomainError, match="needs a < b"):
+        call(linear_amplitude(1.0), lambda j, u: np.ones_like(j), unit_table, a, b)
 
 
 @pytest.mark.parametrize("call", [
