@@ -351,8 +351,7 @@ def cmd_msdiag(cfg, out):
         "fixture": names,
         "continuous": [c.continuity.continuous for c in checks],
         "differentiable": [c.differentiable for c in checks],
-        "second_derivative": [c.value if c.differentiable else math.nan
-                              for c in checks],
+        "second_derivative": [c.value for c in checks],
     })
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CurveDomainError, ResourceError
+from .errors import CurveDomainError, GeometryError, ResourceError
 
 MAX_KOCH_LEVEL = 12
 
@@ -29,6 +29,13 @@ _SIN60 = math.sqrt(3.0) / 2.0
 #: Edges per block of ``_koch_step``, whose temporaries stay block-sized.
 _KOCH_BLOCK_EDGES = 1 << 13
 
+#: Chords per block of ``FractalCurve.chords``, whose temporaries stay block-sized.
+_CHORD_BLOCK = 1 << 13
+
+#: (point, edge) pairs per block of ``FractalCurve._project``: each
+#: temporary is one block, small enough to stay in cache.
+_PROJECT_BLOCK_PAIRS = 1 << 15
+
 
 @dataclass(frozen=True, eq=False)
 class FractalCurve:
@@ -39,13 +46,14 @@ class FractalCurve:
     (the ideal object's dimension for the Koch family, 1 for lines).
     The vertices are stored once, coordinate-major, in the read-only
     C-contiguous (n, m+1) array ``_cols``; ``vertices`` is its (m+1, n)
-    transpose view, and every per-edge kernel runs one coordinate at a
-    time over its rows. Construction checks strict knot increase and
-    repeated consecutive vertices by comparing each entry with its
-    neighbour, so it allocates no difference arrays, only boolean masks.
-    Two cached properties live and die with the curve: the knots' cell
-    index ``_knot_index`` and the edge directions and squared lengths
-    ``_edges``.
+    transpose view. Only the curve's methods read it, one coordinate at a
+    time over its rows: ``point``, its inverse ``parameter_of`` (by
+    nearest-segment projection), ``chords`` and ``polyline_length``.
+    Construction checks strict knot increase and repeated consecutive
+    vertices by comparing each entry with its neighbour, so it allocates
+    no difference arrays, only boolean masks. Two cached properties live
+    and die with the curve: the knots' cell index ``_knot_index`` and the
+    edge directions and squared lengths ``_edges``.
     """
 
     knots: np.ndarray              # (m+1,) strictly increasing
@@ -129,6 +137,68 @@ class FractalCurve:
         lengths, built on the first nearest-segment projection."""
         d = np.diff(self._cols, axis=1)
         return d, _squared_norms(d)
+
+    def chords(self, t):
+        """Chords between the curve points at consecutive parameters ``t``, in
+        blocks that overlap by one point; each is the same double as in one pass."""
+        out = np.empty(len(t) - 1)
+        for lo in range(0, len(out), _CHORD_BLOCK):
+            # point() gives the (m, n) transpose of a coordinate-major array
+            cols = self.point(t[lo:lo + _CHORD_BLOCK + 1]).T
+            out[lo:lo + _CHORD_BLOCK] = _chord_lengths(cols)
+        return out
+
+    def parameter_of(self, points):
+        """Parameters of an (m, n) block of curve points, the inverse of
+        ``point``, by nearest-segment projection onto the polyline; a
+        point farther than 1e-9 times the block's largest |coordinate| (at
+        least 1e-9) from the curve raises GeometryError, since the
+        projection rounds in ulps of the coordinates."""
+        points = np.asarray(points, dtype=float)
+        n = self.ndim
+        if points.ndim != 2 or points.shape[1] != n:
+            raise GeometryError(
+                f"points must form an (m, {n}) array for a curve in R^{n}, "
+                f"got shape {points.shape}"
+            )
+        t, dist = self._project(points)
+        # a nan point fails: its distance is nan
+        if len(dist) and not dist.max() <= (tol := 1e-9 * max(1.0, np.abs(points).max())):
+            raise GeometryError(
+                f"points up to {dist.max():.3e} away from the curve (tolerance {tol:.3g})"
+            )
+        return t
+
+    def _project(self, pts):
+        """Nearest-segment projection of an (m, n) block of points onto the
+        polyline; returns (parameters, distances). Every point is checked
+        against every edge, one coordinate at a time, in blocks of about
+        ``_PROJECT_BLOCK_PAIRS`` (point, edge) pairs: each pair gets the IEEE
+        operations of the row-major sums over n, in the same order. The edge
+        directions and squared lengths come from ``_edges``."""
+        cols = self._cols
+        d, len2 = self._edges
+        t_out = np.empty(len(pts))
+        dist_out = np.empty(len(pts))
+        chunk = max(1, _PROJECT_BLOCK_PAIRS // len(len2))
+        for start in range(0, len(pts), chunk):
+            block = pts[start:start + chunk].T[:, :, None]     # (n, b, 1)
+            # numpy's reduce over a short axis starts from +0.0, so the dot
+            # product does too: a sum of -0.0 terms is +0.0
+            dot = np.zeros((len(block[0]), len(len2)))
+            for theta, p, dk in zip(block, cols, d):
+                dot += (theta - p[:-1]) * dk
+            proj = np.clip(dot / len2, 0.0, 1.0)
+            # offset of each point from its closest point p + proj * d
+            dist2 = _squared_norms([theta - (p[:-1] + proj * dk)
+                                    for theta, p, dk in zip(block, cols, d)])
+            best = dist2.argmin(axis=1)
+            rows = np.arange(len(best))
+            t0 = self.knots[best]
+            t1 = self.knots[best + 1]
+            t_out[start:start + chunk] = t0 + proj[rows, best] * (t1 - t0)
+            dist_out[start:start + chunk] = np.sqrt(dist2[rows, best])
+        return t_out, dist_out
 
 
 def _squared_norms(rows):

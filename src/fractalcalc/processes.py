@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _threads
 from . import rng as _rng
-from .errors import CurveDomainError, ExistenceError
+from .errors import CurveDomainError, ExistenceError, ResourceError
 from .staircase import StaircaseTable
 
 #: Offsets (in mass units) used by the limit diagnostics.
@@ -23,6 +23,10 @@ DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
 #: Panels in J of a mean-square integral and of an improper one's first rung;
 #: the existence pre-check sums over half, one and two times as many.
 MS_PANELS = 256
+
+#: Most path values (realizations x panels, 128 MiB of float64) that one
+#: rung of an improper integral may draw.
+_MAX_PATH_VALUES = 1 << 24
 
 #: Relative gap between the pre-check's last two sums that counts as Cauchy.
 PRECHECK_RTOL = 0.01
@@ -193,13 +197,6 @@ def _grid_rows(pt, rows, buf, r, stderr):
 
 
 @dataclass
-class GeneralizedDerivative:
-    values: list
-    limit: float          # nan when divergent
-    divergent: bool
-
-
-@dataclass
 class ContinuityCheck:
     deltas: list
     stderrs: list
@@ -209,15 +206,15 @@ class ContinuityCheck:
 @dataclass
 class DerivativeCheck:
     differentiable: bool
-    value: float
-    generalized: GeneralizedDerivative
+    value: float          # the limit of D/eps^2; nan when not differentiable
+    values: list          # D/eps^2 along the ladder
     continuity: ContinuityCheck
 
 
-def second_generalized_derivative(correlation, tau: float) -> GeneralizedDerivative:
+def second_generalized_derivative(correlation, tau: float) -> DerivativeCheck:
     """Mixed second difference of a bare correlation at the diagonal along
     ``DEFAULT_EPS_LADDER``: the exact ladder of ``ms_derivative_check``."""
-    return ms_derivative_check(FractalProcess("correlation", None, correlation), tau).generalized
+    return ms_derivative_check(FractalProcess("correlation", None, correlation), tau)
 
 
 def ms_continuity_check(proc: FractalProcess, tau: float, n: int = 10000,
@@ -311,8 +308,7 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
             if gap < best_gap:
                 best_gap = gap
                 best = extrap[i]
-    return DerivativeCheck(not divergent, best, GeneralizedDerivative(values, best, divergent),
-                           ContinuityCheck(deltas, stderrs, continuous))
+    return DerivativeCheck(not divergent, best, values, ContinuityCheck(deltas, stderrs, continuous))
 
 
 # -- mean-square integrals -----------------------------------------------------
@@ -447,7 +443,9 @@ def improper_ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
 
     Converged when successive values differ by less than
     max(1e-6, 3 * combined stderr); exhaustion without convergence is
-    flagged and the partial result returned.
+    flagged and the partial result returned. Every rung's panel count is
+    worked out before the first draw, and a last rung of more than
+    ``_MAX_PATH_VALUES`` path values raises ResourceError.
     """
     ladder = list(b_ladder)
     if len(ladder) < 2 or not all(lo < hi for lo, hi in zip([a, *ladder], ladder)):
@@ -457,11 +455,16 @@ def improper_ms_integral(proc: FractalProcess, weight, table: StaircaseTable,
         raise CurveDomainError(
             f"first upper limit {ladder[0]} carries no mass above a = {a}: "
             "the panel density is undefined")
+    # constant panel density in J, so quadrature drift cannot mask the tail
+    panels = [max(MS_PANELS, math.ceil(MS_PANELS * (s_b - s[0]) / (s[1] - s[0])))
+              for s_b in s[1:]]
+    if n * panels[-1] > _MAX_PATH_VALUES:
+        raise ResourceError(
+            f"upper limit {ladder[-1]} needs {panels[-1]} panels x {n} paths; "
+            f"cap is {_MAX_PATH_VALUES} path values")
     values, stderrs = [], []
     converged = False
-    for b, s_b in zip(ladder, s[1:]):
-        # constant panel density in J, so quadrature drift cannot mask the tail
-        k_b = max(MS_PANELS, math.ceil(MS_PANELS * (s_b - s[0]) / (s[1] - s[0])))
+    for b, k_b in zip(ladder, panels):
         res = _ms_integral(proc, weight, table, a, b, u, k_b, n, seed)
         values.append(res.y)
         stderrs.append(res.stderr)

@@ -14,17 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import (
-    FractalCurve,
-    _CellIndex,
-    _chord_lengths,
-    _squared_norms,
-)
-from .errors import (
-    CurveDomainError,
-    EstimationError,
-    GeometryError,
-)
+from .curves import FractalCurve, _CellIndex
+from .errors import CurveDomainError, EstimationError
 
 #: Relative tolerances for the resolution limit: a verdict compares the
 #: masses of one ladder with each other, so the units of x do not move it.
@@ -32,13 +23,6 @@ CAUCHY_RTOL = 1e-4
 _RATIO_EPS = 1e-3
 
 _MAX_DIRECT_POINTS = 1 << 19
-
-#: (point, edge) pairs per block of ``_project_points``: each temporary
-#: is one block, small enough to stay in cache.
-_PROJECT_BLOCK_PAIRS = 1 << 15
-
-#: Chords per block of ``_chords``, whose temporaries stay block-sized.
-_CHORD_BLOCK = 1 << 13
 
 
 def sigma_alpha(curve: FractalCurve, points, alpha: float) -> float:
@@ -49,18 +33,7 @@ def sigma_alpha(curve: FractalCurve, points, alpha: float) -> float:
     if pts.ndim != 1 or len(pts) < 2 or not np.all(np.diff(pts) > 0.0):
         raise CurveDomainError(
             "a subdivision needs at least two strictly increasing points")
-    return _power_sum(_chords(curve, pts), alpha)
-
-
-def _chords(curve, points):
-    """Chords between consecutive curve points at ``points``, in blocks
-    that overlap by one point; each is the same double as in one pass."""
-    out = np.empty(len(points) - 1)
-    for lo in range(0, len(out), _CHORD_BLOCK):
-        # point() gives the (m, n) transpose of a coordinate-major array
-        cols = curve.point(points[lo:lo + _CHORD_BLOCK + 1]).T
-        out[lo:lo + _CHORD_BLOCK] = _chord_lengths(cols)
-    return out
+    return _power_sum(curve.chords(pts), alpha)
 
 
 def _power_sum(chords, alpha):
@@ -76,6 +49,10 @@ def _lattice_points(curve, a, b, delta):
     any array is built, so an over-cap delta costs nothing."""
     d0, d1 = curve.domain
     width = d1 - d0
+    if width / delta == math.inf:
+        raise CurveDomainError(
+            f"delta={delta} steps past the float range over a domain of width "
+            f"{width}; cap is {_MAX_DIRECT_POINTS} lattice points")
     j = max(0, math.ceil(math.log(width / delta, 4.0) - 1e-9))
     while width * 4.0 ** (-j) > delta * (1.0 + 1e-12):
         j += 1
@@ -113,7 +90,7 @@ def _rung_chords(curve, a, b, delta):
     if not a < b:
         raise CurveDomainError(f"segment needs a < b, got [{a}, {b}]")
     curve.check_domain([a, b])
-    return _chords(curve, _lattice_points(curve, a, b, delta))
+    return curve.chords(_lattice_points(curve, a, b, delta))
 
 
 def coarse_mass(curve: FractalCurve, a: float, b: float, alpha: float,
@@ -307,37 +284,12 @@ class StaircaseTable:
         return float(out[0]) if np.ndim(s) == 0 else out
 
     def j_of_theta(self, theta) -> float:
-        """Mass coordinate of a curve point: S at the parameter recovered
-        by nearest-segment projection onto the polyline."""
-        return float(self.value(self.parameter_of(theta)))
-
-    def parameter_of(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float).reshape(1, -1)
-        return float(self._parameters(theta)[0])
+        """Mass coordinate of one curve point: S at its parameter."""
+        return float(self.value(self.curve.parameter_of(np.reshape(theta, (1, -1)))[0]))
 
     def j_of_many(self, thetas):
-        return self.value(self._parameters(thetas))
-
-    def _parameters(self, thetas):
-        """Parameters of an (m, n) block of curve points, by
-        nearest-segment projection onto the polyline; a point farther than
-        1e-9 times the block's largest |coordinate| (at least 1e-9) from
-        the curve raises GeometryError, since the projection rounds in
-        ulps of the coordinates."""
-        thetas = np.asarray(thetas, dtype=float)
-        n = self.curve.ndim
-        if thetas.ndim != 2 or thetas.shape[1] != n:
-            raise GeometryError(
-                f"points must form an (m, {n}) array for a curve in R^{n}, "
-                f"got shape {thetas.shape}"
-            )
-        t, dist = _project_points(self.curve, thetas)
-        # a nan point fails: its distance is nan
-        if len(dist) and not dist.max() <= (tol := 1e-9 * max(1.0, np.abs(thetas).max())):
-            raise GeometryError(
-                f"points up to {dist.max():.3e} away from the curve (tolerance {tol:.3g})"
-            )
-        return t
+        """Mass coordinates of an (m, n) block of curve points."""
+        return self.value(self.curve.parameter_of(thetas))
 
     @cached_property
     def _s_index(self):
@@ -349,38 +301,6 @@ class StaircaseTable:
         ``t_from_mass(s)``, so a scalar gives a (n,) point and an array
         an (m, n) block."""
         return self.curve.point(self.t_from_mass(s))
-
-
-def _project_points(curve, pts):
-    """Nearest-segment projection of an (m, n) block of points onto the
-    polyline; returns (parameters, distances). Every point is checked
-    against every edge, one coordinate at a time, in blocks of about
-    ``_PROJECT_BLOCK_PAIRS`` (point, edge) pairs: each pair gets the IEEE
-    operations of the row-major sums over n, in the same order. The edge
-    directions and squared lengths come from the curve's ``_edges``."""
-    cols = curve._cols
-    d, len2 = curve._edges
-    t_out = np.empty(len(pts))
-    dist_out = np.empty(len(pts))
-    chunk = max(1, _PROJECT_BLOCK_PAIRS // len(len2))
-    for start in range(0, len(pts), chunk):
-        block = pts[start:start + chunk].T[:, :, None]     # (n, b, 1)
-        # numpy's reduce over a short axis starts from +0.0, so the dot
-        # product does too: a sum of -0.0 terms is +0.0
-        dot = np.zeros((len(block[0]), len(len2)))
-        for theta, p, dk in zip(block, cols, d):
-            dot += (theta - p[:-1]) * dk
-        proj = np.clip(dot / len2, 0.0, 1.0)
-        # offset of each point from its closest point p + proj * d
-        dist2 = _squared_norms([theta - (p[:-1] + proj * dk)
-                                for theta, p, dk in zip(block, cols, d)])
-        best = dist2.argmin(axis=1)
-        rows = np.arange(len(best))
-        t0 = curve.knots[best]
-        t1 = curve.knots[best + 1]
-        t_out[start:start + chunk] = t0 + proj[rows, best] * (t1 - t0)
-        dist_out[start:start + chunk] = np.sqrt(dist2[rows, best])
-    return t_out, dist_out
 
 
 def _staircase_grid(curve, grid_size):
@@ -415,7 +335,7 @@ def build_staircase(curve: FractalCurve, alpha: float = None, p0: float = None,
     t = _staircase_grid(curve, grid_size)
     if p0 not in t:
         t = np.sort(np.append(t, p0))
-    chords = _chords(curve, t)
+    chords = curve.chords(t)
     inc = chords ** alpha / math.gamma(alpha + 1.0)
     cum = np.concatenate(([0.0], np.cumsum(inc)))
     s = cum - cum[np.searchsorted(t, p0)]

@@ -113,7 +113,7 @@ class TestIntegral:
             return np.asarray(koch_table.j_of_many(np.atleast_2d(pts)))
 
         def antiderivative(p):
-            t = koch_table.parameter_of(p)
+            t = float(koch_table.curve.parameter_of(np.reshape(p, (1, -1)))[0])
             return falpha_integral(f, koch_table, 1e-12, t)
 
         h = 1e-3

@@ -151,7 +151,7 @@ class TestBitIdentity:
             # on-curve points, vertices and points off the curve
             pts = np.concatenate((ref_points(curve, t), np.ascontiguousarray(curve.vertices),
                                   ref_points(curve, t[-5:]) * 1.5 + 0.25))
-            got_t, got_d = sc._project_points(curve, pts)
+            got_t, got_d = curve._project(pts)
             want_t, want_d = ref_project(curve, pts)
         assert_bits_equal(got_t, want_t)
         assert_bits_equal(got_d, want_d)
@@ -167,7 +167,7 @@ class TestBitIdentity:
         # which the knot -0.0 turns into the sign of t
         curve = build_polyline([-0.0, 1.0, 2.0], verts, 1.0)
         pts = np.array([verts[0], verts[1]], dtype=float)
-        got_t, got_d = sc._project_points(curve, pts)
+        got_t, got_d = curve._project(pts)
         want_t, want_d = ref_project(curve, pts)
         assert math.copysign(1.0, want_t[0]) == 1.0
         assert_bits_equal(got_t, want_t)
@@ -176,7 +176,7 @@ class TestBitIdentity:
     def test_koch6_projection_of_every_vertex(self):
         curve = build_koch(6)
         pts = np.ascontiguousarray(curve.vertices[::7])
-        got = sc._project_points(curve, pts)
+        got = curve._project(pts)
         want = ref_project(curve, pts)
         for g, w in zip(got, want):
             assert_bits_equal(g, w)

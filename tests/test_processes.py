@@ -24,7 +24,7 @@ from fractalcalc import (
 )
 from fractalcalc import _threads
 from fractalcalc import rng as frng
-from fractalcalc.errors import CurveDomainError, ExistenceError
+from fractalcalc.errors import CurveDomainError, ExistenceError, ResourceError
 from fractalcalc.processes import (
     BUILTIN_FIXTURES,
     DEFAULT_EPS_LADDER,
@@ -277,7 +277,7 @@ class TestEstimatorPins:
         paths = make().draw_paths(frng.stream(2), j, n)
         want = [np.mean((paths[:, k] - paths[:, 0]) ** 2) / (eps * eps)
                 for k, eps in enumerate(DEFAULT_EPS_LADDER, 1)]
-        assert res.generalized.values == want
+        assert res.values == want
         # with its analytic R the same sampler is never called
         ms_derivative_check(FractalProcess("counted", counted, make().correlation), tau,
                             n=n, seed=2)
@@ -296,18 +296,18 @@ class TestGeneralizedSecondDerivative:
         res = second_generalized_derivative(proc.correlation, 0.0)
         for v in res.values:
             assert v == pytest.approx(2.0, rel=1e-12)
-        assert res.limit == pytest.approx(2.0, rel=1e-12)
-        assert not res.divergent
+        assert res.value == pytest.approx(2.0, rel=1e-12)
+        assert res.differentiable
 
     def test_cosine_analytic_oracle(self):
         # mixed second difference of cos(t-s)/2 at the diagonal -> 1/2
         res = second_generalized_derivative(lambda a, b: 0.5 * math.cos(a - b), 1.3)
-        assert res.limit == pytest.approx(0.5, abs=1e-7)
-        assert not res.divergent
+        assert res.value == pytest.approx(0.5, abs=1e-7)
+        assert res.differentiable
 
     def test_brownian_kernel_diverges(self):
         res = second_generalized_derivative(lambda a, b: min(a, b), 0.5)
-        assert res.divergent
+        assert not res.differentiable
         # difference quotient grows like 1/eps
         assert res.values[-1] == pytest.approx(1.0 / 1e-7, rel=1e-6)
 
@@ -422,8 +422,8 @@ class TestUnitsOfX:
 
     def test_brownian_kernel_diverges_at_every_scale(self):
         for k in self.K:
-            assert second_generalized_derivative(
-                lambda a, b: min(a, b) * 2.0 ** k, 0.3).divergent, k
+            assert not second_generalized_derivative(
+                lambda a, b: min(a, b) * 2.0 ** k, 0.3).differentiable, k
 
     @pytest.mark.parametrize("proc, weight, exists", [
         (linear_amplitude(), lambda j, u: 1.0 / np.abs(j - u), False),
@@ -670,6 +670,24 @@ class TestSharedDraw:
         rungs = [MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS]
         assert widths == [*rungs, *rungs, *rungs, 4 * MS_PANELS]
         np.testing.assert_allclose(res.values, [5, 10, 20], rtol=1e-9)
+
+    @pytest.mark.parametrize("first, n", [(0.001, 100), (0.01, 2000)])
+    def test_oversized_ladder_is_refused_before_any_draw(self, unit_table, first, n):
+        # the last rung takes 256 panels per first-rung span: 25.6M and
+        # 51.2M path values, past the cap of 2^24
+        widths = []
+        with pytest.raises(ResourceError, match=f"x {n} paths; cap is {2 ** 24} path values"):
+            improper_ms_integral(self.spied(linear_amplitude(1.0), widths),
+                                 lambda j, u: np.ones_like(j), unit_table,
+                                 0.0, [first, 1.0], n=n)
+        assert widths == []
+
+    def test_ladder_under_the_cap_runs(self, unit_table):
+        widths = []
+        improper_ms_integral(self.spied(linear_amplitude(1.0), widths),
+                             lambda j, u: np.ones_like(j), unit_table,
+                             0.0, [0.01, 1.0], n=100)
+        assert widths[-1] == pytest.approx(100 * MS_PANELS, rel=1e-3)
 
     def test_analytic_ladder_peak_memory(self, long_table):
         # the pre-check's rungs stay at 128, 256 and 512 panels whatever a

@@ -24,7 +24,7 @@ from fractalcalc import (
 )
 from fractalcalc.errors import CurveDomainError, EstimationError, GeometryError
 from fractalcalc import staircase as sc
-from fractalcalc.curves import _chord_lengths
+from fractalcalc.curves import _CHORD_BLOCK, _chord_lengths
 from conftest import traced_peak
 from walks import lognormal_walk, plateau_polyline, underflow_polyline
 
@@ -241,9 +241,15 @@ class TestLadderCache:
         np.testing.assert_array_equal(sc._lattice_points(curve, a, b, 4.0 * 4.0 ** -j),
                                       np.unique(np.concatenate(([a], inside, [b]))))
 
-    def test_lattice_cap_names_delta(self):
-        with pytest.raises(CurveDomainError, match="delta=1e-06"):
-            coarse_mass(build_koch(3), 0.0, 1.0, 1.0, 1e-6)
+    @pytest.mark.parametrize("curve, b, delta", [
+        (build_koch(3), 1.0, 1e-6),
+        # width / delta overflows to inf
+        (build_koch(2), 1.0, 1e-310),
+        (build_line(0, 1e300), 1e300, 1e-10),
+    ], ids=["koch3", "subnormal-delta", "wide-domain"])
+    def test_lattice_cap_names_delta(self, curve, b, delta):
+        with pytest.raises(CurveDomainError, match=f"delta={delta}.*cap is {sc._MAX_DIRECT_POINTS}"):
+            coarse_mass(curve, 0.0, b, 1.0, delta)
 
     def test_lattice_cap_is_checked_before_the_lattice_is_built(self):
         # 4^20 + 1 lattice points would take 8.8 TB as float64
@@ -261,12 +267,12 @@ def _one_pass_chords(curve, points):
     return _chord_lengths(curve.point(points).T)
 
 
-_BLOCK = sc._CHORD_BLOCK
+_BLOCK = _CHORD_BLOCK
 _BLOCK_EDGE_COUNTS = [2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 2 * _BLOCK + 1]
 
 
 class TestChordBlocks:
-    """``_chords`` takes its points in overlapping blocks; every chord,
+    """``FractalCurve.chords`` takes its points in overlapping blocks; every chord,
     and so every staircase S, is the same double as in one pass."""
 
     @pytest.mark.parametrize("count", _BLOCK_EDGE_COUNTS)
@@ -276,7 +282,7 @@ class TestChordBlocks:
     def test_chords_match_one_pass(self, make, count):
         curve = make()
         points = np.linspace(*curve.domain, count)
-        got = sc._chords(curve, points)
+        got = curve.chords(points)
         assert got.tobytes() == _one_pass_chords(curve, points).tobytes()
 
     @pytest.mark.parametrize("count", _BLOCK_EDGE_COUNTS)
@@ -288,7 +294,7 @@ class TestChordBlocks:
         curve = make()
         table = build_staircase(curve, grid_size=count - 1)
         assert len(table.t) == count
-        monkeypatch.setattr(sc, "_chords", _one_pass_chords)
+        monkeypatch.setattr(FractalCurve, "chords", _one_pass_chords)
         assert table.s.tobytes() == build_staircase(curve, grid_size=count - 1).s.tobytes()
 
     def test_koch10_dimension_peak_memory(self):

@@ -85,3 +85,22 @@ def test_every_export_has_a_reader():
     documented = set(re.findall(r"`([A-Za-z_]\w*)[`(]", (root / "README.md").read_text()))
     unread = set(fractalcalc.__all__) - {"__version__"} - loaded - documented
     assert not unread
+
+
+def test_only_curves_reads_the_vertex_layout():
+    # the coordinate-major vertices, the edge cache and the projection
+    # kernel stay behind FractalCurve's methods
+    private = {"_cols", "_edges", "_project", "_squared_norms", "_chord_lengths"}
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "curves.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            readers += [(path.name, name) for name in names if name in private]
+    assert not readers
