@@ -19,7 +19,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curves import KOCH_DIMENSION, build_koch, build_line, load_polyline_csv
+from .curves import (
+    KOCH_DIMENSION,
+    _check_koch_level,
+    build_koch,
+    build_line,
+    load_polyline_csv,
+)
 from .distributions import DistributionOnCurve
 from .errors import (
     CurveDomainError,
@@ -41,7 +47,12 @@ from .processes import (
     estimate_correlation_grid,
     ms_derivative_check,
 )
-from .staircase import build_staircase, gamma_dimension
+from .staircase import (
+    _default_levels,
+    _snapped_level,
+    build_staircase,
+    gamma_dimension,
+)
 
 _USAGE_ERRORS = (CurveDomainError, ResourceError, GeometryError, ValueError,
                  KeyError, OSError)
@@ -74,12 +85,44 @@ def load_config_file(path) -> dict:
     return out
 
 
+def _koch_level_read(cfg, level):
+    """The finest Koch level, at most ``level``, whose vertices the
+    command's output reads. ``sample`` reads the curve at any t. The others
+    read it only on the mass ladder's lattice (``dimension``, and the others
+    under ``alpha = auto``) and on the staircase's snapped 4^g grid, plus
+    the staircase origin ``p0``. ``_koch_step`` keeps every vertex of a
+    level in the next, so a coarser build gives those points bit for bit."""
+    command = cfg["command"]
+    if command == "sample":
+        return level
+    read = 0
+    if command == "dimension" or cfg["alpha"] == "auto":
+        read = _default_levels(4 ** level)
+    if command != "dimension":
+        # only staircase sets its table's grid and origin; the grid of the
+        # other commands is their output grid, read off the table
+        own = command == "staircase"
+        g = _snapped_level(level, int(cfg["grid"]) if own and cfg["grid"] else None)
+        if own and cfg["p0"] and not (float(cfg["p0"]) * 4 ** g).is_integer():
+            return level  # an origin off the grid's lattice
+        read = max(read, g)
+    return min(read, level)
+
+
 def _load_curve(cfg):
     """The configured curve. Under ``alpha = auto`` a polyline is loaded
-    with order 1; commands pass the order ``_resolve_curve`` resolves."""
+    with order 1; commands pass the order ``_resolve_curve`` resolves.
+    Koch is built at the level the output reads (``_koch_level_read``),
+    and a note on stderr says so when that is below the configured one."""
     kind = cfg["curve"]
     if kind == "koch":
-        return build_koch(int(cfg["level"]))
+        level = int(cfg["level"])
+        _check_koch_level(level)
+        read = _koch_level_read(cfg, level)
+        if read < level:
+            print(f"note: koch level {level} reads as level {read} for "
+                  f"{cfg['command']}", file=sys.stderr)
+        return build_koch(read)
     if kind == "line":
         return build_line(float(cfg["line_a"]), float(cfg["line_b"]))
     if str(kind).endswith(".csv"):

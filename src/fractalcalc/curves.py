@@ -311,18 +311,23 @@ def build_koch(level: int) -> FractalCurve:
 
     Level L has 4^L + 1 vertices and every edge has length 3^(-L).
     """
-    if level < 0:
-        raise CurveDomainError("level must be a non-negative integer")
-    if level > MAX_KOCH_LEVEL:
-        raise ResourceError(
-            f"koch level {level} exceeds the in-memory cap {MAX_KOCH_LEVEL}"
-        )
+    _check_koch_level(level)
     # coordinate-major: cols[0] holds x, cols[1] holds y
     cols = np.array([[0.0, 1.0], [0.0, 0.0]])
     for _ in range(level):
         cols = _koch_step(cols)
     knots = np.linspace(0.0, 1.0, cols.shape[1])
     return FractalCurve(knots, cols.T, KOCH_DIMENSION)
+
+
+def _check_koch_level(level):
+    """Refuse a Koch level outside [0, ``MAX_KOCH_LEVEL``]."""
+    if level < 0:
+        raise CurveDomainError("level must be a non-negative integer")
+    if level > MAX_KOCH_LEVEL:
+        raise ResourceError(
+            f"koch level {level} exceeds the in-memory cap {MAX_KOCH_LEVEL}"
+        )
 
 
 def _koch_step(cols):

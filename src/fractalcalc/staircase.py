@@ -53,7 +53,8 @@ def _lattice_points(curve, a, b, delta):
         raise CurveDomainError(
             f"delta={delta} steps past the float range over a domain of width "
             f"{width}; cap is {_MAX_DIRECT_POINTS} lattice points")
-    j = max(0, math.ceil(math.log(width / delta, 4.0) - 1e-9))
+    # a delta at or past the width, infinity included, takes the level-0 lattice
+    j = max(0, math.ceil(math.log(max(width / delta, 1.0), 4.0) - 1e-9))
     while width * 4.0 ** (-j) > delta * (1.0 + 1e-12):
         j += 1
     q = 4.0 ** (-j)
@@ -156,13 +157,14 @@ def mass_function(curve: FractalCurve, a: float, b: float, alpha: float) -> Mass
     """Evaluate the coarse mass along delta_k = (b-a) * 4^-k for k = 1 up
     to the ``_default_levels`` rungs ``gamma_dimension`` walks, and
     classify the resolution limit."""
-    deltas = _rung_deltas(a, b, _default_levels(curve))
+    deltas = _rung_deltas(a, b, _default_levels(curve.edge_count))
     return _ladder_estimate([_rung_chords(curve, a, b, d) for d in deltas], deltas, alpha)
 
 
-def _default_levels(curve):
-    # the finest rung not below the mean knot spacing, in [3, 8]: Koch-L walks L
-    return max(3, min((curve.edge_count.bit_length() - 1) // 2, 8))
+def _default_levels(edges):
+    """Rungs of the default ladder over a curve of ``edges`` edges: the
+    finest rung not below the mean knot spacing, in [3, 8]; Koch-L walks L."""
+    return max(3, min((edges.bit_length() - 1) // 2, 8))
 
 
 @dataclass
@@ -191,7 +193,7 @@ def gamma_dimension(curve: FractalCurve, tol: float = 1e-2) -> DimensionEstimate
     if tol > hi - lo:
         raise CurveDomainError(f"tol={tol} exceeds the alpha bracket [1, {curve.ndim}]")
     a, b = curve.domain
-    deltas = _rung_deltas(a, b, _default_levels(curve))
+    deltas = _rung_deltas(a, b, _default_levels(curve.edge_count))
     rungs = [_rung_chords(curve, a, b, d) for d in deltas]
 
     def classify(alpha):
@@ -303,13 +305,20 @@ class StaircaseTable:
         return self.curve.point(self.t_from_mass(s))
 
 
+def _snapped_level(level, grid_size):
+    """Level g of the 4^g-cell grid that a staircase of ``grid_size``
+    cells snaps to over a lattice of 4^level cells: the nearest power of 4,
+    4^min(level, 6) when unset, with g in [1, level]."""
+    g = min(level, 6) if grid_size is None else \
+        int(round(math.log(max(grid_size, 4), 4.0)))
+    return max(1, min(g, level))
+
+
 def _staircase_grid(curve, grid_size):
     m = curve.edge_count
     level = (m.bit_length() - 1) // 2
     if m == 4 ** level > 1 and np.array_equal(curve.knots, np.linspace(*curve.domain, m + 1)):
-        g = min(level, 6) if grid_size is None else \
-            int(round(math.log(max(grid_size, 4), 4.0)))
-        grid_size = 4 ** max(1, min(g, level))
+        grid_size = 4 ** _snapped_level(level, grid_size)
     return np.linspace(*curve.domain, (grid_size or 1024) + 1)
 
 

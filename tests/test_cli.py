@@ -12,6 +12,7 @@ import pytest
 from fractalcalc import KOCH_DIMENSION, build_koch
 from fractalcalc import cli
 from fractalcalc.cli import main
+from conftest import traced_peak
 from emitted import read_csv
 
 
@@ -437,6 +438,103 @@ class TestCurveResolution:
         code, _ = run(tmp_path, "o.csv", command, "--curve", str(path), "--alpha", "auto")
         assert code == 0
         assert len(calls) == 1
+
+
+def run_koch(monkeypatch, capsys, args, build=None):
+    """(stdout, stderr, levels built) of ``main(args)``; ``build`` replaces
+    the level that the command builds."""
+    built = []
+
+    def spy(level):
+        built.append(level)
+        return build_koch(level if build is None else build)
+
+    monkeypatch.setattr(cli, "build_koch", spy)
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    return out, err, built
+
+
+class TestKochLevelRead:
+    """Koch is built at the level the command's output reads; every
+    printed byte is the one a build at the configured level gives."""
+
+    @pytest.mark.parametrize("level", range(11))
+    @pytest.mark.parametrize("args", [
+        "dimension", "staircase", "staircase --grid 65536", "cdf",
+    ])
+    def test_bytes_match_the_configured_level(self, monkeypatch, capsys, args, level):
+        argv = [*args.split(), "--level", str(level)]
+        out, _, built = run_koch(monkeypatch, capsys, argv)
+        full, _, _ = run_koch(monkeypatch, capsys, argv, build=level)
+        assert out == full
+        assert built == [min(level, 8)]
+
+    @pytest.mark.parametrize("args, built", [
+        ("dimension --level 10", 8),
+        ("dimension --level 10 --alpha 1.5", 8),
+        ("staircase --level 9", 8),
+        ("staircase --level 9 --grid 65536", 8),
+        ("staircase --level 9 --grid 262144", 9),
+        ("staircase --level 9 --alpha 1.2", 6),
+        ("staircase --level 5 --alpha 1.2", 5),
+        # --grid below 4^L, between two powers of 4, and above 4^L
+        ("staircase --level 7 --alpha 1.2 --grid 16", 2),
+        ("staircase --level 7 --alpha 1.2 --grid 100", 3),
+        ("staircase --level 3 --alpha 1.2 --grid 65536", 3),
+        # an origin on the grid's lattice, and off it
+        ("staircase --level 7 --alpha 1.2 --grid 16 --p0 0.25", 2),
+        ("staircase --level 7 --alpha 1.2 --grid 16 --p0 0.3", 7),
+        ("staircase --level 9 --grid 65536 --p0 0.25", 8),
+        ("staircase --level 9 --grid 65536 --p0 0.3", 9),
+        ("cdf --level 10 --alpha 1.2 --grid 64", 6),
+        ("cdf --level 9 --grid 64", 8),
+        ("sde --level 9 --alpha 1.2 --a2 4 --grid 8 --n 100", 6),
+        ("correlation --level 9 --alpha 1.2 --points 3 --n 100", 6),
+        ("msdiag --level 9 --alpha 1.2 --fixture linear-amplitude --n 200", 6),
+        # sample reads the curve at any t
+        ("sample --level 9 --count 20", 9),
+    ])
+    def test_builds_the_level_read(self, monkeypatch, capsys, args, built):
+        argv = args.split()
+        level = int(argv[argv.index("--level") + 1])
+        out, err, levels = run_koch(monkeypatch, capsys, argv)
+        full, _, _ = run_koch(monkeypatch, capsys, argv, build=level)
+        assert levels == [built]
+        assert out == full
+        note = f"note: koch level {level} reads as level {built} for {argv[0]}\n"
+        assert err == (note if built < level else "")
+
+    def test_note_stays_off_stdout_and_the_csv(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "d.csv"
+        argv = ["dimension", "--level", "10", "--out", str(out)]
+        stdout, err, _ = run_koch(monkeypatch, capsys, argv)
+        text = out.read_text()
+        # the second run rewrites the CSV from Koch-10 itself
+        full_stdout, _, _ = run_koch(monkeypatch, capsys, argv, build=10)
+        assert err == "note: koch level 10 reads as level 8 for dimension\n"
+        assert stdout == full_stdout and stdout.startswith("dimension=")
+        assert text == out.read_text() and "note" not in text
+
+    @pytest.mark.parametrize("command", ["dimension", "staircase", "cdf", "sample"])
+    @pytest.mark.parametrize("level, message", [
+        ("13", "koch level 13 exceeds the in-memory cap 12"),
+        ("-1", "level must be a non-negative integer"),
+    ])
+    def test_level_is_checked_before_the_rule(self, tmp_path, monkeypatch, capsys,
+                                              command, level, message):
+        built = []
+        monkeypatch.setattr(cli, "build_koch", built.append)
+        code, out = run(tmp_path, "k.csv", command, "--level", level)
+        assert code == 2
+        assert not out.exists() and built == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_koch10_dimension_peaks_at_koch8_scale(self, tmp_path):
+        # Koch-8's vertices and knots take 1.5 MiB and the whole command about
+        # 4 MiB; built at level 9 it peaks at 8.4 MiB, at level 10 near 26 MiB
+        args = ["dimension", "--level", "10", "--out", str(tmp_path / "d.csv")]
+        assert traced_peak(lambda: main(args)) <= 5 * 2 ** 20
 
 
 class TestConfigAndDeterminism:

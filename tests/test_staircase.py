@@ -104,6 +104,13 @@ class TestCoarseMass:
         with pytest.raises(CurveDomainError):
             coarse_mass(build_line(0, 1), 0, 1, 1.0, 0.0)
 
+    @pytest.mark.parametrize("delta", [1.0, 1e300, math.inf])
+    def test_delta_past_the_width_takes_the_chord(self, delta):
+        # the level-0 lattice [a, b]; an infinite delta raised a bare
+        # "math domain error" from the lattice's logarithm
+        assert coarse_mass(build_koch(2), 0, 1, 1.0, delta) == 1.0
+        assert coarse_mass(build_koch(2), 0.25, 0.5, 1.0, delta) == 1.0 / 3.0
+
 
 class TestMassFunction:
     def test_line_finite_one(self):
