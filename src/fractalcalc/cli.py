@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .curves import (
     KOCH_DIMENSION,
+    _BLOCK,
     _check_koch_level,
     build_koch,
     build_line,
@@ -151,14 +152,10 @@ def _resolve_curve(cfg):
     return curve, _snap_alpha(gamma_dimension(curve).value)
 
 
-#: Rows per formatting block of ``write_csv``: only one block's cells are
-#: Python objects at a time.
-_CSV_BLOCK_ROWS = 1 << 14
-
-
 def write_csv(out_path, meta: dict, columns: dict, trailing_comments=()):
     """Write ``meta`` as comment lines, then ``columns`` (header name: 1-D
-    values, all of one length) as rows; returns the text written."""
+    values, all of one length) as rows, formatted ``_BLOCK`` rows at a time
+    so that only one block's cells are Python objects; returns the text."""
     cols = [np.asarray(col) for col in columns.values()]
     n = len(cols[0]) if cols else 0
     if any(len(col) != n for col in cols):
@@ -169,8 +166,8 @@ def write_csv(out_path, meta: dict, columns: dict, trailing_comments=()):
     row_spec = ",".join("%.17g" if f else "%s" for f in floats)
     lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    for lo in range(0, n, _CSV_BLOCK_ROWS):
-        cells = [col[lo:lo + _CSV_BLOCK_ROWS].tolist() for col in cols]
+    for lo in range(0, n, _BLOCK):
+        cells = [col[lo:lo + _BLOCK].tolist() for col in cols]
         cells = [c if f else [_fmt(v) for v in c] for c, f in zip(cells, floats)]
         template = "\n".join([row_spec] * len(cells[0]))
         lines.append(template % tuple(itertools.chain.from_iterable(zip(*cells))))
@@ -218,13 +215,13 @@ _COMMAND_OPTIONS = {
     }),
     "correlation": ("correlation grid J1,J2,R,stderr", {
         "fixture": (str, "linear-amplitude", "process fixture name"),
-        "sigma2": (float, "1.0", "fixture variance parameter"),
+        "sigma2": (float, "1.0", "variance of linear-amplitude and white-noise"),
         "points": (int, "5", "grid points per axis"),
         "n": (int, "4000", "realizations"),
     }),
     "msdiag": ("mean-square diagnostics verdict table", {
         "fixture": (str, "all", "fixture name or 'all'"),
-        "sigma2": (float, "1.0", "fixture variance parameter"),
+        "sigma2": (float, "1.0", "variance of linear-amplitude and white-noise"),
         "tau": (float, "0.0", "index point in mass coordinate"),
         "n": (int, "10000", "realizations"),
     }),
@@ -362,7 +359,9 @@ def cmd_correlation(cfg, out):
 
 
 def _make_fixture(name, cfg):
-    """The named builtin process, with the configured sigma2 if it takes one."""
+    """The named builtin process, with the configured sigma2 if it takes one.
+    A sigma2 other than 1 for one named fixture that takes none is refused;
+    ``--fixture all`` gives it to the fixtures that take it."""
     if name not in BUILTIN_FIXTURES:
         raise CurveDomainError(
             f"unknown fixture {name!r}; pick from {sorted(BUILTIN_FIXTURES)}"
@@ -372,6 +371,9 @@ def _make_fixture(name, cfg):
         if not sigma2 >= 0.0:
             raise CurveDomainError(f"sigma2 must be non-negative, got {sigma2}")
         return BUILTIN_FIXTURES[name](sigma2)
+    if sigma2 != 1.0 and cfg["fixture"] != "all":
+        raise CurveDomainError(f"fixture {name!r} has no variance parameter, got sigma2 "
+                               f"{sigma2}; it applies to linear-amplitude and white-noise")
     return BUILTIN_FIXTURES[name]()
 
 

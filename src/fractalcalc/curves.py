@@ -26,11 +26,12 @@ KOCH_DIMENSION = math.log(4.0) / math.log(3.0)
 _COS60 = 0.5
 _SIN60 = math.sqrt(3.0) / 2.0
 
-#: Edges per block of ``_koch_step``, whose temporaries stay block-sized.
-_KOCH_BLOCK_EDGES = 1 << 13
-
-#: Chords per block of ``FractalCurve.chords``, whose temporaries stay block-sized.
-_CHORD_BLOCK = 1 << 13
+#: Elements per block of every streamed loop: ``_koch_step``'s edges,
+#: ``FractalCurve.chords``, ``_CellIndex``'s bucket count, the sampler's
+#: draws and points, and ``cli.write_csv``'s rows. A block's float64 arrays
+#: and Python lists take 64 KiB, under glibc's 128 KiB mmap threshold (so
+#: the heap reuses them instead of mapping fresh pages) and inside L2.
+_BLOCK = 1 << 13
 
 #: (point, edge) pairs per block of ``FractalCurve._project``: each
 #: temporary is one block, small enough to stay in cache.
@@ -142,10 +143,10 @@ class FractalCurve:
         """Chords between the curve points at consecutive parameters ``t``, in
         blocks that overlap by one point; each is the same double as in one pass."""
         out = np.empty(len(t) - 1)
-        for lo in range(0, len(out), _CHORD_BLOCK):
+        for lo in range(0, len(out), _BLOCK):
             # point() gives the (m, n) transpose of a coordinate-major array
-            cols = self.point(t[lo:lo + _CHORD_BLOCK + 1]).T
-            out[lo:lo + _CHORD_BLOCK] = _chord_lengths(cols)
+            cols = self.point(t[lo:lo + _BLOCK + 1]).T
+            out[lo:lo + _BLOCK] = _chord_lengths(cols)
         return out
 
     def parameter_of(self, points):
@@ -218,8 +219,8 @@ def _chord_lengths(cols):
     return np.sqrt(_squared_norms(np.diff(cols, axis=1)))
 
 
-#: Most buckets a ``_CellIndex`` holds, and most edges it buckets at once:
-#: the index costs O(this) memory whatever the edge count.
+#: Most buckets a ``_CellIndex`` holds: the index costs O(this) memory
+#: whatever the edge count.
 _MAX_BUCKETS = 1 << 16
 
 
@@ -249,8 +250,8 @@ class _CellIndex:
         self._scale = scale if 0.0 < scale < math.inf else 1.0
         self._top = float(k)
         counts = np.zeros(k + 1, dtype=np.intp)
-        for lo in range(0, len(edges), _MAX_BUCKETS):
-            counts += np.bincount(self._bucket(edges[lo:lo + _MAX_BUCKETS]),
+        for lo in range(0, len(edges), _BLOCK):
+            counts += np.bincount(self._bucket(edges[lo:lo + _BLOCK]),
                                   minlength=k + 1)
         width = int(counts.max())
         self._ends = np.cumsum(counts, out=counts)
@@ -334,11 +335,11 @@ def _koch_step(cols):
     """One generator step on a coordinate-major (2, m+1) polyline: each
     edge p -> q becomes p, s1, tip, s2 with d = (q - p) / 3, s1 = p + d,
     tip = s1 + rot60(d) and s2 = p + 2d, written into strided slices of
-    the (2, 4m+1) result, ``_KOCH_BLOCK_EDGES`` edges at a time."""
+    the (2, 4m+1) result, ``_BLOCK`` edges at a time."""
     m = cols.shape[1] - 1
     new = np.empty((2, 4 * m + 1))
-    for lo in range(0, m, _KOCH_BLOCK_EDGES):
-        hi = min(lo + _KOCH_BLOCK_EDGES, m)
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
         (x, y), (nx, ny) = cols[:, lo:hi + 1], new[:, 4 * lo:4 * hi]
         px, py = x[:-1], y[:-1]
         dx = x[1:] - px

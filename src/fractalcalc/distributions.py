@@ -18,14 +18,9 @@ import numpy as np
 
 from . import rng as _rng
 from .calculus import cell_nodes
-from .curves import FractalCurve
+from .curves import FractalCurve, _BLOCK
 from .errors import CurveDomainError, EstimationError
 from .staircase import StaircaseTable
-
-#: Draws per step of ``DistributionOnCurve.sample`` (u -> J -> t) and of
-#: ``SampleSet.points`` (t -> point): each runs one block at a time, so its
-#: temporaries are this many rows, whatever the count.
-SAMPLE_BLOCK_ROWS = 16384
 
 #: Panels in J of the trapezoid cdf that normalizes a custom pdf.
 CUSTOM_GRID = 2048
@@ -48,8 +43,8 @@ class SampleSet:
     def points(self) -> np.ndarray:
         """The (count, n) curve points w(t), built in blocks on first read."""
         pts = np.empty((self.count, self.curve.ndim))
-        for lo in range(0, self.count, SAMPLE_BLOCK_ROWS):
-            rows = slice(lo, lo + SAMPLE_BLOCK_ROWS)
+        for lo in range(0, self.count, _BLOCK):
+            rows = slice(lo, lo + _BLOCK)
             pts[rows] = self.curve.point(self.t[rows])
         return pts
 
@@ -165,7 +160,7 @@ class DistributionOnCurve:
         to t, looking up cells in any order. The same seed always
         reproduces the same draws. Draws landing on a staircase plateau
         snap to its right edge and are counted. The draws run in blocks of
-        ``SAMPLE_BLOCK_ROWS``; the stream yields the same numbers whatever
+        ``curves._BLOCK``; the stream yields the same numbers whatever
         the block size. No point is computed here: ``SampleSet.points``
         builds them from t, in blocks, on first read.
         """
@@ -176,8 +171,8 @@ class DistributionOnCurve:
         j = np.empty(count)
         t = np.empty(count)
         before = table.plateau_hits
-        for lo in range(0, count, SAMPLE_BLOCK_ROWS):
-            rows = slice(lo, min(lo + SAMPLE_BLOCK_ROWS, count))
+        for lo in range(0, count, _BLOCK):
+            rows = slice(lo, min(lo + _BLOCK, count))
             j[rows] = self._inverse_cdf(gen.random(rows.stop - lo))
             t[rows] = table.t_from_mass(j[rows])
         return SampleSet(table.curve, t, j, table.plateau_hits - before)

@@ -202,8 +202,10 @@ class SeriesSolution:
 
 
 def solve_series(spec: MomentSpec, order: int = DEFAULT_ORDER) -> SeriesSolution:
+    """The order-N series' ensemble mean and its exact second moment
+    E[X_N(J)^2] (``squared_series_coefficients``)."""
     return SeriesSolution(
-        order, mean_coefficients(spec, order), second_moment_coefficients(spec, order)
+        order, mean_coefficients(spec, order), squared_series_coefficients(spec, order)
     )
 
 

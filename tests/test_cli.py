@@ -12,7 +12,7 @@ import pytest
 from fractalcalc import KOCH_DIMENSION, build_koch
 from fractalcalc import cli
 from fractalcalc.cli import main
-from conftest import traced_peak
+from conftest import simd_pin, traced_peak
 from emitted import read_csv
 
 
@@ -204,6 +204,34 @@ class TestCorrelationCommand:
         assert not out.exists()
         assert capsys.readouterr().err == "error: sigma2 must be non-negative, got -1.0\n"
 
+    @pytest.mark.parametrize("command, fixture", [
+        ("correlation", "brownian-like"), ("correlation", "cosine-phase"),
+        ("msdiag", "brownian-like"), ("msdiag", "cosine-phase")])
+    def test_sigma2_for_a_fixture_without_one_exits_2(self, tmp_path, capsys,
+                                                      command, fixture):
+        args = [command, "--curve", "line", "--fixture", fixture, "--n", "200"]
+        code, out = run(tmp_path, "f.csv", *args, "--sigma2", "4")
+        assert code == 2
+        assert not out.exists()
+        assert f"fixture '{fixture}' has no variance parameter" in capsys.readouterr().err
+        # the default sigma2, given or not, prints the same rows
+        bodies = []
+        for extra in ([], ["--sigma2", "1"]):
+            code, out = run(tmp_path, "d.csv", *args, *extra)
+            assert code == 0
+            bodies.append([ln for ln in out.read_text().splitlines() if ln[0] != "#"])
+        assert bodies[0] == bodies[1]
+
+    def test_sigma2_under_all_reaches_the_fixtures_that_take_it(self, tmp_path):
+        args = ["msdiag", "--curve", "line", "--n", "200"]
+        values = {}
+        for sigma2 in ("1", "2"):
+            code, out = run(tmp_path, f"m{sigma2}.csv", *args, "--sigma2", sigma2)
+            assert code == 0
+            values[sigma2] = {row[0]: float(row[3]) for row in read_csv(out)[2]}
+        assert values["2"]["linear-amplitude"] == pytest.approx(2.0 * values["1"]["linear-amplitude"])
+        assert values["2"]["cosine-phase"] == values["1"]["cosine-phase"]
+
 
 class TestMsdiagCommand:
     def test_verdict_table(self, tmp_path):
@@ -267,6 +295,19 @@ class TestSdeCommand:
         sign_flip = np.flatnonzero(np.sign(mean[:-1]) != np.sign(mean[1:]))[0]
         assert abs(j[sign_flip] - math.pi / 4.0) < 0.05
 
+    def test_deterministic_recipe_prints_the_ensemble_second_moment(self, tmp_path):
+        # fixed A^2 = 4 and fixed data: X = cos(2J) on every path
+        code, out = run(
+            tmp_path, "sde.csv", "sde", "--curve", "line", "--line-b", "2",
+            "--a2", "4", "--ex0", "1", "--ex1", "0",
+        )
+        assert code == 0
+        _, header, rows = read_csv(out)
+        j = column(header, rows, "J")
+        np.testing.assert_allclose(column(header, rows, "variance"), 0.0, atol=1e-8)
+        np.testing.assert_allclose(column(header, rows, "second_moment"),
+                                   np.cos(2.0 * j) ** 2, atol=1e-8)
+
     def test_reference_coefficient_openings(self, tmp_path):
         code, out = run(
             tmp_path, "sde.csv", "sde", "--curve", "line", "--mu", "2",
@@ -281,8 +322,9 @@ class TestSdeCommand:
         opening = 1.0 + j - j ** 2 / 3.0 - j ** 3 / 9.0
         small = j <= 0.25
         assert np.abs(mean[small] - opening[small]).max() < 2e-4
-        # the quadratic opening holds up to the series' own cubic term
-        gap = np.abs(second[small] - (1.0 + 2.0 * j[small] + j[small] ** 2))
+        # the squared series opens 1 + 2J + (1 - E[A^2]) J^2, E[A^2] = 2/3,
+        # up to its own cubic term; the paper's (1, 2, 1) is criterion 5's
+        gap = np.abs(second[small] - (1.0 + 2.0 * j[small] + j[small] ** 2 / 3.0))
         assert np.all(gap <= 1.5 * j[small] ** 3 + 1e-12)
 
     def test_seed_changes_mc_only(self, tmp_path):
@@ -376,7 +418,7 @@ class TestWriteCsv:
         assert text == "# k=1\nx,n,ok\n" + "\n".join(rows) + "\n"
 
     def test_row_blocks_match_one_template(self):
-        # 40,000 rows span three formatting blocks, the last one partial
+        # 40,000 rows span five formatting blocks, the last one partial
         rng = np.random.default_rng(5)
         floats = rng.normal(size=40_000) * 10.0 ** rng.integers(-300, 300, 40_000)
         floats[::997] = -0.0
@@ -388,6 +430,18 @@ class TestWriteCsv:
                         ["true" if f else "false" for f in flags.tolist()]))
         body = "\n".join(["%.17g,%s,%s"] * len(rows)) % tuple(v for r in rows for v in r)
         assert text == "# k=1\nx,name,ok\n" + body + "\n# end\n"
+
+    @pytest.mark.parametrize("args", ["cdf --level 3 --grid 16 --lam 1.3",
+                                      "msdiag --curve line --n 2000"],
+                             ids=["cdf", "msdiag"])
+    def test_pinned_tables_match_in_small_blocks(self, monkeypatch, capsys, args):
+        # the pinned tables fit one block; in blocks of 3 rows they span
+        # several, the last one partial, and print the same bytes
+        assert main(args.split()) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        assert main(args.split()) == 0
+        assert capsys.readouterr().out == whole
 
     def test_no_rows_writes_the_header_only(self):
         assert cli.write_csv("", {}, {"t": np.array([])}, ["end"]) == "t\n# end\n"
@@ -407,7 +461,7 @@ class TestCsvBytes:
         ("correlation --curve line --points 6 --n 500 --fixture brownian-like --seed 3",
          "e018323d1db2ea25"),
         ("msdiag --curve line --n 2000", "8e9069ab2cca0086"),
-        ("sde --curve line --a2 4 --grid 8 --n 200", "275733c1a301688c"),
+        ("sde --curve line --a2 4 --grid 8 --n 200", "9fc1d21d2c6188f0"),
         # alpha = auto on straight curves: the dimension estimate gives 1
         ("staircase --level 0", "0061c3e098a7ab70"),
         ("cdf --level 0 --grid 8", "adca14b20c74b153"),
@@ -416,7 +470,7 @@ class TestCsvBytes:
     def test_digest(self, capsys, args, digest):
         assert main(args.split()) == 0
         text = capsys.readouterr().out
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == simd_pin(digest)
 
 
 class TestCurveResolution:

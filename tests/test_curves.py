@@ -81,12 +81,12 @@ class TestBuildKoch:
     @pytest.mark.parametrize("offset", [-1, 0, 1, None])
     def test_koch_step_blocks_match_one_pass(self, monkeypatch, offset):
         # B - 1, B, B + 1 and 2B + 1 edges, B the block; bytes compared
-        block = cv._KOCH_BLOCK_EDGES
+        block = cv._BLOCK
         edges = 2 * block + 1 if offset is None else block + offset
         rng = np.random.default_rng(edges)
         cols = np.cumsum(rng.normal(size=(2, edges + 1)), axis=1)
         blocked = _koch_step(cols)
-        monkeypatch.setattr(cv, "_KOCH_BLOCK_EDGES", edges)
+        monkeypatch.setattr(cv, "_BLOCK", edges)
         assert blocked.tobytes() == _koch_step(cols).tobytes()
 
 
