@@ -60,6 +60,8 @@ _USAGE_ERRORS = (CurveDomainError, ResourceError, GeometryError, ValueError,
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return "undecided"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):

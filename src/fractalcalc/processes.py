@@ -28,6 +28,10 @@ MS_PANELS = 256
 #: rung of an improper integral may draw.
 _MAX_PATH_VALUES = 1 << 24
 
+#: Tolerance on the mean-square ladder's exponent per decade,
+#: log10(D_k / D_{k+1}), and on an analytic rung's rounding relative to |D|.
+EXPONENT_TOL = 0.01
+
 #: Relative gap between the pre-check's last two sums that counts as Cauchy.
 PRECHECK_RTOL = 0.01
 
@@ -200,13 +204,13 @@ def _grid_rows(pt, rows, buf, r, stderr):
 class ContinuityCheck:
     deltas: list
     stderrs: list
-    continuous: bool
+    continuous: bool | None   # None: undecided
 
 
 @dataclass
 class DerivativeCheck:
-    differentiable: bool
-    value: float          # the limit of D/eps^2; nan when not differentiable
+    differentiable: bool | None   # None: undecided
+    value: float          # the limit of D/eps^2; nan unless differentiable
     values: list          # D/eps^2 along the ladder
     continuity: ContinuityCheck
 
@@ -224,24 +228,6 @@ def ms_continuity_check(proc: FractalProcess, tau: float, n: int = 10000,
     return ms_derivative_check(proc, tau, n, seed).continuity
 
 
-def _rises(a, b, c):
-    """Whether the magnitudes a, b, c of three rungs a decade apart rise by
-    at least sqrt(10) per decade."""
-    return 0.0 < b and math.sqrt(10.0) * a <= b and math.sqrt(10.0) * b <= c
-
-
-def _settles(d, se):
-    """Whether three rungs d of D a decade apart fall, each step by more than
-    ten combined standard errors se, toward a limit at most half the last
-    rung. The limit is Aitken's extrapolation, which is 0 for D = eps^p at
-    every p > 0 and L for D = L + eps^p; it is read in ratios to the first
-    rung, so no product leaves the float range."""
-    (a, b, c), (sa, sb, sc) = d, se
-    x, y = b / a, c / a
-    return (a - b > 10.0 * (sa + sb) and b - c > 10.0 * (sb + sc)
-            and 2.0 * (x - y) ** 2 >= y * (1.0 - 2.0 * x + y))
-
-
 def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
                         seed: int = 0) -> DerivativeCheck:
     """Mean-square continuity and differentiability at tau, both read from
@@ -250,24 +236,28 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
 
     With an analytic R, D(eps) = R(tau+eps, tau+eps) - R(tau+eps, tau)
     - R(tau, tau+eps) + R(tau, tau), with zero standard errors and no draw.
-    The four terms cancel at R's scale, so a rung whose |D| is within 64
-    ulps of the terms' summed magnitude is rounding noise; the rules read
-    the resolved rungs before the first such one. Without an analytic R,
-    D and its standard error are the mean and stderr of the squared
-    differences over one draw of n >= 100 paths at tau and every tau + eps,
-    and every rung counts.
+    The four terms cancel at R's scale, so a rung is resolved only while 64
+    ulps of their summed magnitude stay under ``EXPONENT_TOL`` |D|, and the
+    verdicts read the rungs before the first unresolved one. Without an
+    analytic R, D and its standard error are the mean and stderr of the
+    squared differences over one draw of n >= 100 paths at tau and every
+    tau + eps, and every rung counts.
 
-    Each rule compares rungs of the ladder with each other, so no verdict
-    depends on the units of X:
-    - divergent: some D/eps^2 is not finite, or |D/eps^2| rises by at least
-      sqrt(10) per decade over the last three resolved rungs. Otherwise the
-      limit comes from the most self-consistent Richardson pair over the
-      whole ladder (the stable pair rather than the last one);
-    - continuous: not divergent; or D falls toward 0 over the last three
-      resolved rungs (``_settles``), at any power of eps; or the last D is
-      within its rounding noise plus ten combined standard errors of the
-      first and last rungs, which covers D = 0.
-    A differentiable process is therefore continuous by construction.
+    Both verdicts read the exponent per decade p = log10(D_k / D_{k+1}) at
+    the last three resolved rungs: 0 for a jump or noise, 2H for fractional
+    Brownian motion, 2 for a differentiable process. Each of the two p has
+    a band of ``EXPONENT_TOL`` plus three standard errors, hypot(se_k / D_k,
+    se_{k+1} / D_{k+1}) / ln 10. Continuous when both p clear their band
+    above 0; differentiable when both exceed 2 minus their band, and then
+    the limit is the most self-consistent Richardson pair of D/eps^2 over
+    the resolved rungs. Neither p clearing gives False. Anything else is
+    None, undecided: one p on each side, two p further apart than their
+    bands together, fewer than three resolved rungs, a D <= 0 or non-finite
+    D among them, or a band so wide that p reads differentiable but not
+    continuous. D = 0 at every rung (a constant process) reads continuous
+    and differentiable with limit 0. No verdict depends on the units of X.
+    The tolerance is the resolution limit: fractional Brownian motion at
+    H = 0.999 (p = 1.998) reads differentiable, at H = 0.99 it does not.
     """
     if not math.isfinite(tau):
         raise CurveDomainError(f"tau must be finite, got {tau}")
@@ -277,7 +267,9 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
         terms = [(float(r(tau + eps, tau + eps)), float(r(tau + eps, tau)),
                   float(r(tau, tau + eps)), float(r(tau, tau))) for eps in ladder]
         deltas = [a - b - c + d for a, b, c, d in terms]
-        noise = [64.0 * math.ulp(1.0) * sum(map(abs, t)) for t in terms]
+        m = next((k for k, (t, d) in enumerate(zip(terms, deltas))
+                  if not 64.0 * math.ulp(1.0) * sum(map(abs, t)) < EXPONENT_TOL * abs(d)),
+                 len(ladder))
         stderrs = [0.0] * len(ladder)
     else:
         if n < 100:
@@ -286,29 +278,32 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
         pt = np.ascontiguousarray(proc.draw_paths(_rng.stream(seed), j, n).T, dtype=float)
         sq = np.square(pt[1:] - pt[0])
         deltas = sq.mean(axis=1).tolist()
-        noise = [0.0] * len(ladder)
+        m = len(ladder)
         stderrs = (sq.std(axis=1, ddof=1) / math.sqrt(n)).tolist()
     values = [d / (eps * eps) for d, eps in zip(deltas, ladder)]
-    m = next((k for k, (d, z) in enumerate(zip(deltas, noise)) if not abs(d) > z), len(ladder))
-    last = slice(m - 3, m)
-    divergent = (not all(map(math.isfinite, values))
-                 or (m >= 3 and _rises(*map(abs, values[last]))))
-    continuous = (not divergent or (m >= 3 and _settles(deltas[last], stderrs[last]))
-                  or deltas[-1] <= noise[-1] + 10.0 * (stderrs[0] + stderrs[-1]))
+    continuous = differentiable = None
+    if m >= 3 and all(x > 0.0 for x in deltas[m - 3:m]):
+        d, se = deltas[m - 3:m], stderrs[m - 3:m]
+        p = [math.log10(d[k]) - math.log10(d[k + 1]) for k in (0, 1)]
+        band = [EXPONENT_TOL + 3.0 * math.hypot(se[k] / d[k], se[k + 1] / d[k + 1])
+                / math.log(10.0) for k in (0, 1)]
+        if abs(p[0] - p[1]) <= band[0] + band[1]:
+            clears = ([x > b for x, b in zip(p, band)], [x > 2.0 - b for x, b in zip(p, band)])
+            # True when both p clear their bound, False when neither does
+            continuous, differentiable = (all(c) or (None if any(c) else False) for c in clears)
+            if differentiable and not continuous:
+                continuous = differentiable = None
+    if not any(deltas):  # D = 0 at every rung, as for a constant process
+        continuous = differentiable = True
+        m = len(ladder)
     best = math.nan
-    if not divergent:
-        extrap = []
-        for i in range(len(values) - 1):
-            rho = ladder[i + 1] / ladder[i]
-            extrap.append((values[i + 1] - rho * rho * values[i]) / (1.0 - rho * rho))
-        best = extrap[0]
-        best_gap = math.inf
-        for i in range(1, len(extrap)):
-            gap = abs(extrap[i] - extrap[i - 1])
-            if gap < best_gap:
-                best_gap = gap
-                best = extrap[i]
-    return DerivativeCheck(not divergent, best, values, ContinuityCheck(deltas, stderrs, continuous))
+    if differentiable:
+        rho2 = [(b / a) * (b / a) for a, b in zip(ladder, ladder[1:m])]
+        extrap = [(v1 - r * v0) / (1.0 - r) for r, v0, v1 in zip(rho2, values, values[1:])]
+        gaps = [abs(y - x) for x, y in zip(extrap, extrap[1:])]
+        best = extrap[1 + gaps.index(min(gaps))]
+    return DerivativeCheck(differentiable, best, values,
+                           ContinuityCheck(deltas, stderrs, continuous))
 
 
 # -- mean-square integrals -----------------------------------------------------

@@ -266,7 +266,16 @@ class TestMsdiagCommand:
         _, _, rows = read_csv(out)
         assert {row[0]: row[1:3] for row in rows} == {
             "brownian-like": ["true", "false"], "cosine-phase": ["true", "true"],
-            "linear-amplitude": ["true", "true"], "white-noise": ["false", "false"]}
+            "linear-amplitude": ["undecided", "undecided"], "white-noise": ["false", "false"]}
+
+    @pytest.mark.parametrize("tau", ["1e3", "1e4", "1e6", "1e9"])
+    def test_no_resolved_rung_reads_undecided(self, tmp_path, tau):
+        # the four R terms cancel at tau^2, so fewer than three rungs of
+        # D = eps^2 clear their rounding
+        code, out = run(tmp_path, "m.csv", "msdiag", "--curve", "line", "--line-b",
+                        str(2.0 * float(tau)), "--tau", tau, "--fixture", "linear-amplitude")
+        assert code == 0
+        assert out.read_text().splitlines()[-1] == "linear-amplitude,undecided,undecided,nan"
 
     def test_unknown_fixture_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "m.csv", "msdiag", "--fixture", "bogus")
