@@ -12,13 +12,13 @@ failure.
 
 import argparse
 import hashlib
-import itertools
 import math
 import sys
 
 import numpy as np
 
 from . import __version__
+from ._floatcells import CELL_BYTES, FloatCells
 from .curves import (
     KOCH_DIMENSION,
     _BLOCK,
@@ -156,26 +156,46 @@ def _resolve_curve(cfg):
 
 def write_csv(out_path, meta: dict, columns: dict, trailing_comments=()):
     """Write ``meta`` as comment lines, then ``columns`` (header name: 1-D
-    values, all of one length) as rows, formatted ``_BLOCK`` rows at a time
-    so that only one block's cells are Python objects; returns the text."""
+    values, all of one length) as rows; returns the text. Rows go
+    ``_BLOCK`` at a time, each cell as a NUL-padded byte row ended by its
+    separator: a float cell from ``FloatCells``, with the bytes of
+    ``_fmt``, and any other cell from ``_fmt``, so only one block's cells
+    of those columns are Python objects. The NULs are dropped as the rows
+    are joined, so a cell's own text must hold none."""
     cols = [np.asarray(col) for col in columns.values()]
     n = len(cols[0]) if cols else 0
     if any(len(col) != n for col in cols):
         raise ValueError("CSV columns must all have one length")
+    rows = min(n, _BLOCK)
     floats = [col.dtype.kind == "f" for col in cols]
-    # each block is one % template: "%.17g" per float cell, "%s" over
-    # _fmt for the rest, formatted in one call
-    row_spec = ",".join("%.17g" if f else "%s" for f in floats)
-    lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
-    lines.append(",".join(columns))
+    # allocated once per call: the float cells' work rows and byte rows
+    cells = FloatCells(rows) if any(floats) else None
+    outs = [np.empty((rows, CELL_BYTES), np.uint8) if f else None for f in floats]
+    parts = [f"# {k}={_fmt(v)}\n" for k, v in meta.items()]
+    parts.append(",".join(columns) + "\n")
     for lo in range(0, n, _BLOCK):
-        cells = [col[lo:lo + _BLOCK].tolist() for col in cols]
-        cells = [c if f else [_fmt(v) for v in c] for c, f in zip(cells, floats)]
-        template = "\n".join([row_spec] * len(cells[0]))
-        lines.append(template % tuple(itertools.chain.from_iterable(zip(*cells))))
-    lines.extend(f"# {c}" for c in trailing_comments)
-    lines.append("")  # the final newline, without a copy of the text
-    text = "\n".join(lines)
+        windows = []
+        for col, out in zip(cols, outs):
+            col = col[lo:lo + _BLOCK]
+            if out is None:
+                encoded = [_fmt(v).encode() for v in col.tolist()]
+                size = max(map(len, encoded)) + 1
+                window = np.array(encoded, f"S{size}").view(np.uint8).reshape(len(col), size)
+            else:
+                window = out[:len(col)]
+                cells.write(col.astype(np.float64, copy=False), window)
+            window[:, -1] = ord(",")
+            windows.append(window)
+        windows[-1][:, -1] = ord("\n")
+        # the rows are joined in pieces of a block of float64's bytes
+        # (64 KiB), which the heap serves and reuses: a piece of a whole
+        # block would be mapped and faulted in afresh each block
+        step = max(1, 8 * _BLOCK // sum(window.shape[1] for window in windows))
+        for at in range(0, len(windows[0]), step):
+            piece = np.concatenate([window[at:at + step] for window in windows], axis=1)
+            parts.append(piece.tobytes().translate(None, b"\0").decode())
+    parts.extend(f"# {c}\n" for c in trailing_comments)
+    text = "".join(parts)
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)

@@ -5,15 +5,28 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 from fractalcalc import KOCH_DIMENSION, build_koch
-from fractalcalc import cli
+from fractalcalc import _floatcells, cli
+from fractalcalc._floatcells import CELL_BYTES, FloatCells, _E_MAX, _E_MIN
 from fractalcalc.cli import main
+from fractalcalc.curves import _BLOCK
 from conftest import simd_pin, traced_peak
 from emitted import read_csv
+
+
+SAMPLE_FAULTS = """
+import os
+import resource
+from fractalcalc.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(["sample", "--level", "6", "--count", "50000", "--out", os.devnull])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 def run(tmp_path, name, *args):
@@ -416,6 +429,59 @@ class TestNonFiniteInputs:
         assert capsys.readouterr().err == "error: lam must be a finite number, got inf\n"
 
 
+def bit_sweep():
+    """10**6 seeded float64 bit patterns: random sign and mantissa, the
+    exponent field spanning the formatter's table and a margin past each
+    end (1e-101 to 1e101), then 2**16 patterns random in every bit."""
+    rng = np.random.default_rng(2026)
+    bits = rng.integers(0, 2 ** 64, 10 ** 6, dtype=np.uint64)
+    low, high = (np.frexp(np.array([1e-101, 1e101]))[1] + 1022).tolist()
+    field = rng.integers(low, high + 1, 10 ** 6).astype(np.uint64)
+    bits = (bits & ~np.uint64(0x7FF << 52)) | (field << np.uint64(52))
+    wild = rng.integers(0, 2 ** 64, 2 ** 16, dtype=np.uint64)
+    return np.concatenate([bits, wild]).view(np.float64)
+
+
+def half_way_ties():
+    """Exact dyadic ties: n * 2**-j for odd n < 2**53 whose decimal digits
+    n * 5**j are 18 ending in 5, so that 17 digits fall half-way."""
+    rng = np.random.default_rng(33)
+    ties = []
+    for j in range(1, 26):
+        low, high = -(-10 ** 17 // 5 ** j), min((10 ** 18 - 1) // 5 ** j, 2 ** 53 - 1)
+        if low <= high:
+            ties += [math.ldexp(n | 1, -j) for n in rng.integers(low, high + 1, 40).tolist()
+                     if len(str((n | 1) * 5 ** j)) == 18]
+    return ties
+
+
+def float_edges():
+    """The named edge sets, each with its negation."""
+    tiny = math.ulp(0.0)
+    smallest, largest = sys.float_info.min, sys.float_info.max
+    specials = [0.0, math.nan, math.inf, tiny, 2 * tiny, math.nextafter(smallest, 0),
+                smallest, math.nextafter(smallest, 1), largest]
+    # 10**k and its neighbours for every k of the table and one past each
+    # end; they hold the carry q -> 10**17 (1e-14 and 1e98 print as 1e-14
+    # and 1e+98, though the doubles lie below), left to Python, and the
+    # q = 10**16 and 10**17 edges
+    powers = [w for v in (float(f"1e{k}") for k in range(_E_MIN - 1, _E_MAX + 2))
+              for w in (math.nextafter(v, 0), v, math.nextafter(v, math.inf))]
+    rng = np.random.default_rng(34)
+    integers = [2.0 ** p for p in range(54)] + [10.0 ** p - 1 for p in range(17)] + \
+        rng.integers(0, 2 ** 53 + 1, 2 ** 12).astype(float).tolist()
+    edges = specials + powers + half_way_ties() + integers
+    return np.array(edges + [-v for v in edges])
+
+
+def first_mismatches(values, text):
+    """Cells of ``text`` (a one-column CSV of ``values``) other than
+    ``format(v, ".17g")``, as (value, cell) pairs."""
+    cells = text.split("\n")[1:-1]
+    assert len(cells) == len(values)
+    return [(v, c) for v, c in zip(values.tolist(), cells) if c != format(v, ".17g")][:5]
+
+
 class TestWriteCsv:
     def test_cells_match_per_value_formatting(self):
         floats = np.array([0.1, -0.0, 1e-310, np.inf, -np.inf, np.nan, 2.0 / 3.0])
@@ -439,6 +505,66 @@ class TestWriteCsv:
                         ["true" if f else "false" for f in flags.tolist()]))
         body = "\n".join(["%.17g,%s,%s"] * len(rows)) % tuple(v for r in rows for v in r)
         assert text == "# k=1\nx,name,ok\n" + body + "\n# end\n"
+        # all floats: cells the kernel writes and cells Python formats
+        # (-0.0, nan, inf and magnitudes past 1e100) cross every block edge
+        floats[5::13] = np.nan
+        floats[7::17] = np.inf
+        table = {"x": floats, "y": -floats[::-1], "z": rng.random(40_000)}
+        text = cli.write_csv("", {"k": 1}, table, ["end"])
+        rows = list(zip(*(col.tolist() for col in table.values())))
+        body = "\n".join(["%.17g,%.17g,%.17g"] * len(rows)) % tuple(v for r in rows for v in r)
+        assert text == "# k=1\nx,y,z\n" + body + "\n# end\n"
+
+    def test_float_cells_are_python_formatting(self):
+        # every cell, written by the kernel or left to Python, is
+        # format(x, ".17g"); numpy's log10 differs between SIMD dispatch
+        # classes, so test_dispatch_class reruns this with X86_V4 off
+        sweep = bit_sweep()
+        values = np.concatenate([sweep, float_edges()])
+        text = cli.write_csv(os.devnull, {}, {"x": values})
+        want = "x\n" + ("%.17g\n" * len(values)) % tuple(values.tolist())
+        assert text == want, first_mismatches(values, text)
+        # the kernel writes nearly every cell of its table's range itself;
+        # it breaks a tie where its q is exact (E from -6 to 16, so
+        # |x| >= 1e-6 for a tie) and leaves the other ties to Python
+        cells, out = FloatCells(_BLOCK), np.empty((_BLOCK, CELL_BYTES), np.uint8)
+        inside = sweep[(np.abs(sweep) >= 1e-99) & (np.abs(sweep) < 1e100)]
+        python = sum(cells.write(inside[lo:lo + _BLOCK], out[:len(inside[lo:lo + _BLOCK])])
+                     for lo in range(0, len(inside), _BLOCK))
+        assert len(inside) > 900_000 and python <= len(inside) // 10_000
+        ties = np.array(half_way_ties())
+        exact, inexact = ties[ties >= 1e-6], ties[ties < 1e-6]
+        assert len(exact) > 500 and cells.write(exact, out[:len(exact)]) == 0
+        assert len(inexact) > 10 and cells.write(inexact, out[:len(inexact)]) == len(inexact)
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_a_misjudged_exponent_goes_to_python(self, monkeypatch, shift):
+        # log10 is read only as a guess: with the guess shifted one down or
+        # one up, the cells are left to Python (but those just below a power
+        # of ten, where the shifted guess is right) and print the same bytes
+        real = np.log10
+        monkeypatch.setattr(_floatcells, "np", types.SimpleNamespace(
+            **{**vars(np), "log10": lambda x, out: np.add(real(x, out=out), shift, out=out)}))
+        values = np.concatenate([bit_sweep()[:2 ** 13], float_edges()])
+        values = values[(np.abs(values) >= 1e-98) & (np.abs(values) < 1e98)]
+        out = np.empty((len(values), CELL_BYTES), np.uint8)
+        assert FloatCells(len(values)).write(values, out) > 0.95 * len(values)
+        text = cli.write_csv(os.devnull, {}, {"x": values})
+        assert text == "x\n" + ("%.17g\n" * len(values)) % tuple(values.tolist())
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
+    def test_sample_table_stays_off_mmap(self):
+        # the float cells' work rows and byte rows are allocated once per
+        # call, none over 64 KiB a block; the command took ~3,800 minor
+        # faults on x86_64 with glibc 2.36, ~4,700 with one "%" template
+        # per block
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(pathlib.Path(cli.__file__).parent.parent), env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", SAMPLE_FAULTS], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) <= 5000
 
     @pytest.mark.parametrize("args", ["cdf --level 3 --grid 16 --lam 1.3",
                                       "msdiag --curve line --n 2000"],
