@@ -13,6 +13,8 @@ failure.
 import argparse
 import hashlib
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -156,23 +158,51 @@ def _resolve_curve(cfg):
 
 def write_csv(out_path, meta: dict, columns: dict, trailing_comments=()):
     """Write ``meta`` as comment lines, then ``columns`` (header name: 1-D
-    values, all of one length) as rows; returns the text. Rows go
-    ``_BLOCK`` at a time, each cell as a NUL-padded byte row ended by its
-    separator: a float cell from ``FloatCells``, with the bytes of
-    ``_fmt``, and any other cell from ``_fmt``, so only one block's cells
-    of those columns are Python objects. The NULs are dropped as the rows
-    are joined, so a cell's own text must hold none."""
+    values, all of one length) as rows, to the file ``out_path`` or, when
+    it is empty, to stdout; returns the text. Each piece of the text goes
+    out as soon as it is made, and the returned text is its one copy. A
+    failure after the file is opened removes it, so no partial table is
+    left (a path that is not a regular file, such as a device, a pipe or a
+    link, is not removed)."""
     cols = [np.asarray(col) for col in columns.values()]
     n = len(cols[0]) if cols else 0
     if any(len(col) != n for col in cols):
         raise ValueError("CSV columns must all have one length")
+    pieces = _csv_pieces(meta, columns, cols, n, trailing_comments)
+    if not out_path:
+        return _write_pieces(pieces, sys.stdout)
+    with open(out_path, "w", newline="\n") as fh:
+        try:
+            return _write_pieces(pieces, fh)
+        except BaseException:
+            if stat.S_ISREG(os.lstat(out_path).st_mode):
+                os.remove(out_path)
+            raise
+
+
+def _write_pieces(pieces, fh):
+    text = ""
+    for piece in pieces:
+        fh.write(piece)
+        # CPython resizes a str that only this name holds in place, so the
+        # text is not copied piece by piece
+        text += piece
+    return text
+
+
+def _csv_pieces(meta, names, cols, n, trailing_comments):
+    """The CSV text in pieces: the header, the rows ``_BLOCK`` at a time
+    and then the trailing comments. Each cell is a NUL-padded byte row
+    ended by its separator: a float cell from ``FloatCells``, with the
+    bytes of ``_fmt``, and any other cell from ``_fmt``, so only one
+    block's cells of those columns are Python objects. The NULs are
+    dropped as the rows are joined, so a cell's own text must hold none."""
     rows = min(n, _BLOCK)
     floats = [col.dtype.kind == "f" for col in cols]
     # allocated once per call: the float cells' work rows and byte rows
     cells = FloatCells(rows) if any(floats) else None
     outs = [np.empty((rows, CELL_BYTES), np.uint8) if f else None for f in floats]
-    parts = [f"# {k}={_fmt(v)}\n" for k, v in meta.items()]
-    parts.append(",".join(columns) + "\n")
+    yield "".join(f"# {k}={_fmt(v)}\n" for k, v in meta.items()) + ",".join(names) + "\n"
     for lo in range(0, n, _BLOCK):
         windows = []
         for col, out in zip(cols, outs):
@@ -193,15 +223,8 @@ def write_csv(out_path, meta: dict, columns: dict, trailing_comments=()):
         step = max(1, 8 * _BLOCK // sum(window.shape[1] for window in windows))
         for at in range(0, len(windows[0]), step):
             piece = np.concatenate([window[at:at + step] for window in windows], axis=1)
-            parts.append(piece.tobytes().translate(None, b"\0").decode())
-    parts.extend(f"# {c}\n" for c in trailing_comments)
-    text = "".join(parts)
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return text
+            yield piece.tobytes().translate(None, b"\0").decode()
+    yield "".join(f"# {c}\n" for c in trailing_comments)
 
 
 # -- options -----------------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _threads
 from . import rng as _rng
+from .curves import _BLOCK
 from .errors import CurveDomainError, ExistenceError, ResourceError
 from .staircase import StaircaseTable
 
@@ -45,9 +46,10 @@ class FractalProcess:
     index set.
 
     ``draw_paths(gen, j_values, n)`` returns a new (n, len(j_values)) array,
-    which the caller may overwrite: one row per realization, columns
-    following ``j_values``; for a fixed realization the row is the sample
-    function. ``correlation`` is the analytic R(j1, j2), vectorized, if known.
+    in either memory order, which the caller may overwrite: one row per
+    realization, columns following ``j_values``; for a fixed realization
+    the row is the sample function. ``correlation`` is the analytic
+    R(j1, j2), vectorized, if known.
     """
 
     name: str
@@ -116,14 +118,23 @@ def brownian_like() -> FractalProcess:
         steps = np.diff(np.concatenate(([0.0], sorted_j)))
         if np.any(steps < 0.0):
             raise CurveDomainError("brownian-like paths need non-negative indices")
-        walked = gen.normal(0.0, 1.0, (n, len(j)))
-        walked *= np.sqrt(steps)
-        np.cumsum(walked, axis=1, out=walked)
-        if np.all(order[1:] > order[:-1]):
-            return walked  # j was sorted: the scatter would only copy
-        out = np.empty_like(walked)
-        out[:, order] = walked
-        return out
+        # index-major, so a consumer that wants one row per index reads
+        # the transpose without a copy. The stream yields the same normals
+        # in blocks of realizations, and the running sums down axis 0 add
+        # in the order of the sums along each realization's row.
+        m = len(j)
+        walked = np.empty((m, n))
+        scale = np.sqrt(steps)[:, None]
+        rows = max(1, _BLOCK // max(m, 1))
+        for lo in range(0, n, rows):
+            block = gen.normal(0.0, 1.0, (min(rows, n - lo), m))
+            np.multiply(block.T, scale, out=walked[:, lo:lo + rows])
+        np.cumsum(walked, axis=0, out=walked)
+        if not np.all(order[1:] > order[:-1]):
+            out = np.empty_like(walked)
+            out[order] = walked
+            walked = out
+        return walked.T
 
     def corr(j1, j2):
         return np.minimum(np.asarray(j1, dtype=float), np.asarray(j2, dtype=float))
@@ -336,8 +347,15 @@ def _path_sums(proc, weight, table, a, b, u, k, n, seed):
     """sum_j w_j X(j) over k panels for each of n paths drawn from
     ``stream(seed, 7)``: one realization of a midpoint sum per row."""
     mids, w = _mass_panels(weight, table, a, b, u, k)
-    paths = np.asarray(proc.draw_paths(_rng.stream(seed, 7), mids, n), dtype=float)
-    return np.multiply(paths, w, out=paths).sum(axis=1)
+    paths = proc.draw_paths(_rng.stream(seed, 7), mids, n)
+    # a block of weighted rows at a time, through one C-contiguous buffer:
+    # each row is summed in the same order whatever the draw's memory order
+    rows = max(1, _BLOCK // k)
+    buf, sums = np.empty((min(rows, n), k)), np.empty(n)
+    for lo in range(0, n, rows):
+        part = np.multiply(paths[lo:lo + rows], w, out=buf[:min(rows, n - lo)])
+        part.sum(axis=1, out=sums[lo:lo + rows])
+    return sums
 
 
 def _double_rs_sum(proc, weight, table, a, b, u, k, n, seed):

@@ -28,6 +28,18 @@ main(["sample", "--level", "6", "--count", "50000", "--out", os.devnull])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
+RANDOM_LOADED = """
+import os
+import sys
+import fractalcalc, fractalcalc.cli
+loaded = ["import", "numpy.random" in sys.modules]
+for args in ["dimension --level 3", "staircase --level 3 --grid 64",
+             "cdf --level 3 --grid 16", "sample --level 3 --count 10"]:
+    assert fractalcalc.cli.main([*args.split(), "--out", os.devnull]) == 0
+    loaded += [args.split()[0], "numpy.random" in sys.modules]
+print(*loaded)
+"""
+
 
 def run(tmp_path, name, *args):
     out = tmp_path / name
@@ -555,9 +567,11 @@ class TestWriteCsv:
     @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
     def test_sample_table_stays_off_mmap(self):
         # the float cells' work rows and byte rows are allocated once per
-        # call, none over 64 KiB a block; the command took ~3,800 minor
-        # faults on x86_64 with glibc 2.36, ~4,700 with one "%" template
-        # per block
+        # call, none over 64 KiB a block, and each piece is written as it
+        # is made; the command took ~2,200 minor faults on x86_64 with
+        # glibc 2.36 (numpy.random's import included), ~3,800 with the
+        # whole text joined and encoded, ~4,700 with one "%" template per
+        # block
         env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
         env["PYTHONPATH"] = os.pathsep.join(
             [str(pathlib.Path(cli.__file__).parent.parent), env.get("PYTHONPATH", "")])
@@ -578,12 +592,66 @@ class TestWriteCsv:
         assert main(args.split()) == 0
         assert capsys.readouterr().out == whole
 
+    def test_table_text_is_held_once(self, tmp_path):
+        # each piece goes to the file as it is made, and the returned text
+        # is the table's one copy: 5.7 MiB for this 3.8 MiB table, against
+        # 13.3 MiB with the pieces joined and then encoded whole
+        rng = np.random.default_rng(1)
+        table = {name: rng.normal(size=50_000) for name in "abcd"}
+        out = tmp_path / "t.csv"
+        texts = []
+        peak = traced_peak(lambda: texts.append(cli.write_csv(out, {"k": 1}, table)))
+        assert out.read_text() == texts[0]
+        assert peak <= len(texts[0]) + 2.5 * 2 ** 20
+
+    def test_a_failure_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        real = FloatCells.write
+
+        def fail_in_second_block(path):
+            # the sizes of the file as the first and the second block start
+            sizes = []
+
+            def write(self, values, cells):
+                sizes.append(path.stat().st_size)
+                if len(sizes) == 2:
+                    raise RuntimeError("second block")
+                return real(self, values, cells)
+
+            monkeypatch.setattr(FloatCells, "write", write)
+            with pytest.raises(RuntimeError, match="second block"):
+                cli.write_csv(path, {"k": 1}, {"x": np.linspace(0.0, 1.0, 3 * _BLOCK)})
+            return sizes
+
+        out = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            cli.write_csv(out, {}, {"t": [0.5, 1.0], "J": [0.25]})
+        assert not out.exists()
+        # the first block was in the file when the second one failed
+        assert fail_in_second_block(out)[1] > 0 and not out.exists()
+        # a link is not removed, whatever it names
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert fail_in_second_block(link)[1] > 0 and link.is_symlink()
+
     def test_no_rows_writes_the_header_only(self):
         assert cli.write_csv("", {}, {"t": np.array([])}, ["end"]) == "t\n# end\n"
 
     def test_unequal_columns_raise(self):
         with pytest.raises(ValueError):
             cli.write_csv("", {}, {"t": [0.5, 1.0], "J": [0.25]})
+
+
+class TestImports:
+    def test_numpy_random_loads_at_the_first_draw(self):
+        # numpy loads numpy.random lazily; only a command that draws needs it
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", RANDOM_LOADED], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == [
+            "import", "False", "dimension", "False", "staircase", "False",
+            "cdf", "False", "sample", "True"]
 
 
 class TestCsvBytes:

@@ -31,6 +31,8 @@ from fractalcalc.processes import (
     GRID_BLOCK,
     MS_PANELS,
     FractalProcess,
+    _mass_panels,
+    _path_sums,
 )
 from conftest import traced_peak
 from constant import constant_process
@@ -182,6 +184,26 @@ class TestBrownianDraw:
         got = brownian_like().draw_paths(frng.stream(4), j, 257)
         assert np.array_equal(got, brownian_three_copies(frng.stream(4), j, 257))
 
+    def test_blocks_of_realizations_match_one_draw(self):
+        # 8000 realizations of 37 indices span several blocks of draws, the
+        # last one partial
+        j = np.random.default_rng(1).random(37) * 3.0
+        got = brownian_like().draw_paths(frng.stream(4), j, 8000)
+        assert got.tobytes() == brownian_three_copies(frng.stream(4), j, 8000).tobytes()
+
+    def test_path_sums_add_each_row_in_order(self):
+        # the draw is index-major, and each realization's weighted row is
+        # still summed as numpy sums a C-contiguous row
+        table = build_staircase(build_line(0.0, 2.0))
+
+        def weight(j, u):
+            return np.cos(j + u)
+
+        got = _path_sums(brownian_like(), weight, table, 0.0, 1.8, 0.3, 256, 3000, 5)
+        mids, w = _mass_panels(weight, table, 0.0, 1.8, 0.3, 256)
+        want = (brownian_three_copies(frng.stream(5, 7), mids, 3000) * w).sum(axis=1)
+        assert got.tobytes() == want.tobytes()
+
     def test_sorted_and_shuffled_indices_give_the_same_columns(self):
         j = np.linspace(0.0, 1.5, 37)
         perm = np.random.default_rng(0).permutation(len(j))
@@ -201,8 +223,9 @@ class TestBrownianDraw:
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_grid_peak_memory(self, monkeypatch, cpus):
-        # the draw and the grid's transposed copy, one (n, m) array each, and
-        # one block of products per thread
+        # one (n, m) path array, drawn index-major so the grid reads its
+        # transpose without a copy, one block of draws, and one block of
+        # products per thread
         n, points = 8000, 100
         monkeypatch.setattr(_threads, "cpus", lambda: cpus)
         tracemalloc.start()
@@ -211,7 +234,7 @@ class TestBrownianDraw:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (2.25 * n * points + cpus * GRID_BLOCK) * 8
+        assert peak <= (1.25 * n * points + cpus * GRID_BLOCK) * 8
 
 
 class TestCorrelationGrid:
