@@ -28,7 +28,7 @@ _SIN60 = math.sqrt(3.0) / 2.0
 
 #: Elements per block of every streamed loop: ``_koch_step``'s edges,
 #: ``FractalCurve.chords``, ``_CellIndex``'s bucket count, the sampler's
-#: draws and points, and ``cli.write_csv``'s rows. A block's float64 arrays
+#: draws, t and points, and ``cli.write_csv``'s rows. A block's float64 arrays
 #: and Python lists take 64 KiB, under glibc's 128 KiB mmap threshold (so
 #: the heap reuses them instead of mapping fresh pages) and inside L2.
 _BLOCK = 1 << 13
@@ -108,10 +108,14 @@ class FractalCurve:
     def check_domain(self, t):
         """Raise CurveDomainError unless every t lies in [a, b] up to
         1e-12 max(|a|, |b|, b - a); a nan fails, as min and max carry it."""
-        a, b = self.domain
         t = np.asarray(t, dtype=float)
+        if t.size:
+            self._check_span(t.min(), t.max())
+
+    def _check_span(self, lo, hi):
+        a, b = self.domain
         slack = 1e-12 * max(abs(a), abs(b), b - a)
-        if t.size and not (a - slack <= t.min() and t.max() <= b + slack):
+        if not (a - slack <= lo and hi <= b + slack):
             raise CurveDomainError(
                 f"parameter outside curve domain [{a}, {b}]"
             )
@@ -120,12 +124,15 @@ class FractalCurve:
         """Evaluate w(t). Scalar t gives a (n,) point, an array of shape
         (m,) gives the (m, n) array of points, the transpose view of a
         C-contiguous (n, m) array. The parameters need no order: each
-        finds its knot cell through ``_knot_index``."""
-        scalar = np.isscalar(t) or np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        finds its knot cell through ``_knot_index``; one scalar finds it
+        through ``_interpolate_one``, with the same bits."""
+        if np.ndim(t) == 0:
+            x = float(t)
+            self._check_span(x, x)
+            return np.array(_interpolate_one(self.knots, self._cols, _clip_one(x, *self.domain)))
+        t = np.asarray(t, dtype=float)
         self.check_domain(t)
-        pts = self._knot_index.interpolate(self._cols, np.clip(t, *self.domain)).T
-        return pts[0] if scalar else pts
+        return self._knot_index.interpolate(self._cols, np.clip(t, *self.domain)).T
 
     @cached_property
     def _knot_index(self):
@@ -305,6 +312,31 @@ class _CellIndex:
             o *= frac
             o += w0
         return out
+
+
+def _clip_one(x, lo, hi):
+    """``np.clip`` of one float that is not nan: a bound replaces ``x``
+    only when ``x`` lies strictly outside it, so a zero keeps its sign."""
+    return lo if x < lo else hi if x > hi else x
+
+
+def _interpolate_one(edges, rows, x):
+    """``_CellIndex.interpolate`` at one query ``x``, a float in
+    [edges[0], edges[-1]], as a list with one float per row. The cell is
+    ``np.searchsorted(edges, x, side="right")``, which the index returns
+    by its contract, and each row takes the index's IEEE operations in
+    the same order on Python floats, so the bits are the batch's without
+    the index's two dozen numpy calls on a one-element array."""
+    i = min(max(int(np.searchsorted(edges, x, side="right")) - 1, 0), len(edges) - 2)
+    x0 = edges.item(i)
+    dx = edges.item(i + 1) - x0
+    # a flat cell maps to its right end
+    frac = (x - x0) / dx if dx > 0.0 else 1.0
+    out = []
+    for row in rows:
+        w0 = row.item(i)
+        out.append((row.item(i + 1) - w0) * frac + w0)
+    return out
 
 
 def build_koch(level: int) -> FractalCurve:

@@ -28,24 +28,51 @@ CUSTOM_GRID = 2048
 
 @dataclass
 class SampleSet:
-    """Draws on a curve: their parameters t and mass coordinates J."""
+    """Draws on a curve, kept as their mass coordinates J; their
+    parameters t and points are built on first read."""
 
-    curve: FractalCurve
-    t: np.ndarray           # (count,) parameters
+    table: StaircaseTable
     j: np.ndarray           # (count,) mass coordinates
     plateau_hits: int
 
     @property
+    def curve(self) -> FractalCurve:
+        return self.table.curve
+
+    @property
     def count(self) -> int:
-        return len(self.t)
+        return len(self.j)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """The (count,) parameters ``t_from_mass(J)``, built in blocks on
+        first read. The draws' plateau hits were counted when they were
+        drawn, so the table's count is left as this read found it."""
+        table = self.table
+        hits = table.plateau_hits
+        t = np.empty(self.count)
+        for lo in range(0, self.count, _BLOCK):
+            block = table.t_from_mass(self.j[lo:lo + _BLOCK])
+            t[lo:lo + _BLOCK] = block
+        table.plateau_hits = hits
+        return t
 
     @cached_property
     def points(self) -> np.ndarray:
-        """The (count, n) curve points w(t), built in blocks on first read."""
+        """The (count, n) curve points w(t), built in blocks on first read.
+
+        In both lazy loops a block's result is still referenced while the
+        next block is made. It then sits above that block's freed
+        temporaries, so glibc reuses them from its free lists: with
+        nothing live above them it trims the heap's top after a block and
+        faults the pages in again for the next, over a hundred faults a
+        block.
+        """
         pts = np.empty((self.count, self.curve.ndim))
         for lo in range(0, self.count, _BLOCK):
             rows = slice(lo, lo + _BLOCK)
-            pts[rows] = self.curve.point(self.t[rows])
+            block = self.curve.point(self.t[rows])
+            pts[rows] = block
         return pts
 
 
@@ -127,10 +154,16 @@ class DistributionOnCurve:
             [max(float(self._pdf_j(v)), 0.0) for v in np.atleast_1d(j)]
         ).reshape(j.shape) * self._custom_scale
 
+    @cached_property
+    def _cap(self) -> float:
+        """The analytic cdf at the curve's end: the probability the
+        sampler's reachable range carries."""
+        return float(self.cdf_at_j(self.support[1]))
+
     @property
     def truncated_mass(self) -> float:
         """Probability the analytic law assigns beyond the curve's end."""
-        return float(1.0 - self.cdf_at_j(self.support[1]))
+        return 1.0 - self._cap
 
     # -- law at curve points -------------------------------------------------
 
@@ -148,34 +181,35 @@ class DistributionOnCurve:
         if self.family == "uniform":
             return lo + u * (hi - lo)
         if self.family == "memoryless":
-            cap = float(self.cdf_at_j(hi))
-            return -np.log1p(-u * cap) / self.lam
+            return -np.log1p(-u * self._cap) / self.lam
         return np.interp(u, self._grid_cdf, self._grid_j)
 
     def sample(self, seed: int, count: int) -> SampleSet:
         """Inverse-transform sampling driven by a counter-based stream.
 
-        Each draw runs u -> J -> t: the inverse cdf takes a uniform u to
-        its mass coordinate J, and ``StaircaseTable.t_from_mass`` takes J
-        to t, looking up cells in any order. The same seed always
-        reproduces the same draws. Draws landing on a staircase plateau
-        snap to its right edge and are counted. The draws run in blocks of
+        Each draw takes a uniform u through the inverse cdf to its mass
+        coordinate J, the coordinate the law is defined in, and keeps only
+        J. The same seed always reproduces the same draws. Draws landing
+        on a staircase plateau are counted here, once; ``SampleSet.t``
+        maps them to the plateau's right edge. The draws run in blocks of
         ``curves._BLOCK``; the stream yields the same numbers whatever
-        the block size. No point is computed here: ``SampleSet.points``
-        builds them from t, in blocks, on first read.
+        the block size. No parameter or point is computed here:
+        ``SampleSet.t`` builds t from J through
+        ``StaircaseTable.t_from_mass``, and ``SampleSet.points`` the
+        points from t, in blocks, on first read.
         """
         if count < 1:
             raise CurveDomainError("sample count must be >= 1")
         gen = _rng.stream(seed)
         table = self.table
         j = np.empty(count)
-        t = np.empty(count)
-        before = table.plateau_hits
+        hits = 0
         for lo in range(0, count, _BLOCK):
             rows = slice(lo, min(lo + _BLOCK, count))
             j[rows] = self._inverse_cdf(gen.random(rows.stop - lo))
-            t[rows] = table.t_from_mass(j[rows])
-        return SampleSet(table.curve, t, j, table.plateau_hits - before)
+            hits += table._plateau_hits_in(j[rows])
+        table.plateau_hits += hits
+        return SampleSet(table, j, hits)
 
     # -- moments ---------------------------------------------------------------
 
@@ -221,7 +255,7 @@ class DistributionOnCurve:
 def sampling_cdf(dist: DistributionOnCurve):
     """The cdf the sampler actually realizes: the analytic law
     renormalized over the curve's reachable mass range."""
-    cap = float(dist.cdf_at_j(dist.support[1]))
+    cap = dist._cap
 
     def cdf(j):
         return np.asarray(dist.cdf_at_j(j), dtype=float) / cap

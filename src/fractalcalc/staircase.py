@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import FractalCurve, _CellIndex
+from .curves import FractalCurve, _CellIndex, _clip_one, _interpolate_one
 from .errors import CurveDomainError, EstimationError
 
 #: Relative tolerances for the resolution limit: a verdict compares the
@@ -270,20 +270,35 @@ class StaircaseTable:
         plateaus resolve to their right edge and are counted in
         ``plateau_hits``. The queries need no order: each finds its cell
         through the cell index of ``s``, as ``FractalCurve.point`` finds
-        its knot cell, and shares its interpolation."""
+        its knot cell, and shares its interpolation; one scalar takes
+        ``_interpolate_one``, with the same bits."""
         lo, hi = self.mass_bounds
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         # relative to the mass range (one subnormal when it is all 0); a nan
         # fails: min and max carry it through
         slack = max(1e-9 * max(abs(lo), abs(hi), hi - lo), math.ulp(0.0))
+        t0, t1 = self.t.item(0), self.t.item(-1)
+        if np.ndim(s) == 0:
+            x = float(s)
+            if not lo - slack <= x <= hi + slack:
+                raise CurveDomainError(f"mass value outside [{lo}, {hi}]")
+            x = _clip_one(x, lo, hi)
+            self.plateau_hits += self._plateau_hits_in(x)
+            return _clip_one(_interpolate_one(self.s, (self.t,), x)[0], t0, t1)
+        s_arr = np.asarray(s, dtype=float)
         if s_arr.size and not (lo - slack <= s_arr.min() and s_arr.max() <= hi + slack):
             raise CurveDomainError(f"mass value outside [{lo}, {hi}]")
         s_arr = np.clip(s_arr, lo, hi)
-        if len(self._plateau_values):
-            self.plateau_hits += int(np.isin(s_arr, self._plateau_values).sum())
+        self.plateau_hits += self._plateau_hits_in(s_arr)
         out = self._s_index.interpolate(self.t[None], s_arr)[0]
-        np.clip(out, self.t[0], self.t[-1], out=out)  # the last cell can round past b
-        return float(out[0]) if np.ndim(s) == 0 else out
+        np.clip(out, t0, t1, out=out)  # the last cell can round past b
+        return out
+
+    def _plateau_hits_in(self, s):
+        """How many mass values of ``s``, clipped to the mass range as
+        ``t_from_mass`` clips them, fall on a plateau."""
+        if not len(self._plateau_values):
+            return 0
+        return int(np.isin(np.clip(s, *self.mass_bounds), self._plateau_values).sum())
 
     def j_of_theta(self, theta) -> float:
         """Mass coordinate of one curve point: S at its parameter."""

@@ -25,9 +25,10 @@ from fractalcalc import (
 )
 from fractalcalc.curves import _BLOCK
 from fractalcalc.errors import CurveDomainError
+from fractalcalc.staircase import StaircaseTable
 from conftest import simd_pin, traced_peak
 from ks import ks_distance
-from walks import lognormal_walk, plateau_polyline
+from walks import lognormal_walk, plateau_polyline, subnormal_plateau_polyline
 
 
 #: Minor page faults of a fresh uniform Koch-6 draw of 10^6 points and
@@ -209,8 +210,9 @@ class TestSampling:
         assert hashlib.sha256(data).hexdigest()[:16] == simd_pin(digest)
 
     def test_sampler_memory_per_draw(self, koch_table):
-        # the returned points, t and J take 32 bytes a draw; every
-        # temporary of the sampler is one block long
+        # a draw returns its J, 8 bytes, and every temporary of the
+        # sampler is one block long; test_sampler_leaves_points_to_first_read
+        # holds the draw to 8 bytes a draw plus 2 MiB
         dist = DistributionOnCurve.memoryless(koch_table, 1.3)
         count = 2 * 10 ** 5
         tracemalloc.start()
@@ -224,25 +226,51 @@ class TestSampling:
 
     @pytest.mark.parametrize("count", [2 * 10 ** 5, 10 ** 6])
     def test_sampler_leaves_points_to_first_read(self, koch_table, monkeypatch, count):
-        # a draw keeps t and J, 16 bytes; its (count, 2) points are built
-        # from t on the first read of .points, one block at a time
-        calls = []
-        point = FractalCurve.point
+        # a draw keeps only J, 8 bytes; t is built from J on the first
+        # read of .t, and the (count, 2) points from t on the first read of
+        # .points, each one block at a time
+        calls, inversions = [], []
+        point, t_from_mass = FractalCurve.point, StaircaseTable.t_from_mass
 
         def counted(curve, t):
             calls.append(len(t))
             return point(curve, t)
 
+        def counted_inverse(table, s):
+            inversions.append(np.size(s))
+            return t_from_mass(table, s)
+
         monkeypatch.setattr(FractalCurve, "point", counted)
+        monkeypatch.setattr(StaircaseTable, "t_from_mass", counted_inverse)
         dist = DistributionOnCurve.memoryless(koch_table, 1.3)
         drawn = []
-        assert traced_peak(lambda: drawn.append(dist.sample(7, count))) <= 16 * count + 2 ** 21
-        assert calls == []
+        assert traced_peak(lambda: drawn.append(dist.sample(7, count))) <= 8 * count + 2 ** 21
+        assert calls == [] and inversions == []
         smp = drawn[0]
         assert traced_peak(lambda: smp.points) <= 32 * count + 2 ** 21
         assert sum(calls) == count
         assert smp.points is smp.points
         assert len(calls) == -(-count // _BLOCK)
+        assert sum(inversions) == count and len(inversions) == len(calls)
+        t = smp.t
+        assert smp.t is t
+        np.testing.assert_array_equal(t.view(np.int64),
+                                      t_from_mass(koch_table, smp.j).view(np.int64))
+
+    def test_plateau_hits_are_counted_once_at_draw_time(self):
+        # the draws' hits are counted from J when they are drawn; building
+        # t later through t_from_mass leaves the table's count as it was
+        with pytest.warns(UserWarning, match="flat cells"):
+            table = build_staircase(subnormal_plateau_polyline(), grid_size=5)
+        with pytest.warns(UserWarning, match="flat cells"):
+            fresh = build_staircase(subnormal_plateau_polyline(), grid_size=5)
+        before = table.plateau_hits
+        smp = DistributionOnCurve.uniform(table).sample(11, 30001)
+        fresh.t_from_mass(smp.j)
+        assert smp.plateau_hits == fresh.plateau_hits > 0
+        assert table.plateau_hits - before == smp.plateau_hits
+        smp.t, smp.points
+        assert table.plateau_hits - before == smp.plateau_hits
 
     @pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults")
     def test_block_arrays_stay_off_mmap(self):

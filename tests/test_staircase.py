@@ -24,9 +24,10 @@ from fractalcalc import (
 )
 from fractalcalc.errors import CurveDomainError, EstimationError, GeometryError
 from fractalcalc import staircase as sc
-from fractalcalc.curves import _BLOCK, _chord_lengths
+from fractalcalc.curves import _BLOCK, _chord_lengths, _clip_one
 from conftest import X86_V4, traced_peak
-from walks import lognormal_walk, plateau_polyline, underflow_polyline
+from walks import (lognormal_walk, plateau_polyline, subnormal_plateau_polyline,
+                   underflow_polyline)
 
 DATA = Path(__file__).parent / "data"
 
@@ -701,3 +702,90 @@ class TestChartPins:
             pts = table.j_inverse(queries)
         data = b"".join(v.tobytes() for v in (t, pts, np.int64(table.plateau_hits)))
         assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+def _flat_cell_table():
+    with pytest.warns(UserWarning, match="flat cells"):
+        return build_staircase(subnormal_plateau_polyline(), grid_size=5)
+
+
+#: Koch-6, a lognormal walk, a staircase with flat cells and a line whose
+#: domain starts at -0.0.
+ONE_POINT_TABLES = {
+    "koch6": lambda: build_staircase(build_koch(6)),
+    "walk": lambda: build_staircase(lognormal_walk(5, 200, 2)),
+    "plateau": _flat_cell_table,
+    "line-signed-zero": lambda: build_staircase(build_line(-0.0, 1.0)),
+}
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def _with_ends(rng, values, lo, hi):
+    """10^4 uniform draws in [lo, hi], ``values``, both ends, +-0.0 where
+    they lie in [lo, hi], and one ulp inside and outside each end."""
+    zeros = [z for z in (0.0, -0.0) if lo <= z <= hi]
+    ends = [lo, hi, np.nextafter(lo, np.inf), np.nextafter(lo, -np.inf),
+            np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)]
+    return np.concatenate((rng.uniform(lo, hi, 10 ** 4), values, zeros, ends))
+
+
+class TestOnePointQueries:
+    """A scalar query to ``t_from_mass`` or ``point`` skips the cell index;
+    it must give the batch path's bits, signed zeros included."""
+
+    @pytest.fixture(scope="class", params=list(ONE_POINT_TABLES))
+    def table(self, request):
+        return ONE_POINT_TABLES[request.param]()
+
+    def test_masses_match_the_batch(self, table):
+        lo, hi = table.mass_bounds
+        masses = _with_ends(np.random.default_rng(11), table.s, lo, hi)
+        before = table.plateau_hits
+        want_t = table.t_from_mass(masses)
+        batch_hits = table.plateau_hits - before
+        got_t = [table.t_from_mass(s) for s in masses.tolist()]
+        assert table.plateau_hits - before == 2 * batch_hits
+        want_pts = table.j_inverse(masses)
+        assert all(type(t) is float for t in got_t)
+        np.testing.assert_array_equal(_bits(got_t), _bits(want_t))
+        got_pts = [table.j_inverse(s) for s in masses.tolist()]
+        np.testing.assert_array_equal(_bits(got_pts), _bits(want_pts))
+        # a numpy scalar and a 0-d array take the same path
+        for s in (np.float64(masses[0]), np.array(masses[1])):
+            assert _bits(table.t_from_mass(s)) == _bits(want_t[masses == s][0])
+
+    def test_parameters_match_the_batch(self, table):
+        curve = table.curve
+        a, b = curve.domain
+        t = _with_ends(np.random.default_rng(12), np.concatenate((table.t, curve.knots)), a, b)
+        want = curve.point(t)
+        got = [curve.point(x) for x in t.tolist()]
+        assert all(p.shape == (curve.ndim,) for p in got)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_errors_match_the_batch(self, table):
+        lo, hi = table.mass_bounds
+        a, b = table.curve.domain
+        for query, bad in [(table.t_from_mass, hi + 1.0), (table.t_from_mass, lo - 1.0),
+                           (table.t_from_mass, math.nan), (table.j_inverse, hi + 1.0),
+                           (table.j_inverse, math.nan), (table.curve.point, b + 1.0),
+                           (table.curve.point, a - 1.0), (table.curve.point, math.nan)]:
+            with pytest.raises(CurveDomainError) as one:
+                query(bad)
+            with pytest.raises(CurveDomainError) as batch:
+                query(np.array([bad]))
+            assert str(one.value) == str(batch.value)
+
+
+@pytest.mark.parametrize("x, lo, hi", [
+    (x, lo, hi) for x in (0.0, -0.0) for lo, hi in
+    [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]])
+def test_one_point_clip_keeps_the_sign_of_zero(x, lo, hi):
+    # Python's max(-0.0, 0.0) is -0.0 and max(0.0, -0.0) is 0.0: the
+    # one-point clip compares, and returns x unless it lies strictly
+    # outside a bound, as np.clip does
+    assert _bits(_clip_one(x, lo, hi)) == _bits(np.clip(np.array([x]), lo, hi))
+    assert _bits(_clip_one(x, lo, hi)) == _bits(x)

@@ -24,6 +24,20 @@ def plateau_polyline():
     )
 
 
+def subnormal_plateau_polyline():
+    """Five-edge polyline whose chords are 1e-160 long but for the second
+    and fourth, which are 1e-200: at alpha = 2 on a five-cell grid its
+    staircase steps by a subnormal 5e-321 and has two flat cells, so J
+    takes a few thousand values and a uniform draw lands on a plateau
+    about once in 1500."""
+    return build_polyline(
+        [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+        [[0.0, 0.0], [1e-160, 0.0], [1e-160, 1e-200], [2e-160, 1e-200],
+         [2e-160, 2e-200], [3e-160, 2e-200]],
+        2.0,
+    )
+
+
 def underflow_polyline():
     """Polyline whose every chord is about 1e-200: at alpha = 2 all of its
     staircase increments underflow, so every S value equals 0."""
