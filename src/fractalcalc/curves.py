@@ -148,13 +148,46 @@ class FractalCurve:
 
     def chords(self, t):
         """Chords between the curve points at consecutive parameters ``t``, in
-        blocks that overlap by one point; each is the same double as in one pass."""
+        blocks that overlap by one point; each is the same double as in one pass.
+        When ``t`` is every s-th knot, a block reads its points from the
+        vertices (``_stride_points``) instead of interpolating them."""
         out = np.empty(len(t) - 1)
+        s = self._knot_stride(t)
         for lo in range(0, len(out), _BLOCK):
-            # point() gives the (m, n) transpose of a coordinate-major array
-            cols = self.point(t[lo:lo + _BLOCK + 1]).T
+            cols = None if s is None else self._stride_points(s, lo, min(lo + _BLOCK, len(out)))
+            if cols is None:
+                # point() gives the (m, n) transpose of a coordinate-major array
+                cols = self.point(t[lo:lo + _BLOCK + 1]).T
             out[lo:lo + _BLOCK] = _chord_lengths(cols)
         return out
+
+    def _knot_stride(self, t):
+        """The s with ``t == knots[::s]``, or None. A zero of either sign
+        matches both: it moves only the sign of a zero in the points."""
+        m, n = self.edge_count, len(t) - 1
+        if n < 1 or m % n:
+            return None
+        s = m // n
+        return s if np.array_equal(t, self.knots[::s]) else None
+
+    def _stride_points(self, s, lo, hi):
+        """Coordinate-major points at the knots lo*s, ..., hi*s whose chords
+        are those of ``point``'s values there, or None where ``point`` gives nan.
+
+        At a knot i < m, ``point`` takes (w[i+1] - w[i]) * 0 + w[i], which is
+        w[i] up to the sign of a zero, and a chord squares that away; it is
+        nan when the edge difference overflows. At the last knot it takes
+        (w[m] - w[m-1]) * 1 + w[m-1], which can round off w[m] (x running
+        0.7 -> 0.1 gives 0.09999999999999998), so that point is interpolated."""
+        cols = self._cols
+        i0, i1 = lo * s, hi * s
+        if not np.isfinite(cols[:, i0 + 1:i1 + 1:s] - cols[:, i0:i1:s]).all():
+            return None
+        pts = cols[:, i0:i1 + 1:s]
+        if i1 == len(self.knots) - 1:
+            pts = np.array(pts)
+            pts[:, -1] = _interpolate_one(self.knots, cols, self.knots.item(-1))
+        return pts
 
     def parameter_of(self, points):
         """Parameters of an (m, n) block of curve points, the inverse of

@@ -173,6 +173,16 @@ def squared_series_coefficients(spec: MomentSpec, order: int = DEFAULT_ORDER) ->
     return _paired_coefficients(spec, order, diagonal=False)
 
 
+def _polyval(x, c):
+    """``np.polynomial.polynomial.polyval(x, c)`` for 1-D coefficients
+    ``c``, by numpy's own Horner recurrence, so the bits are the same;
+    calling polyval would import numpy.polynomial, about 6 ms."""
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
 @dataclass
 class SeriesSolution:
     """Truncated moment polynomials in the mass coordinate."""
@@ -182,10 +192,10 @@ class SeriesSolution:
     second_coeffs: np.ndarray
 
     def mean(self, j):
-        return np.polynomial.polynomial.polyval(np.asarray(j, dtype=float), self.mean_coeffs)
+        return _polyval(np.asarray(j, dtype=float), self.mean_coeffs)
 
     def second_moment(self, j):
-        return np.polynomial.polynomial.polyval(np.asarray(j, dtype=float), self.second_coeffs)
+        return _polyval(np.asarray(j, dtype=float), self.second_coeffs)
 
     def variance(self, j):
         """Pointwise E[X^2] - E[X]^2. Truncation can push small-J values

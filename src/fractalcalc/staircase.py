@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import FractalCurve, _CellIndex, _clip_one, _interpolate_one
+from .curves import _BLOCK, FractalCurve, _CellIndex, _clip_one, _interpolate_one
 from .errors import CurveDomainError, EstimationError
 
 #: Relative tolerances for the resolution limit: a verdict compares the
@@ -332,9 +332,31 @@ def _snapped_level(level, grid_size):
 def _staircase_grid(curve, grid_size):
     m = curve.edge_count
     level = (m.bit_length() - 1) // 2
-    if m == 4 ** level > 1 and np.array_equal(curve.knots, np.linspace(*curve.domain, m + 1)):
+    if m == 4 ** level > 1 and _is_linspace(curve.knots):
         grid_size = 4 ** _snapped_level(level, grid_size)
     return np.linspace(*curve.domain, (grid_size or 1024) + 1)
+
+
+def _is_linspace(x):
+    """Whether ``x`` equals ``np.linspace(x[0], x[-1], len(x))``, compared
+    one ``_BLOCK`` at a time with linspace's own arithmetic: i * step + a,
+    or (i / div) * delta + a where the step underflows to 0. Its last
+    value is x[-1] itself, so the blocks stop short of it."""
+    a, b = x.item(0), x.item(-1)
+    div = len(x) - 1
+    delta = b - a
+    step = delta / div
+    for lo in range(0, div, _BLOCK):
+        y = np.arange(lo, min(lo + _BLOCK, div), dtype=float)
+        if step == 0.0:
+            y /= div
+            y *= delta
+        else:
+            y *= step
+        y += a
+        if not np.array_equal(x[lo:lo + len(y)], y):
+            return False
+    return True
 
 
 def build_staircase(curve: FractalCurve, alpha: float = None, p0: float = None,

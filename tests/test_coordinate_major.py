@@ -19,6 +19,7 @@ from fractalcalc import (
     sigma_alpha,
 )
 from fractalcalc import staircase as sc
+from fractalcalc.curves import _BLOCK, _chord_lengths
 from walks import lognormal_walk
 
 
@@ -145,6 +146,12 @@ class TestBitIdentity:
                               ref_power_sum(ref_chords(curve, sub), 1.5))
             assert_bits_equal(coarse_mass(curve, a, b, 1.2, (b - a) / 20),
                               ref_coarse_mass(curve, a, b, 1.2, (b - a) / 20))
+            # every s-th knot, and with the sign of a zero end flipped
+            for s in _divisors(curve.edge_count):
+                knots = curve.knots[::s]
+                flipped = np.where(knots == 0.0, -np.copysign(0.0, knots), knots)
+                for sub in (knots, flipped):
+                    assert_bits_equal(curve.chords(sub), ref_chords(curve, sub))
             p0 = float(t[-1])
             table = build_staircase(curve, alpha=1.3, p0=p0, grid_size=50)
             assert_bits_equal(table.s, ref_staircase_s(curve, 1.3, p0, 50))
@@ -180,6 +187,100 @@ class TestBitIdentity:
         want = ref_project(curve, pts)
         for g, w in zip(got, want):
             assert_bits_equal(g, w)
+
+
+def point_chords(curve, t):
+    """Chords between ``point``'s values, one block at a time, as
+    ``chords`` takes them at parameters off the knots."""
+    return np.concatenate([_chord_lengths(curve.point(t[lo:lo + _BLOCK + 1]).T)
+                           for lo in range(0, len(t) - 1, _BLOCK)])
+
+
+def _divisors(m):
+    return [s for s in range(1, m + 1) if m % s == 0]
+
+
+class TestKnotStride:
+    """``chords`` at every s-th knot reads the vertices, with no knot
+    index, and gives the chords of the interpolated points bit for bit."""
+
+    def assert_stride_chords(self, curve, s):
+        t = curve.knots[::s]
+        assert curve._knot_stride(t) == s
+        curve.__dict__.pop("_knot_index", None)  # built by an earlier reference
+        got = curve.chords(t)
+        assert "_knot_index" not in curve.__dict__
+        assert_bits_equal(got, point_chords(curve, t))
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_koch_every_stride(self, level):
+        curve = build_koch(level)
+        for s in _divisors(curve.edge_count):
+            self.assert_stride_chords(curve, s)
+
+    def test_koch10_rungs(self):
+        curve = build_koch(10)
+        for j in range(1, 9):
+            self.assert_stride_chords(curve, 4 ** (10 - j))
+
+    @pytest.mark.parametrize("relabel", [lambda t: 5.0 * t, lambda t: t + 0.3],
+                             ids=["knots-5t", "knots-t+0.3"])
+    def test_koch_polyline_off_the_unit_domain(self, relabel):
+        koch = build_koch(5)
+        curve = build_polyline(relabel(koch.knots), koch.vertices, koch.alpha)
+        for s in _divisors(curve.edge_count):
+            self.assert_stride_chords(curve, s)
+        a, b = curve.domain
+        for delta in sc._rung_deltas(a, b, 5):
+            t = sc._lattice_points(curve, a, b, delta)
+            assert curve._knot_stride(t) is not None
+            assert_bits_equal(curve.chords(t), point_chords(curve, t))
+
+    def test_last_point_is_interpolated(self):
+        # the last edge runs x 0.7 -> 0.1, and (0.1 - 0.7) * 1 + 0.7 rounds
+        # to 0.09999999999999998: the last chord is taken to that point
+        verts = np.array([[0.0, 0.0], [0.4, 0.3], [0.2, 0.9], [0.7, 0.5], [0.1, 0.2]])
+        curve = build_polyline(np.linspace(0.0, 1.0, 5), verts, 1.0)
+        assert curve.point(1.0)[0] == 0.09999999999999998
+        for s in (1, 2, 4):
+            self.assert_stride_chords(curve, s)
+            assert_bits_equal(curve._stride_points(s, 0, 4 // s)[:, -1], curve.point(1.0))
+
+    def test_walk_knots(self):
+        curve = lognormal_walk(6, 3000, 3)
+        self.assert_stride_chords(curve, 1)
+        self.assert_stride_chords(curve, 8)
+
+    def test_walk_rungs_are_interpolated(self):
+        curve = lognormal_walk(6, 4096, 2)
+        a, b = curve.domain
+        t = sc._lattice_points(curve, a, b, (b - a) / 4 ** 3)
+        assert curve._knot_stride(t) is None
+        got = curve.chords(t)
+        assert "_knot_index" in curve.__dict__
+        assert_bits_equal(got, point_chords(curve, t))
+
+    @pytest.mark.parametrize("t, stride", [
+        ([0.0, 2.0, 4.0], 2), ([0.0, 1.0], None), ([0.0, 1.5, 4.0], None),
+        ([0.0, 1.0, 2.0, 4.0], None),
+    ], ids=["stride-2", "not-to-the-end", "off-knot", "uneven"])
+    def test_stride_needs_every_sth_knot(self, t, stride):
+        curve = build_polyline(np.arange(5.0), [[0.0], [1.0], [3.0], [2.0], [5.0]], 1.0)
+        t = np.array(t)
+        assert curve._knot_stride(t) == stride
+        assert_bits_equal(curve.chords(t), point_chords(curve, t))
+
+    def test_overflowing_edge_is_interpolated(self):
+        # an edge difference of inf makes the interpolated point nan
+        # (inf * 0 + w); the block with that knot is taken through point
+        verts = [[0.0], [1e308], [-1e308], [0.0], [1.0]]
+        curve = build_polyline(np.arange(5.0), verts, 1.0)
+        with np.errstate(all="ignore"):
+            for s in (1, 2, 4):
+                t = curve.knots[::s]
+                got = curve.chords(t)
+                assert_bits_equal(got, point_chords(curve, t))
+            assert np.isnan(curve.chords(curve.knots)[:2]).all()
 
 
 class TestOneLookup:

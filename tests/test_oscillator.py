@@ -231,6 +231,34 @@ class TestTruncatedSecondMoment:
         np.testing.assert_allclose(vals, -1e-6, atol=1e-12)
 
 
+class TestPolyval:
+    """``SeriesSolution`` evaluates its polynomials by numpy's own Horner
+    recurrence, so that numpy.polynomial is never imported."""
+
+    GRIDS = [
+        np.linspace(-3.0, 3.0, 61),
+        np.array([0.0, -0.0, -1e-300, 5e-324, -2.5, 2.5]),
+        np.random.default_rng(5).uniform(-4.0, 4.0, 300),
+        np.float64(-0.7),
+        0.0,
+    ]
+
+    @pytest.mark.parametrize("spec", [REFERENCE_SPEC, fixed_spec(0.7, -0.4, 3.0)],
+                             ids=["beta", "fixed"])
+    def test_matches_numpy_polyval(self, spec):
+        poly = np.polynomial.polynomial
+        for order in range(10, 61):
+            sol = solve_series(spec, order)
+            for j in self.GRIDS:
+                x = np.asarray(j, dtype=float)
+                for got, coeffs in ((sol.mean(j), sol.mean_coeffs),
+                                    (sol.second_moment(j), sol.second_coeffs)):
+                    want = poly.polyval(x, coeffs)
+                    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                    assert np.array_equal(np.asarray(got).view(np.int64),
+                                          np.asarray(want).view(np.int64))
+
+
 class _NoLawAmplitude:
     """E[A^2] = 1 and E[A^4] = 0 (and every higher moment 0): no law has
     these moments, so the truncated variance goes negative, at J > 2."""

@@ -222,26 +222,35 @@ class TestLadderCache:
                 assert mass_function(curve, a, b, alpha).masses == \
                     mass_function(make(), a, b, alpha).masses
 
-    @pytest.mark.parametrize("make, rungs", [
-        (lambda: build_koch(6), 6),
-        (lambda: _koch_polyline(6, lambda t: 5.0 * t), 6),
-        (lambda: _koch_polyline(6, lambda t: t + 0.3), 6),
-    ], ids=["koch6", "knots-5t", "knots-t+0.3"])
-    def test_bisection_reuses_rung_chords(self, monkeypatch, make, rungs):
+    @pytest.mark.parametrize("make, rungs, interpolated", [
+        (lambda: build_koch(6), 6, False),
+        (lambda: _koch_polyline(6, lambda t: 5.0 * t), 6, False),
+        (lambda: _koch_polyline(6, lambda t: t + 0.3), 6, False),
+        (lambda: lognormal_walk(2, 4096, 2), 6, True),
+    ], ids=["koch6", "knots-5t", "knots-t+0.3", "walk"])
+    def test_bisection_reuses_rung_chords(self, monkeypatch, make, rungs, interpolated):
         curve = make()
-        calls = []
-        point = FractalCurve.point
+        calls, points = [], []
+        chords, point = FractalCurve.chords, FractalCurve.point
 
-        def counting(self, t):
-            calls.append(len(np.atleast_1d(t)))
+        def counting_chords(self, t):
+            calls.append(len(t))
+            return chords(self, t)
+
+        def counting_points(self, t):
+            points.append(len(np.atleast_1d(t)))
             return point(self, t)
 
-        monkeypatch.setattr(FractalCurve, "point", counting)
+        monkeypatch.setattr(FractalCurve, "chords", counting_chords)
+        monkeypatch.setattr(FractalCurve, "point", counting_points)
         est = gamma_dimension(curve)
         assert len(est.trace) > 2
         # one chord array per rung, over the domain's 4^j cells, whatever
         # the units of t
         assert calls == [4 ** j + 1 for j in range(1, rungs + 1)]
+        # a rung of every s-th knot reads the vertices; a walk's rungs
+        # lie between its knots and are interpolated, one block each
+        assert points == (calls if interpolated else [])
 
     @pytest.mark.parametrize("a, b, j", [
         (2.0, 6.0, 0), (2.0, 6.0, 3), (2.5, 3.7, 2), (3.0, 4.0, 1), (2.1, 2.2, 1),
@@ -314,6 +323,12 @@ class TestChordBlocks:
         # pass over a 65,537-point rung made it 29.7 MiB
         assert traced_peak(lambda: gamma_dimension(build_koch(10))) <= 27 * 2 ** 20
 
+    def test_koch10_staircase_peak_memory(self):
+        # the knots are tested against linspace one block at a time: a whole
+        # linspace of Koch-10's knots made the peak 9.0 MiB
+        curve = build_koch(10)
+        assert traced_peak(lambda: build_staircase(curve)) <= 2 ** 20
+
 
 def _trace_rows(est):
     return [(alpha, m.verdict, m.deltas, m.masses) for alpha, m in est.trace]
@@ -352,6 +367,28 @@ class TestKnotsSetTheChoices:
             ref, table = build_staircase(koch), build_staircase(moved)
             np.testing.assert_array_equal(table.t, 2.0 ** k * ref.t + 0.25)
             assert table.s.tobytes() == ref.s.tobytes()
+
+    @pytest.mark.parametrize("count", [2, 5, _BLOCK, _BLOCK + 1, _BLOCK + 2, 4 ** 7 + 1])
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 1.0), (-0.0, 1.0), (0.3, 1.3), (0.0, 5.0), (-2.5, 0.0),
+        # the step underflows to 0 or to a subnormal
+        (0.0, 1e-320), (1e-310, 3e-310), (5e-324, 1.5e-323),
+        # the width overflows: linspace starts at nan
+        (-1e308, 1e308),
+    ])
+    def test_blocked_linspace_test_is_array_equal(self, a, b, count):
+        # the blocked test behind the staircase's snap, against the whole
+        # linspace it replaced
+        with np.errstate(all="ignore"):
+            grid = np.linspace(a, b, count)
+            nudged = []
+            for i in {0, 1, count // 2, count - 2, count - 1}:
+                x = grid.copy()
+                x[i] = np.nextafter(x[i], math.inf)
+                nudged.append(x)
+            for x in [grid, *nudged]:
+                want = np.array_equal(x, np.linspace(x[0], x[-1], len(x)))
+                assert sc._is_linspace(x) == want
 
 
 def _koch_shape(level):
