@@ -249,10 +249,10 @@ def deterministic_initial_data(x0: float, x1: float):
 
 @dataclass
 class EnsembleMoments:
+    """Ensemble mean of n paths and its standard error, per index point."""
+
     mean: np.ndarray
-    second: np.ndarray
     mean_stderr: np.ndarray
-    second_stderr: np.ndarray
     n: int
 
 
@@ -268,11 +268,11 @@ def _carry_sum(block, acc):
 
 def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
                         j_values) -> EnsembleMoments:
-    """Monte Carlo moments of the pathwise closed form.
+    """Monte Carlo mean of the pathwise closed form.
 
     Draws (A^2, X0, X1) with A^2 independent of the initial data,
-    evaluates the closed form per path, and returns ensemble mean and
-    second-moment curves with their standard errors.
+    evaluates the closed form per path, and returns two curves: the
+    ensemble mean and its standard error.
 
     The grid is split into groups, one per CPU the process may use, and
     each thread walks its group in chunks of near-equal width, as few as
@@ -283,7 +283,7 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     peak does not depend on the grid size. Each mean is one pass of column
     sums carried from block to block; each standard error is one more pass
     of squared deviations from that mean. The column sums add the rows in
-    order, so for grids of two or more points the four curves are
+    order, so for grids of two or more points both curves are
     bit-identical to ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` of the
     whole path matrix, whatever the group and chunk widths. A one-point
     grid may differ in the last bits, since numpy sums a single column
@@ -321,7 +321,7 @@ def mc_solution_moments(a2_provider, initial_sampler, n: int, seed: int,
     # every buffer comes from the calling thread (see _threads.run)
     slabs = np.empty((len(chunks), n * width))
     scratch = np.empty((len(chunks), rows * width))
-    out = np.empty((4, m))
+    out = np.empty((2, m))
     _threads.run([
         partial(_chunk_moments, edges, rows, j, a, a_div, zero, x0, x1, slab, block, out)
         for edges, slab, block in zip(chunks, slabs, scratch)])
@@ -348,13 +348,13 @@ def _chunk_moments(edges, rows, j, a, a_div, zero, x0, x1, slab, scratch, out):
 
 
 def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):
-    """Mean, second moment and their standard errors at the indices ``j``
-    into the rows of ``out``. ``paths`` (n, len(j)) receives the paths;
-    ``scratch`` holds one block of rows. ``x1`` None leaves the sine term
-    out."""
+    """Mean and its standard error at the indices ``j`` into the two rows
+    of ``out``: one pass of column sums, then one of squared deviations.
+    ``paths`` (n, len(j)) receives the paths; ``scratch`` holds one block
+    of rows. ``x1`` None leaves the sine term out."""
     n = len(paths)
     blocks = [slice(lo, min(lo + len(scratch), n)) for lo in range(0, n, len(scratch))]
-    total = total_sq = None
+    total = None
     for rows in blocks:
         blk, tmp = paths[rows], scratch[:rows.stop - rows.start]
         # x0 cos(a j) + x1 sin(a j) / a, with the a -> 0 limit j for the sine term
@@ -373,20 +373,12 @@ def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):
             blk += tmp
             tmp[...] = blk  # _carry_sum overwrites its first row
         total = _carry_sum(tmp, total)
-        np.square(blk, out=tmp)
-        total_sq = _carry_sum(tmp, total_sq)
     mean = total / n
-    second = total_sq / n
-    dev = dev_sq = None
+    dev = None
     for rows in blocks:
         blk, tmp = paths[rows], scratch[:rows.stop - rows.start]
         np.subtract(blk, mean, out=tmp)
         np.square(tmp, out=tmp)
         dev = _carry_sum(tmp, dev)
-        np.square(blk, out=tmp)
-        tmp -= second
-        np.square(tmp, out=tmp)
-        dev_sq = _carry_sum(tmp, dev_sq)
-    out[0], out[1] = mean, second
-    out[2] = np.sqrt(dev / (n - 1)) / math.sqrt(n)
-    out[3] = np.sqrt(dev_sq / (n - 1)) / math.sqrt(n)
+    out[0] = mean
+    out[1] = np.sqrt(dev / (n - 1)) / math.sqrt(n)

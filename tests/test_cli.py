@@ -665,6 +665,8 @@ class TestCsvBytes:
          "e018323d1db2ea25"),
         ("msdiag --curve line --n 2000", "8e9069ab2cca0086"),
         ("sde --curve line --a2 4 --grid 8 --n 200", "9fc1d21d2c6188f0"),
+        # X1 = 1: the Monte Carlo takes the sine term
+        ("sde --curve line --mu 2 --nu 1 --ex1 1 --grid 8 --n 200", "724a9ad21c427640"),
         # alpha = auto on straight curves: the dimension estimate gives 1
         ("staircase --level 0", "0061c3e098a7ab70"),
         ("cdf --level 0 --grid 8", "adca14b20c74b153"),

@@ -58,7 +58,7 @@ def test_ensemble_moments(monkeypatch, a2, initial, points):
 
     def compute():
         mc = mc_solution_moments(a2, initial, 1500, 11, j)
-        return as_bytes(mc.mean, mc.second, mc.mean_stderr, mc.second_stderr)
+        return as_bytes(mc.mean, mc.mean_stderr)
 
     (one, two, three), tasks = at_worker_counts(monkeypatch, compute)
     assert one == two == three
