@@ -92,42 +92,35 @@ def load_config_file(path) -> dict:
 
 def _koch_level_read(cfg, level):
     """The finest Koch level, at most ``level``, whose vertices the
-    command's output reads. ``sample`` reads the curve at any t. The others
-    read it only on the mass ladder's lattice (``dimension``, and the others
-    under ``alpha = auto``) and on the staircase's snapped 4^g grid, plus
-    the staircase origin ``p0``. ``_koch_step`` keeps every vertex of a
-    level in the next, so a coarser build gives those points bit for bit."""
+    command's output reads. ``sample`` reads the curve at any t and
+    ``dimension`` on the mass ladder's lattice; the others read it on the
+    staircase's snapped 4^g grid, plus the staircase origin ``p0``.
+    ``_koch_step`` keeps every vertex of a level in the next, so a coarser
+    build gives those points bit for bit."""
     command = cfg["command"]
     if command == "sample":
         return level
-    read = 0
-    if command == "dimension" or cfg["alpha"] == "auto":
-        read = _default_levels(4 ** level)
-    if command != "dimension":
-        # only staircase sets its table's grid and origin; the grid of the
-        # other commands is their output grid, read off the table
-        own = command == "staircase"
-        g = _snapped_level(level, int(cfg["grid"]) if own and cfg["grid"] else None)
-        if own and cfg["p0"] and not (float(cfg["p0"]) * 4 ** g).is_integer():
-            return level  # an origin off the grid's lattice
-        read = max(read, g)
-    return min(read, level)
+    if command == "dimension":
+        return min(_default_levels(4 ** level), level)
+    # only staircase sets its table's grid and origin; the grid of the
+    # other commands is their output grid, read off the table
+    own = command == "staircase"
+    g = _snapped_level(level, int(cfg["grid"]) if own and cfg["grid"] else None)
+    if own and cfg["p0"] and not (float(cfg["p0"]) * 4 ** g).is_integer():
+        return level  # an origin off the grid's lattice
+    return min(g, level)
 
 
 def _load_curve(cfg):
     """The configured curve. Under ``alpha = auto`` a polyline is loaded
     with order 1; commands pass the order ``_resolve_curve`` resolves.
-    Koch is built at the level the output reads (``_koch_level_read``),
-    and a note on stderr says so when that is below the configured one."""
+    Koch is built at the level the output reads (``_koch_level_read``);
+    ``main`` notes on stderr when that is below the configured one."""
     kind = cfg["curve"]
     if kind == "koch":
         level = int(cfg["level"])
         _check_koch_level(level)
-        read = _koch_level_read(cfg, level)
-        if read < level:
-            print(f"note: koch level {level} reads as level {read} for "
-                  f"{cfg['command']}", file=sys.stderr)
-        return build_koch(read)
+        return build_koch(_koch_level_read(cfg, level))
     if kind == "line":
         return build_line(float(cfg["line_a"]), float(cfg["line_b"]))
     if str(kind).endswith(".csv"):
@@ -144,8 +137,10 @@ def _snap_alpha(estimate: float) -> float:
 
 
 def _resolve_curve(cfg):
-    """The configured curve and its order alpha. ``auto`` runs the
-    dimension estimate once; it gives 1 on straight curves."""
+    """The configured curve and its order alpha. ``auto`` gives Koch its
+    own order where the default ladder lies on its lattice (level 3 on) and
+    the estimate snaps to it; elsewhere it runs the estimate once, which
+    gives 1 on straight curves and on Koch levels 0-2."""
     curve = _load_curve(cfg)
     raw = cfg["alpha"]
     if raw != "auto":
@@ -153,6 +148,8 @@ def _resolve_curve(cfg):
         if alpha <= 0.0:
             raise CurveDomainError("alpha must be positive")
         return curve, alpha
+    if cfg["curve"] == "koch" and _default_levels(4 ** int(cfg["level"])) <= int(cfg["level"]):
+        return curve, curve.alpha
     return curve, _snap_alpha(gamma_dimension(curve).value)
 
 
@@ -524,10 +521,17 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     try:
         cfg = _effective_config(args)
-        return _COMMANDS[args.command](cfg, args.out)
+        code = _COMMANDS[args.command](cfg, args.out)
     except (FractalCalcError, *_USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _USAGE_ERRORS) else 3
+    if cfg["curve"] == "koch":  # after the command, so a refused one prints only its error
+        level = int(cfg["level"])
+        read = _koch_level_read(cfg, level)
+        if read < level:
+            print(f"note: koch level {level} reads as level {read} for {args.command}",
+                  file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

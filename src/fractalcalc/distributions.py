@@ -140,7 +140,7 @@ class DistributionOnCurve:
         if self.family == "uniform":
             return np.clip((j - lo) / (hi - lo), 0.0, 1.0)
         if self.family == "memoryless":
-            return np.where(j < 0.0, 0.0, 1.0 - np.exp(-self.lam * np.maximum(j, 0.0)))
+            return np.where(j < 0.0, 0.0, -np.expm1(-self.lam * np.maximum(j, 0.0)))
         return np.interp(j, self._grid_j, self._grid_cdf)
 
     def pdf_at_j(self, j):

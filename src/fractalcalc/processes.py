@@ -8,7 +8,7 @@ exists, the analytic correlation R(j1, j2).
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -324,6 +324,8 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
 class ExistencePrecheck:
     sums: list            # double midpoint sums at 1/2, 1 and 2 times MS_PANELS panels
     exists: bool
+    # panel count -> (n,) path sums whose mean square is that sum; empty for an analytic R
+    drawn: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -370,26 +372,6 @@ def _double_rs_sum(proc, weight, table, a, b, u, k, n, seed):
     return float(((rmat * w).sum(axis=1) * w).sum()), None
 
 
-def _precheck(proc, weight, table, a, b, u, n, seed):
-    """``ms_integral_precheck`` and its rungs' path sums by panel count,
-    for the estimate to reuse."""
-    if not a < b:
-        raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
-    if not math.isfinite(u):
-        raise CurveDomainError(f"u must be finite, got {u}")
-    sums, drawn = [], {}
-    for k in (MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS):
-        total, drawn[k] = _double_rs_sum(proc, weight, table, a, b, u, k, n, seed)
-        sums.append(total)
-    if not all(math.isfinite(v) for v in sums):
-        return ExistencePrecheck(sums, False), drawn
-    g1 = abs(sums[1] - sums[0])
-    g2 = abs(sums[2] - sums[1])
-    tight = g2 <= PRECHECK_RTOL * abs(sums[2])
-    contracting = g2 < 0.75 * g1
-    return ExistencePrecheck(sums, tight or contracting), drawn
-
-
 def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
                          a: float, b: float, u: float = 0.0,
                          n: int = 20000, seed: int = 0) -> ExistencePrecheck:
@@ -404,8 +386,22 @@ def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
     form: the mean over n paths, drawn from ``stream(seed, 7)``, of
     (sum_j w_j X(j))^2, w_j = f(j, u) dj. It equals w R_n w for the sample
     correlation R_n = P^T P / n in exact arithmetic and can differ from that
-    Gram form in the last bits."""
-    return _precheck(proc, weight, table, a, b, u, n, seed)[0]
+    Gram form in the last bits. Those path sums are kept in ``drawn``."""
+    if not a < b:
+        raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
+    if not math.isfinite(u):
+        raise CurveDomainError(f"u must be finite, got {u}")
+    rungs = {k: _double_rs_sum(proc, weight, table, a, b, u, k, n, seed)
+             for k in (MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS)}
+    sums = [total for total, _ in rungs.values()]
+    drawn = {k: paths for k, (_, paths) in rungs.items() if paths is not None}
+    if not all(math.isfinite(v) for v in sums):
+        return ExistencePrecheck(sums, False, drawn)
+    g1 = abs(sums[1] - sums[0])
+    g2 = abs(sums[2] - sums[1])
+    tight = g2 <= PRECHECK_RTOL * abs(sums[2])
+    contracting = g2 < 0.75 * g1
+    return ExistencePrecheck(sums, tight or contracting, drawn)
 
 
 def _ms_integral(proc, weight, table, a, b, u, k, n, seed):
@@ -414,12 +410,12 @@ def _ms_integral(proc, weight, table, a, b, u, k, n, seed):
     that rung once, from the pre-check's stream."""
     if n < 2:
         raise CurveDomainError("need at least 2 realizations for a standard error")
-    pre, drawn = _precheck(proc, weight, table, a, b, u, n, seed)
+    pre = ms_integral_precheck(proc, weight, table, a, b, u, n, seed)
     if not pre.exists:
         raise ExistenceError(
             f"double-integral pre-check failed: sums {pre.sums} are not Cauchy"
         )
-    realizations = drawn.get(k)
+    realizations = pre.drawn.get(k)
     if realizations is None:
         realizations = _path_sums(proc, weight, table, a, b, u, k, n, seed)
     y = float(realizations.mean())

@@ -15,6 +15,7 @@ from fractalcalc import _floatcells, cli
 from fractalcalc._floatcells import CELL_BYTES, FloatCells, _E_MAX, _E_MIN
 from fractalcalc.cli import main
 from fractalcalc.curves import _BLOCK
+from fractalcalc.staircase import gamma_dimension
 from conftest import simd_pin, traced_peak
 from emitted import read_csv
 
@@ -404,10 +405,14 @@ class TestDegenerateInputs:
         ["msdiag", "--curve", "line", "--tau", "-0.5", "--n", "200"],
         ["msdiag", "--curve", "line", "--tau", "1", "--n", "200"],
         ["msdiag", "--curve", "line", "--tau", "0.95", "--n", "200"],
+        # Koch built below its configured level: the refusal prints no note
+        ["staircase", "--level", "7", "--alpha", "1.2", "--grid", "0"],
+        ["cdf", "--level", "9", "--alpha", "1.2", "--grid", "0"],
     ], ids=["staircase-grid-0", "cdf-grid-0", "sde-grid-0", "correlation-points-0",
             "correlation-n-1", "sde-order-85", "sde-order-negative",
             "sde-impossible-moments", "msdiag-tau-past-curve", "msdiag-tau-before-curve",
-            "msdiag-tau-at-curve-end", "msdiag-reach-past-curve"])
+            "msdiag-tau-at-curve-end", "msdiag-reach-past-curve",
+            "staircase-level-7-grid-0", "cdf-level-9-grid-0"])
     def test_exits_2_with_message(self, tmp_path, capsys, args):
         code, out = run(tmp_path, "d.csv", *args)
         assert code == 2
@@ -659,7 +664,7 @@ class TestCsvBytes:
     @pytest.mark.parametrize("args, digest", [
         ("dimension --level 4", "d9fbf82b772dd2f6"),
         ("staircase --curve line --line-b 2 --p0 0.5 --grid 10", "dcdaaca34d5ec961"),
-        ("cdf --level 3 --grid 16 --lam 1.3", "283aed1d1738b6a6"),
+        ("cdf --level 3 --grid 16 --lam 1.3", "47f8256c98fc4f16"),
         ("sample --level 3 --count 200 --seed 9", "3356c5e0cbf7c9ac"),
         ("correlation --curve line --points 6 --n 500 --fixture brownian-like --seed 3",
          "e018323d1db2ea25"),
@@ -669,7 +674,7 @@ class TestCsvBytes:
         ("sde --curve line --mu 2 --nu 1 --ex1 1 --grid 8 --n 200", "724a9ad21c427640"),
         # alpha = auto on straight curves: the dimension estimate gives 1
         ("staircase --level 0", "0061c3e098a7ab70"),
-        ("cdf --level 0 --grid 8", "adca14b20c74b153"),
+        ("cdf --level 0 --grid 8", "aed3422aa1751cb6"),
         ("staircase --curve line --line-a 0.5 --line-b 3 --grid 5", "c3f5816c9fcb9c9a"),
     ], ids=lambda v: v.split()[0] if " " in v else None)
     def test_digest(self, capsys, args, digest):
@@ -698,6 +703,38 @@ class TestCurveResolution:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("level", range(11))
+    def test_koch_estimate_is_its_own_order_from_level_3(self, level):
+        # the shortcut in _resolve_curve stands for this estimate: every rung
+        # of the default ladder lies on Koch's lattice from level 3 on
+        curve = build_koch(level)
+        value = gamma_dimension(curve).value
+        on_lattice = cli._default_levels(4 ** level) <= level
+        assert on_lattice == (level >= 3)
+        assert value == (1.26171875 if on_lattice else 1.0)
+        assert cli._snap_alpha(value) == (curve.alpha if on_lattice else 1.0)
+        assert curve.alpha == KOCH_DIMENSION
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 9])
+    @pytest.mark.parametrize("args", [
+        "staircase", "cdf --grid 16", "sample --count 20",
+        "correlation --points 3 --n 100",
+        "msdiag --fixture linear-amplitude --n 200", "sde --a2 4 --grid 8 --n 100",
+    ])
+    def test_auto_koch_estimates_only_below_level_3(self, monkeypatch, capsys, args,
+                                                    level):
+        calls = []
+        real = cli.gamma_dimension
+
+        def counting(curve, *rest, **kwargs):
+            calls.append(curve.edge_count)
+            return real(curve, *rest, **kwargs)
+
+        monkeypatch.setattr(cli, "gamma_dimension", counting)
+        assert main([*args.split(), "--level", str(level)]) == 0
+        assert len(calls) == (0 if level >= 3 else 1)
+        assert f"alpha={1 if level < 3 else KOCH_DIMENSION!r}\n" in capsys.readouterr().out
+
 
 def run_koch(monkeypatch, capsys, args, build=None):
     """(stdout, stderr, levels built) of ``main(args)``; ``build`` replaces
@@ -721,18 +758,22 @@ class TestKochLevelRead:
     @pytest.mark.parametrize("level", range(11))
     @pytest.mark.parametrize("args", [
         "dimension", "staircase", "staircase --grid 65536", "cdf",
+        "correlation --points 3 --n 100", "msdiag --fixture linear-amplitude --n 200",
+        "sde --a2 4 --grid 8 --n 100",
     ])
     def test_bytes_match_the_configured_level(self, monkeypatch, capsys, args, level):
         argv = [*args.split(), "--level", str(level)]
         out, _, built = run_koch(monkeypatch, capsys, argv)
         full, _, _ = run_koch(monkeypatch, capsys, argv, build=level)
         assert out == full
-        assert built == [min(level, 8)]
+        # the ladder's lattice is 4^-min(L, 8) and the default table grid's 4^-min(L, 6)
+        finest = 8 if args in ("dimension", "staircase --grid 65536") else 6
+        assert built == [min(level, finest)]
 
     @pytest.mark.parametrize("args, built", [
         ("dimension --level 10", 8),
         ("dimension --level 10 --alpha 1.5", 8),
-        ("staircase --level 9", 8),
+        ("staircase --level 9", 6),
         ("staircase --level 9 --grid 65536", 8),
         ("staircase --level 9 --grid 262144", 9),
         ("staircase --level 9 --alpha 1.2", 6),
@@ -741,13 +782,17 @@ class TestKochLevelRead:
         ("staircase --level 7 --alpha 1.2 --grid 16", 2),
         ("staircase --level 7 --alpha 1.2 --grid 100", 3),
         ("staircase --level 3 --alpha 1.2 --grid 65536", 3),
+        # under auto, Koch's order from the configured level, whatever is built
+        ("staircase --level 7 --grid 16", 2),
+        ("staircase --level 3 --grid 4", 1),
         # an origin on the grid's lattice, and off it
         ("staircase --level 7 --alpha 1.2 --grid 16 --p0 0.25", 2),
         ("staircase --level 7 --alpha 1.2 --grid 16 --p0 0.3", 7),
         ("staircase --level 9 --grid 65536 --p0 0.25", 8),
         ("staircase --level 9 --grid 65536 --p0 0.3", 9),
         ("cdf --level 10 --alpha 1.2 --grid 64", 6),
-        ("cdf --level 9 --grid 64", 8),
+        ("cdf --level 9 --grid 64", 6),
+        ("sde --level 9 --a2 4 --grid 8 --n 100", 6),
         ("sde --level 9 --alpha 1.2 --a2 4 --grid 8 --n 100", 6),
         ("correlation --level 9 --alpha 1.2 --points 3 --n 100", 6),
         ("msdiag --level 9 --alpha 1.2 --fixture linear-amplitude --n 200", 6),

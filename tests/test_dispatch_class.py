@@ -22,9 +22,9 @@ from conftest import NO_X86_V4, X86_V4
 #: the class too, only as a guess that it then checks.
 CLASS_PINS = [
     "tests/test_cli.py::TestWriteCsv::test_float_cells_are_python_formatting",
-    "tests/test_cli.py::TestCsvBytes::test_digest[cdf-283aed1d1738b6a6]",
+    "tests/test_cli.py::TestCsvBytes::test_digest[cdf-47f8256c98fc4f16]",
     "tests/test_cli.py::TestCsvBytes::test_digest[sample-3356c5e0cbf7c9ac]",
-    "tests/test_cli.py::TestCsvBytes::test_digest[cdf-adca14b20c74b153]",
+    "tests/test_cli.py::TestCsvBytes::test_digest[cdf-aed3422aa1751cb6]",
     "tests/test_distributions.py::TestSampling::test_sample_bytes",
     "tests/test_distributions.py::TestSampling::test_sample_pins[walk-memoryless-d9e5afcd9b1788d1]",
     "tests/test_staircase.py::TestLadderCache::test_traces_are_pinned[koch7-<lambda>]",

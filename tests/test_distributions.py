@@ -115,6 +115,21 @@ class TestMemoryless:
             num = falpha_derivative(dist.cdf, unit_line_table, theta, h=1e-4)
             assert num == pytest.approx(dist.pdf(theta), abs=1e-3)
 
+    @pytest.mark.parametrize("lam", [1e-9, 1e-12, 1e-17])
+    def test_small_rates_keep_the_law(self, lam):
+        # 1 - exp(-lam J) cancels when lam J is small: at lam = 1e-12 the cap
+        # came out 3e-5 too high and draws fell past the curve's mass range
+        table = build_staircase(build_koch(3))
+        lo, hi = table.mass_bounds
+        dist = DistributionOnCurve.memoryless(table, lam)
+        x = lam * hi
+        assert dist._cap == pytest.approx(x - x * x / 2, rel=1e-12, abs=0)
+        sample = dist.sample(11, 10 ** 4)
+        assert np.all((lo <= sample.j) & (sample.j <= hi))
+        assert np.all(np.isfinite(sample.points))
+        band = 1.36 / math.sqrt(sample.count)
+        assert ks_distance(sample.j, sampling_cdf(dist)) < band
+
     def test_rejects_bad_rate(self, unit_line_table):
         with pytest.raises(CurveDomainError):
             DistributionOnCurve.memoryless(unit_line_table, 0.0)

@@ -22,7 +22,7 @@ from fractalcalc import (
     second_generalized_derivative,
     white_noise,
 )
-from fractalcalc import _threads
+from fractalcalc import _threads, processes
 from fractalcalc import rng as frng
 from fractalcalc.errors import CurveDomainError, ExistenceError, ResourceError
 from fractalcalc.processes import (
@@ -748,6 +748,29 @@ class TestSharedDraw:
         want = np.multiply(paths, weight(mids, 0.3) * np.diff(j), out=paths).sum(axis=1)
         assert res.realizations.tobytes() == want.tobytes()
         assert res.precheck.sums[1] == np.mean(res.realizations ** 2)
+
+    def test_integral_runs_the_public_precheck(self, unit_table, monkeypatch):
+        # ms_integral's pre-check is ms_integral_precheck, called by its
+        # module name, so a wrapper installed there sees it
+        seen = []
+        real = processes.ms_integral_precheck
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(processes, "ms_integral_precheck", spy)
+        weight = lambda j, u: np.cos(j - u)
+        res = ms_integral(cosine_phase(), weight, unit_table, 0, 1, u=0.3, n=500, seed=11)
+        assert len(seen) == 1 and seen[0] is res.precheck and res.precheck.drawn == {}
+        drawn = ms_integral(self.spied(cosine_phase(), []), weight, unit_table,
+                            0, 1, u=0.3, n=500, seed=11).precheck.drawn
+        alone = real(self.spied(cosine_phase(), []), weight, unit_table, 0, 1, 0.3, 500, 11)
+        rungs = [MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS]
+        assert list(drawn) == list(alone.drawn) == rungs
+        for k, total in zip(rungs, alone.sums):
+            assert drawn[k].tobytes() == alone.drawn[k].tobytes()
+            assert total == np.mean(drawn[k] ** 2)
 
     def test_improper_rungs_draw_only_past_the_precheck(self, long_table):
         # first-rung masses 5, 10, 20 take 256, 512 and 1024 panels: the
