@@ -71,11 +71,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_hash(cfg: dict) -> str:
-    canon = "\n".join(f"{k}={_fmt(cfg[k])}" for k in sorted(cfg))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
 def load_config_file(path) -> dict:
     out = {}
     with open(path) as fh:
@@ -90,14 +85,14 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _koch_level_read(cfg, level):
-    """The finest Koch level, at most ``level``, whose vertices the
-    command's output reads. ``sample`` reads the curve at any t and
+def _koch_level_read(cfg):
+    """The finest Koch level, at most the configured one, whose vertices
+    the command's output reads. ``sample`` reads the curve at any t and
     ``dimension`` on the mass ladder's lattice; the others read it on the
     staircase's snapped 4^g grid, plus the staircase origin ``p0``.
     ``_koch_step`` keeps every vertex of a level in the next, so a coarser
     build gives those points bit for bit."""
-    command = cfg["command"]
+    command, level = cfg["command"], cfg["level"]
     if command == "sample":
         return level
     if command == "dimension":
@@ -105,8 +100,8 @@ def _koch_level_read(cfg, level):
     # only staircase sets its table's grid and origin; the grid of the
     # other commands is their output grid, read off the table
     own = command == "staircase"
-    g = _snapped_level(level, int(cfg["grid"]) if own and cfg["grid"] else None)
-    if own and cfg["p0"] and not (float(cfg["p0"]) * 4 ** g).is_integer():
+    g = _snapped_level(level, cfg["grid"] if own else None)
+    if own and cfg["p0"] is not None and not (cfg["p0"] * 4 ** g).is_integer():
         return level  # an origin off the grid's lattice
     return min(g, level)
 
@@ -118,14 +113,13 @@ def _load_curve(cfg):
     ``main`` notes on stderr when that is below the configured one."""
     kind = cfg["curve"]
     if kind == "koch":
-        level = int(cfg["level"])
-        _check_koch_level(level)
-        return build_koch(_koch_level_read(cfg, level))
+        _check_koch_level(cfg["level"])
+        return build_koch(_koch_level_read(cfg))
     if kind == "line":
-        return build_line(float(cfg["line_a"]), float(cfg["line_b"]))
-    if str(kind).endswith(".csv"):
+        return build_line(cfg["line_a"], cfg["line_b"])
+    if kind.endswith(".csv"):
         alpha = cfg["alpha"]
-        return load_polyline_csv(kind, 1.0 if alpha == "auto" else float(alpha))
+        return load_polyline_csv(kind, 1.0 if alpha == "auto" else alpha)
     raise CurveDomainError(f"unknown curve kind {kind!r} (koch, line, or *.csv)")
 
 
@@ -142,13 +136,9 @@ def _resolve_curve(cfg):
     the estimate snaps to it; elsewhere it runs the estimate once, which
     gives 1 on straight curves and on Koch levels 0-2."""
     curve = _load_curve(cfg)
-    raw = cfg["alpha"]
-    if raw != "auto":
-        alpha = float(raw)
-        if alpha <= 0.0:
-            raise CurveDomainError("alpha must be positive")
-        return curve, alpha
-    if cfg["curve"] == "koch" and _default_levels(4 ** int(cfg["level"])) <= int(cfg["level"]):
+    if cfg["alpha"] != "auto":
+        return curve, cfg["alpha"]
+    if cfg["curve"] == "koch" and _default_levels(4 ** cfg["level"]) <= cfg["level"]:
         return curve, curve.alpha
     return curve, _snap_alpha(gamma_dimension(curve).value)
 
@@ -225,9 +215,10 @@ def _csv_pieces(meta, names, cols, n, trailing_comments):
 
 
 # -- options -----------------------------------------------------------------
-# Each option is declared once, as key: (flag type, default, help). The key
-# is the config-file key and, with "-" for "_", the flag; the default is the
-# string a config file would give, and an empty one means unset.
+# Each option is declared once, as key: (type, default, help). The key is
+# the config-file key and, with "-" for "_", the flag; the default is the
+# string a config file would give, and an empty one means unset (None).
+# ``_effective_config`` parses each value once, by its type.
 
 _SHARED_OPTIONS = {
     "curve": (str, "koch", "koch | line | <polyline.csv>"),
@@ -283,27 +274,45 @@ _COMMAND_OPTIONS = {
 }
 
 
+def _parse(key, kind, text):
+    """An option's string as its table type: an int, a finite float or the
+    string itself; ``alpha`` is ``auto`` or a finite positive float."""
+    if kind is str and (key != "alpha" or text == "auto"):
+        return text
+    kind = float if key == "alpha" else kind
+    try:
+        value = kind(text)
+    except ValueError:
+        raise CurveDomainError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                               f"got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise CurveDomainError(f"{key} must be a finite number, got {text}")
+    if key == "alpha" and value <= 0.0:
+        raise CurveDomainError(f"alpha must be positive, got {text}")
+    return value
+
+
 def _effective_config(args) -> dict:
+    """The command's options, file keys overridden by flags, each parsed
+    once by ``_parse``, plus ``command`` and ``config_sha256``: the digest
+    of the option strings and the command."""
     options = {**_SHARED_OPTIONS, **_COMMAND_OPTIONS[args.command][1]}
-    cfg = {key: default for key, (_, default, _) in options.items()}
+    text = {key: default for key, (_, default, _) in options.items()}
     if args.config:
         file_cfg = load_config_file(args.config)
-        unknown = set(file_cfg) - set(cfg)
+        unknown = sorted(set(file_cfg) - set(text))
         if unknown:
-            raise CurveDomainError(
-                f"unknown config keys for {args.command}: {sorted(unknown)}"
-            )
-        cfg.update(file_cfg)
-    for key in cfg:
+            raise CurveDomainError(f"unknown config keys for {args.command}: {unknown}")
+        text.update(file_cfg)
+    for key in text:
         flag = getattr(args, key)
         if flag is not None:
-            cfg[key] = str(flag)
-    for key, (kind, _, _) in options.items():
-        if (kind is float or key == "alpha") and cfg[key] not in ("", "auto") \
-                and not math.isfinite(float(cfg[key])):
-            raise CurveDomainError(f"{key} must be a finite number, got {cfg[key]}")
-    cfg["command"] = args.command
-    return cfg
+            text[key] = str(flag)
+    cfg = {key: None if text[key] == default == "" else _parse(key, kind, text[key])
+           for key, (kind, default, _) in options.items()}
+    cfg["command"] = text["command"] = args.command
+    canon = "\n".join(f"{k}={text[k]}" for k in sorted(text)).encode()
+    return {**cfg, "config_sha256": hashlib.sha256(canon).hexdigest()[:16]}
 
 
 def _emit(out, cfg, alpha, extra, columns, *trailing):
@@ -312,10 +321,10 @@ def _emit(out, cfg, alpha, extra, columns, *trailing):
     meta = {
         "command": cfg["command"],
         "version": __version__,
-        "config_sha256": _config_hash(cfg),
-        "seed": int(cfg["seed"]),
+        "config_sha256": cfg["config_sha256"],
+        "seed": cfg["seed"],
         "curve": cfg["curve"],
-        "level": int(cfg["level"]) if cfg["curve"] == "koch" else 0,
+        "level": cfg["level"] if cfg["curve"] == "koch" else 0,
         "alpha": alpha,
         **extra,
     }
@@ -326,7 +335,7 @@ def _emit(out, cfg, alpha, extra, columns, *trailing):
 def _output_grid(cfg, curve):
     """Parameters of the output rows: ``grid`` uniform cells over the
     curve's domain."""
-    cells = int(cfg["grid"])
+    cells = cfg["grid"]
     if cells < 1:
         raise CurveDomainError(f"grid needs at least one cell, got {cells}")
     return np.linspace(*curve.domain, cells + 1)
@@ -336,10 +345,8 @@ def _output_grid(cfg, curve):
 
 
 def cmd_dimension(cfg, out):
-    curve = _load_curve(cfg)
-    tol = float(cfg["tol"])
-    result = gamma_dimension(curve, tol=tol)
-    code = _emit(out, cfg, cfg["alpha"], {"tol": tol}, {
+    result = gamma_dimension(_load_curve(cfg), tol=cfg["tol"])
+    code = _emit(out, cfg, cfg["alpha"], {"tol": cfg["tol"]}, {
         "alpha": [alpha for alpha, est in result.trace for _ in est.masses],
         "delta": [d for _, est in result.trace for d in est.deltas],
         "mass": [m for _, est in result.trace for m in est.masses],
@@ -351,23 +358,19 @@ def cmd_dimension(cfg, out):
 
 def cmd_staircase(cfg, out):
     curve, alpha = _resolve_curve(cfg)
-    a, b = curve.domain
-    p0 = float(cfg["p0"]) if cfg["p0"] else a
-    grid = int(cfg["grid"]) if cfg["grid"] else None
-    table = build_staircase(curve, alpha, p0, grid)
-    return _emit(out, cfg, alpha, {"p0": p0}, {"t": table.t, "S": table.s})
+    table = build_staircase(curve, alpha, cfg["p0"], cfg["grid"])
+    return _emit(out, cfg, alpha, {"p0": table.p0}, {"t": table.t, "S": table.s})
 
 
 def cmd_cdf(cfg, out):
     curve, alpha = _resolve_curve(cfg)
-    lam = float(cfg["lam"])
     t = _output_grid(cfg, curve)
     table = build_staircase(curve, alpha)
-    dist = DistributionOnCurve.memoryless(table, lam)
+    dist = DistributionOnCurve.memoryless(table, cfg["lam"])
     j = table.value(t)
     f = dist.cdf_at_j(j)
     return _emit(out, cfg, alpha, {
-        "lam": lam, "j_range": f"[{_fmt(float(j[0]))},{_fmt(float(j[-1]))}]",
+        "lam": cfg["lam"], "j_range": f"[{_fmt(float(j[0]))},{_fmt(float(j[-1]))}]",
         "f_max": float(f[-1])}, {"t": t, "J": j, "F_X": f})
 
 
@@ -375,15 +378,14 @@ def cmd_sample(cfg, out):
     curve, alpha = _resolve_curve(cfg)
     table = build_staircase(curve, alpha)
     family = cfg["family"]
-    dist = DistributionOnCurve(table, family, lam=float(cfg["lam"]))
-    count = int(cfg["count"])
-    sample = dist.sample(int(cfg["seed"]), count)
+    dist = DistributionOnCurve(table, family, lam=cfg["lam"])
+    sample = dist.sample(cfg["seed"], cfg["count"])
     law = {"lam": dist.lam, "truncated_mass": dist.truncated_mass} \
         if family == "memoryless" else {}
     coords = [f"x{i}" for i in range(curve.ndim)] if curve.ndim > 2 else \
         ["x", "y"][: curve.ndim]
     return _emit(out, cfg, alpha, {
-        "family": family, **law, "count": count, "plateau_hits": sample.plateau_hits,
+        "family": family, **law, "count": cfg["count"], "plateau_hits": sample.plateau_hits,
     }, {"t": sample.t, "J": sample.j, **dict(zip(coords, sample.points.T))})
 
 
@@ -392,8 +394,8 @@ def cmd_correlation(cfg, out):
     table = build_staircase(curve, alpha)
     proc = _make_fixture(cfg["fixture"], cfg)
     lo, hi = table.mass_bounds
-    j_values = np.linspace(max(lo, 0.0), hi, int(cfg["points"]))
-    grid = estimate_correlation_grid(proc, j_values, int(cfg["n"]), int(cfg["seed"]))
+    j_values = np.linspace(max(lo, 0.0), hi, cfg["points"])
+    grid = estimate_correlation_grid(proc, j_values, cfg["n"], cfg["seed"])
     m = len(grid.j_values)
     return _emit(out, cfg, alpha, {"fixture": cfg["fixture"], "n": grid.n},
                  {"J1": np.repeat(grid.j_values, m), "J2": np.tile(grid.j_values, m),
@@ -408,7 +410,7 @@ def _make_fixture(name, cfg):
         raise CurveDomainError(
             f"unknown fixture {name!r}; pick from {sorted(BUILTIN_FIXTURES)}"
         )
-    sigma2 = float(cfg["sigma2"])
+    sigma2 = cfg["sigma2"]
     if name in ("linear-amplitude", "white-noise"):
         if not sigma2 >= 0.0:
             raise CurveDomainError(f"sigma2 must be non-negative, got {sigma2}")
@@ -423,7 +425,7 @@ def cmd_msdiag(cfg, out):
     curve, alpha = _resolve_curve(cfg)
     names = sorted(BUILTIN_FIXTURES) if cfg["fixture"] == "all" else [cfg["fixture"]]
     procs = [_make_fixture(name, cfg) for name in names]
-    tau = float(cfg["tau"])
+    tau = cfg["tau"]
     lo, hi = build_staircase(curve, alpha).mass_bounds
     # the diagnostics read the process up to tau plus the ladder's largest offset
     reach = DEFAULT_EPS_LADDER[0]
@@ -431,10 +433,8 @@ def cmd_msdiag(cfg, out):
         raise CurveDomainError(
             f"tau {tau} and its reach tau + {reach} must lie in the curve's "
             f"mass range [{lo}, {hi}]")
-    n = int(cfg["n"])
-    seed = int(cfg["seed"])
-    checks = [ms_derivative_check(proc, tau, n=n, seed=seed) for proc in procs]
-    return _emit(out, cfg, alpha, {"tau": tau, "n": n}, {
+    checks = [ms_derivative_check(proc, tau, n=cfg["n"], seed=cfg["seed"]) for proc in procs]
+    return _emit(out, cfg, alpha, {"tau": tau, "n": cfg["n"]}, {
         "fixture": names,
         "continuous": [c.continuity.continuous for c in checks],
         "differentiable": [c.differentiable for c in checks],
@@ -443,14 +443,14 @@ def cmd_msdiag(cfg, out):
 
 
 def _a2_provider(cfg):
-    has_beta = cfg["mu"] != "" and cfg["nu"] != ""
-    has_fixed = cfg["a2"] != ""
+    has_beta = cfg["mu"] is not None and cfg["nu"] is not None
+    has_fixed = cfg["a2"] is not None
     if has_beta and has_fixed:
         raise CurveDomainError("give either mu/nu or a2, not both")
     if has_fixed:
-        return FixedSquaredAmplitude(float(cfg["a2"]))
+        return FixedSquaredAmplitude(cfg["a2"])
     if has_beta:
-        return BetaSquaredAmplitude(float(cfg["mu"]), float(cfg["nu"]))
+        return BetaSquaredAmplitude(cfg["mu"], cfg["nu"])
     raise CurveDomainError("sde needs the squared amplitude: mu/nu or a2")
 
 
@@ -458,26 +458,21 @@ def cmd_sde(cfg, out):
     curve, alpha = _resolve_curve(cfg)
     table = build_staircase(curve, alpha)
     a2 = _a2_provider(cfg)
-    ex0 = float(cfg["ex0"])
-    ex1 = float(cfg["ex1"])
-    ex0sq = float(cfg["ex0sq"]) if cfg["ex0sq"] else ex0 ** 2
-    ex1sq = float(cfg["ex1sq"]) if cfg["ex1sq"] else ex1 ** 2
-    ex01 = float(cfg["ex01"]) if cfg["ex01"] else ex0 * ex1
+    ex0, ex1 = cfg["ex0"], cfg["ex1"]
+    ex0sq = ex0 ** 2 if cfg["ex0sq"] is None else cfg["ex0sq"]
+    ex1sq = ex1 ** 2 if cfg["ex1sq"] is None else cfg["ex1sq"]
+    ex01 = ex0 * ex1 if cfg["ex01"] is None else cfg["ex01"]
     spec = MomentSpec(ex0, ex1, ex0sq, ex1sq, ex01, a2)
-    order = int(cfg["order"])
-    solution = solve_series(spec, order)
+    solution = solve_series(spec, cfg["order"])
     t = _output_grid(cfg, curve)
     j = np.asarray(table.value(t), dtype=float)
     series = {"mean": solution.mean(j), "second_moment": solution.second_moment(j),
               "variance": solution.variance(j)}
-    mc = mc_solution_moments(
-        a2, deterministic_initial_data(ex0, ex1), int(cfg["n"]),
-        int(cfg["seed"]), j,
-    )
+    mc = mc_solution_moments(a2, deterministic_initial_data(ex0, ex1), cfg["n"], cfg["seed"], j)
     return _emit(out, cfg, alpha, {
         "a2": a2.describe(),
         "ex0": ex0, "ex1": ex1, "ex0sq": ex0sq, "ex1sq": ex1sq, "ex01": ex01,
-        "order": order, "n": mc.n,
+        "order": cfg["order"], "n": mc.n,
     }, {"t": t, "J": j, **series, "mc_mean": mc.mean, "mc_stderr": mc.mean_stderr})
 
 
@@ -526,10 +521,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, _USAGE_ERRORS) else 3
     if cfg["curve"] == "koch":  # after the command, so a refused one prints only its error
-        level = int(cfg["level"])
-        read = _koch_level_read(cfg, level)
-        if read < level:
-            print(f"note: koch level {level} reads as level {read} for {args.command}",
+        read = _koch_level_read(cfg)
+        if read < cfg["level"]:
+            print(f"note: koch level {cfg['level']} reads as level {read} for {args.command}",
                   file=sys.stderr)
     return code
 

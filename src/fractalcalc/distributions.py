@@ -242,8 +242,9 @@ class DistributionOnCurve:
         return self.moment(1)
 
     def variance(self) -> np.ndarray:
-        """Componentwise variance about the mean."""
-        mu = self.mean()
+        """Componentwise variance about the drawn law's mean; like ``mean``,
+        on a truncated law it is the drawn value times the reachable mass."""
+        mu = self.mean() / self._cap
         return self._expectation(lambda pts, j: (pts - mu) ** 2)
 
     def moment_of_j(self, m: int) -> float:

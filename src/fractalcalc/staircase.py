@@ -65,8 +65,11 @@ def _lattice_points(curve, a, b, delta):
             f"delta={delta} needs {hi - lo + 1} lattice points; "
             f"cap is {_MAX_DIRECT_POINTS}"
         )
-    # on a [0, 1] domain, d0 + width * x is x bit for bit
+    # on a [0, 1] domain, d0 + width * x is x bit for bit; the top point,
+    # i = 4^j, is d1 itself, since d0 + width can round below d1
     inner = d0 + width * (np.arange(lo, hi + 1, dtype=float) * q)
+    if hi == 4 ** j:
+        inner[-1] = d1
     pts = np.concatenate(([a], inner, [b]))
     pts = pts[(pts >= a) & (pts <= b)]
     return _first_of_runs(pts)

@@ -74,6 +74,12 @@ class TestDimensionCommand:
         meta, _, _ = read_csv(out)
         assert float(meta["dimension"]) == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.parametrize("command", ["dimension", "staircase"])
+    def test_echoes_the_parsed_alpha(self, tmp_path, command):
+        code, out = run(tmp_path, "a.csv", command, "--level", "3", "--alpha", "1.50")
+        assert code == 0
+        assert read_csv(out)[0]["alpha"] == "1.5"
+
     def test_tol_wider_than_bracket_exits_2(self, tmp_path, capsys):
         code, out = run(tmp_path, "dim.csv", "dimension", "--level", "3", "--tol", "5")
         assert code == 2
@@ -408,12 +414,27 @@ class TestDegenerateInputs:
         # Koch built below its configured level: the refusal prints no note
         ["staircase", "--level", "7", "--alpha", "1.2", "--grid", "0"],
         ["cdf", "--level", "9", "--alpha", "1.2", "--grid", "0"],
+        ["cdf", "--curve", "spiral"],
+        ["sde", "--curve", "line", "--mu", "2", "--nu", "1", "--a2", "1"],
+        # each value is parsed by its type, whether or not the command reads it
+        ["dimension", "--level", "3", "--alpha", "-1"],
+        ["dimension", "--level", "3", "--alpha", "0"],
+        # the text after --config is the file's
+        ["cdf", "--config", "grid 4\n"],
+        ["staircase", "--curve", "line", "--config", "# a line reads no level\n\nlevel = abc\n"],
+        ["cdf", "--config", "grid =\n"],
     ], ids=["staircase-grid-0", "cdf-grid-0", "sde-grid-0", "correlation-points-0",
             "correlation-n-1", "sde-order-85", "sde-order-negative",
             "sde-impossible-moments", "msdiag-tau-past-curve", "msdiag-tau-before-curve",
             "msdiag-tau-at-curve-end", "msdiag-reach-past-curve",
-            "staircase-level-7-grid-0", "cdf-level-9-grid-0"])
+            "staircase-level-7-grid-0", "cdf-level-9-grid-0", "unknown-curve",
+            "sde-mu-nu-and-a2", "dimension-alpha-negative", "dimension-alpha-0",
+            "config-line-without-equals", "config-level-abc-on-a-line", "config-grid-empty"])
     def test_exits_2_with_message(self, tmp_path, capsys, args):
+        if "--config" in args:
+            at = args.index("--config") + 1
+            (tmp_path / "run.cfg").write_text(args[at])
+            args = [*args[:at], str(tmp_path / "run.cfg"), *args[at + 1:]]
         code, out = run(tmp_path, "d.csv", *args)
         assert code == 2
         assert not out.exists()
@@ -893,7 +914,7 @@ class TestOptionTable:
     def test_flags_are_the_config_keys(self, command):
         args = cli.build_parser(command).parse_args([command])
         flags = set(vars(args)) - {"config", "out", "command"}
-        assert flags == set(cli._effective_config(args)) - {"command"}
+        assert flags == set(cli._effective_config(args)) - {"command", "config_sha256"}
 
     @pytest.mark.parametrize("command, digest", [
         ("dimension", "90be0c3479bd9556"),
@@ -906,7 +927,7 @@ class TestOptionTable:
     ])
     def test_default_config_hash(self, command, digest):
         args = cli.build_parser(command).parse_args([command])
-        assert cli._config_hash(cli._effective_config(args)) == digest
+        assert cli._effective_config(args)["config_sha256"] == digest
 
     @pytest.mark.parametrize("args, digest", [
         (["cdf", "--level", "2", "--grid", "4"], "21456e0555c878cf"),

@@ -192,6 +192,16 @@ class TestSampling:
         band = 1.36 / math.sqrt(10 ** 5)
         assert ks_distance(sample.j, sampling_cdf(dist)) < band
 
+    @pytest.mark.parametrize("table", [build_staircase(build_line(0, 1)),
+                                       build_staircase(build_koch(5))], ids=["line", "koch5"])
+    def test_custom_ks_band(self, table):
+        # the custom law's cdf and sampler: pdf j^2 on [0, J_max], so the cdf
+        # is (J / J_max)^3, 1/8 at mid-support
+        dist = DistributionOnCurve.custom(table, lambda j: j * j)
+        n = 2 * 10 ** 5
+        assert ks_distance(dist.sample(5, n).j, sampling_cdf(dist)) < 1.95 / math.sqrt(n)
+        assert abs(float(dist.cdf_at_j(table.total_mass / 2)) - 0.125) < 1e-6
+
     def test_memoryless_mean_matches_rate(self, long_line_table):
         dist = DistributionOnCurve.memoryless(long_line_table, 1.0)
         sample = dist.sample(31, 10 ** 5)
@@ -392,6 +402,23 @@ def _assert_within_band(value, stat, se):
     assert np.all(np.abs(np.asarray(value) - stat) <= Z_BAND * se), (value, stat, se)
 
 
+@pytest.mark.parametrize("table, lam", [
+    (build_staircase(build_koch(5)), 1.3),
+    (build_staircase(lognormal_walk(11, 64, 2)), None),
+], ids=["koch5", "lognormal-walk"])
+def test_truncated_variance_is_the_drawn_variance_times_the_cap(table, lam):
+    # like mean, the variance of a truncated law is the reachable mass times
+    # the drawn law's: centred on the drawn mean, not on the analytic one
+    dist = DistributionOnCurve.memoryless(table, lam or 1.0 / table.total_mass)
+    cap = 1.0 - dist.truncated_mass
+    assert cap < 0.7
+    n = 2 * 10 ** 5
+    x = dist.sample(3, n).points
+    var = x.var(axis=0, ddof=1)
+    m4 = ((x - x.mean(axis=0)) ** 4).mean(axis=0)
+    _assert_within_band(dist.variance(), cap * var, cap * np.sqrt((m4 - var ** 2) / n))
+
+
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), edges=st.integers(8, 256),
        dim=st.sampled_from([2, 3]), lam_per_mass=st.floats(0.5, 3.0))
@@ -411,6 +438,9 @@ def test_moments_agree_with_same_seed_sample(seed, edges, dim, lam_per_mass):
     smp = memoryless.sample(seed, n)
     _assert_within_band(memoryless.mean(), scale * smp.points.mean(axis=0),
                         scale * smp.points.std(axis=0, ddof=1) / math.sqrt(n))
+    var = smp.points.var(axis=0, ddof=1)
+    m4 = ((smp.points - smp.points.mean(axis=0)) ** 4).mean(axis=0)
+    _assert_within_band(memoryless.variance(), scale * var, scale * np.sqrt((m4 - var ** 2) / n))
     j2 = smp.j ** 2
     _assert_within_band(memoryless.moment_of_j(2), scale * j2.mean(),
                         scale * j2.std(ddof=1) / math.sqrt(n))

@@ -263,6 +263,15 @@ class TestLadderCache:
         np.testing.assert_array_equal(sc._lattice_points(curve, a, b, 4.0 * 4.0 ** -j),
                                       np.unique(np.concatenate(([a], inside, [b]))))
 
+    def test_top_point_of_a_rung_is_the_domain_end(self):
+        # 0.2 + (0.9 - 0.2) rounds to 0.8999999999999999: a rung that keeps
+        # that point and 0.9 has 18 points and loses the knot stride
+        knots = np.linspace(0.2, 0.9, 65)
+        curve = build_polyline(knots, np.column_stack([knots, np.sin(8.0 * knots)]), 1.0)
+        rung = sc._lattice_points(curve, 0.2, 0.9, (0.9 - 0.2) / 16)
+        np.testing.assert_array_equal(rung, knots[::4])
+        assert curve._knot_stride(rung) == 4
+
     @pytest.mark.parametrize("curve, b, delta", [
         (build_koch(3), 1.0, 1e-6),
         # width / delta overflows to inf
