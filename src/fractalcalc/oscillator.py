@@ -359,19 +359,15 @@ def _column_moments(j, a, a_div, zero, x0, x1, paths, scratch, out):
         blk, tmp = paths[rows], scratch[:rows.stop - rows.start]
         # x0 cos(a j) + x1 sin(a j) / a, with the a -> 0 limit j for the sine term
         np.multiply.outer(a[rows], j, out=tmp)
-        if x1 is None:
-            np.cos(tmp, out=tmp)
-            tmp *= x0[rows, None]
-            blk[...] = tmp
-        else:
-            np.sin(tmp, out=blk)
-            blk /= a_div[rows, None]
-            blk[zero[rows]] = j
-            blk *= x1[rows, None]
-            np.cos(tmp, out=tmp)
-            tmp *= x0[rows, None]
+        np.cos(tmp, out=blk)
+        blk *= x0[rows, None]
+        if x1 is not None:
+            np.sin(tmp, out=tmp)
+            tmp /= a_div[rows, None]
+            tmp[zero[rows]] = j
+            tmp *= x1[rows, None]
             blk += tmp
-            tmp[...] = blk  # _carry_sum overwrites its first row
+        tmp[...] = blk  # _carry_sum overwrites its first row
         total = _carry_sum(tmp, total)
     mean = total / n
     dev = None

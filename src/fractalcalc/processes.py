@@ -252,7 +252,8 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
     verdicts read the rungs before the first unresolved one. Without an
     analytic R, D and its standard error are the mean and stderr of the
     squared differences over one draw of n >= 100 paths at tau and every
-    tau + eps, and every rung counts.
+    tau + eps, and every rung counts. Either way, a rung whose tau + eps
+    rounds to tau is not resolved.
 
     Both verdicts read the exponent per decade p = log10(D_k / D_{k+1}) at
     the last three resolved rungs: 0 for a jump or noise, 2H for fractional
@@ -266,13 +267,16 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
     bands together, fewer than three resolved rungs, a D <= 0 or non-finite
     D among them, or a band so wide that p reads differentiable but not
     continuous. D = 0 at every rung (a constant process) reads continuous
-    and differentiable with limit 0. No verdict depends on the units of X.
-    The tolerance is the resolution limit: fractional Brownian motion at
-    H = 0.999 (p = 1.998) reads differentiable, at H = 0.99 it does not.
+    and differentiable with limit 0, unless some tau + eps rounds to tau.
+    No verdict depends on the units of X. The tolerance is the resolution
+    limit: fractional Brownian motion at H = 0.999 (p = 1.998) reads
+    differentiable, at H = 0.99 it does not.
     """
     if not math.isfinite(tau):
         raise CurveDomainError(f"tau must be finite, got {tau}")
     ladder = DEFAULT_EPS_LADDER
+    # the rungs whose offset survives rounding at tau; the ladder falls, so they lead
+    realized = sum(tau + eps != tau for eps in ladder)
     r = proc.correlation
     if r is not None:
         terms = [(float(r(tau + eps, tau + eps)), float(r(tau + eps, tau)),
@@ -280,7 +284,7 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
         deltas = [a - b - c + d for a, b, c, d in terms]
         m = next((k for k, (t, d) in enumerate(zip(terms, deltas))
                   if not 64.0 * math.ulp(1.0) * sum(map(abs, t)) < EXPONENT_TOL * abs(d)),
-                 len(ladder))
+                 realized)
         stderrs = [0.0] * len(ladder)
     else:
         if n < 100:
@@ -289,7 +293,7 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
         pt = np.ascontiguousarray(proc.draw_paths(_rng.stream(seed), j, n).T, dtype=float)
         sq = np.square(pt[1:] - pt[0])
         deltas = sq.mean(axis=1).tolist()
-        m = len(ladder)
+        m = realized
         stderrs = (sq.std(axis=1, ddof=1) / math.sqrt(n)).tolist()
     values = [d / (eps * eps) for d, eps in zip(deltas, ladder)]
     continuous = differentiable = None
@@ -304,7 +308,7 @@ def ms_derivative_check(proc: FractalProcess, tau: float, n: int = 10000,
             continuous, differentiable = (all(c) or (None if any(c) else False) for c in clears)
             if differentiable and not continuous:
                 continuous = differentiable = None
-    if not any(deltas):  # D = 0 at every rung, as for a constant process
+    if not any(deltas) and realized == len(ladder):  # D = 0, as for a constant process
         continuous = differentiable = True
         m = len(ladder)
     best = math.nan
@@ -345,10 +349,10 @@ def _mass_panels(weight, table, a, b, u, k):
     return mids, np.asarray(weight(mids, u), dtype=float) * np.diff(j)
 
 
-def _path_sums(proc, weight, table, a, b, u, k, n, seed):
-    """sum_j w_j X(j) over k panels for each of n paths drawn from
-    ``stream(seed, 7)``: one realization of a midpoint sum per row."""
-    mids, w = _mass_panels(weight, table, a, b, u, k)
+def _path_sums(proc, mids, w, n, seed):
+    """sum_j w_j X(j) over the panel midpoints ``mids`` for each of n paths
+    drawn from ``stream(seed, 7)``: one realization of a midpoint sum per row."""
+    k = len(mids)
     paths = proc.draw_paths(_rng.stream(seed, 7), mids, n)
     # a block of weighted rows at a time, through one C-contiguous buffer:
     # each row is summed in the same order whatever the draw's memory order
@@ -358,18 +362,6 @@ def _path_sums(proc, weight, table, a, b, u, k, n, seed):
         part = np.multiply(paths[lo:lo + rows], w, out=buf[:min(rows, n - lo)])
         part.sum(axis=1, out=sums[lo:lo + rows])
     return sums
-
-
-def _double_rs_sum(proc, weight, table, a, b, u, k, n, seed):
-    """The double midpoint sum over k panels and, without an analytic R,
-    the path sums whose mean square it is (else None)."""
-    if proc.correlation is None:
-        # w (P^T P / n) w in its realization form: O(n k), no k-by-k matrix
-        drawn = _path_sums(proc, weight, table, a, b, u, k, n, seed)
-        return float(np.mean(drawn ** 2)), drawn
-    mids, w = _mass_panels(weight, table, a, b, u, k)
-    rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
-    return float(((rmat * w).sum(axis=1) * w).sum()), None
 
 
 def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
@@ -391,10 +383,16 @@ def ms_integral_precheck(proc: FractalProcess, weight, table: StaircaseTable,
         raise CurveDomainError(f"integration needs a < b, got [{a}, {b}]")
     if not math.isfinite(u):
         raise CurveDomainError(f"u must be finite, got {u}")
-    rungs = {k: _double_rs_sum(proc, weight, table, a, b, u, k, n, seed)
-             for k in (MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS)}
-    sums = [total for total, _ in rungs.values()]
-    drawn = {k: paths for k, (_, paths) in rungs.items() if paths is not None}
+    sums, drawn = [], {}
+    for k in (MS_PANELS // 2, MS_PANELS, 2 * MS_PANELS):
+        mids, w = _mass_panels(weight, table, a, b, u, k)
+        if proc.correlation is None:
+            # w (P^T P / n) w in its realization form: O(n k), no k-by-k matrix
+            drawn[k] = _path_sums(proc, mids, w, n, seed)
+            sums.append(float(np.mean(drawn[k] ** 2)))
+        else:
+            rmat = np.asarray(proc.correlation(mids[:, None], mids[None, :]), dtype=float)
+            sums.append(float(((rmat * w).sum(axis=1) * w).sum()))
     if not all(math.isfinite(v) for v in sums):
         return ExistencePrecheck(sums, False, drawn)
     g1 = abs(sums[1] - sums[0])
@@ -417,7 +415,7 @@ def _ms_integral(proc, weight, table, a, b, u, k, n, seed):
         )
     realizations = pre.drawn.get(k)
     if realizations is None:
-        realizations = _path_sums(proc, weight, table, a, b, u, k, n, seed)
+        realizations = _path_sums(proc, *_mass_panels(weight, table, a, b, u, k), n, seed)
     y = float(realizations.mean())
     stderr = float(realizations.std(ddof=1) / math.sqrt(n))
     return MsIntegralResult(y, stderr, realizations, pre)

@@ -15,6 +15,8 @@ from fractalcalc import _floatcells, cli
 from fractalcalc._floatcells import CELL_BYTES, FloatCells, _E_MAX, _E_MIN
 from fractalcalc.cli import main
 from fractalcalc.curves import _BLOCK
+from fractalcalc.processes import (BUILTIN_FIXTURES, FractalProcess, brownian_like,
+                                   ms_derivative_check)
 from fractalcalc.staircase import gamma_dimension
 from conftest import simd_pin, traced_peak
 from emitted import read_csv
@@ -300,14 +302,24 @@ class TestMsdiagCommand:
             "brownian-like": ["true", "false"], "cosine-phase": ["true", "true"],
             "linear-amplitude": ["undecided", "undecided"], "white-noise": ["false", "false"]}
 
-    @pytest.mark.parametrize("tau", ["1e3", "1e4", "1e6", "1e9"])
-    def test_no_resolved_rung_reads_undecided(self, tmp_path, tau):
+    @pytest.mark.parametrize("tau, fixture", [
+        *[(tau, "linear-amplitude") for tau in ("1e3", "1e4", "1e6", "1e9")],
+        *[(tau, "all") for tau in ("1e15", "1e16", "1e17")],
+    ])
+    def test_no_resolved_rung_reads_undecided(self, tmp_path, tau, fixture):
         # the four R terms cancel at tau^2, so fewer than three rungs of
-        # D = eps^2 clear their rounding
+        # D = eps^2 clear their rounding; from 1e15 on, tau + eps rounds to
+        # tau at the small offsets, and D = 0 there is no constant process
         code, out = run(tmp_path, "m.csv", "msdiag", "--curve", "line", "--line-b",
-                        str(2.0 * float(tau)), "--tau", tau, "--fixture", "linear-amplitude")
+                        str(2.0 * float(tau)), "--tau", tau, "--fixture", fixture)
         assert code == 0
-        assert out.read_text().splitlines()[-1] == "linear-amplitude,undecided,undecided,nan"
+        names = sorted(BUILTIN_FIXTURES) if fixture == "all" else [fixture]
+        assert out.read_text().splitlines()[-len(names):] == [
+            f"{name},undecided,undecided,nan" for name in names]
+        if fixture == "all":
+            drawn = FractalProcess("drawn", brownian_like().draw_paths)
+            check = ms_derivative_check(drawn, float(tau), n=1000)
+            assert (check.continuity.continuous, check.differentiable) == (None, None)
 
     def test_unknown_fixture_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "m.csv", "msdiag", "--fixture", "bogus")

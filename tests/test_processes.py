@@ -199,8 +199,8 @@ class TestBrownianDraw:
         def weight(j, u):
             return np.cos(j + u)
 
-        got = _path_sums(brownian_like(), weight, table, 0.0, 1.8, 0.3, 256, 3000, 5)
         mids, w = _mass_panels(weight, table, 0.0, 1.8, 0.3, 256)
+        got = _path_sums(brownian_like(), mids, w, 3000, 5)
         want = (brownian_three_copies(frng.stream(5, 7), mids, 3000) * w).sum(axis=1)
         assert got.tobytes() == want.tobytes()
 

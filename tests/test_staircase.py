@@ -333,8 +333,8 @@ class TestChordBlocks:
         assert traced_peak(lambda: gamma_dimension(build_koch(10))) <= 27 * 2 ** 20
 
     def test_koch10_staircase_peak_memory(self):
-        # the knots are tested against linspace one block at a time: a whole
-        # linspace of Koch-10's knots made the peak 9.0 MiB
+        # the snapped grid is compared with a strided view of the knots: a
+        # whole linspace of Koch-10's knots made the peak 9.0 MiB
         curve = build_koch(10)
         assert traced_peak(lambda: build_staircase(curve)) <= 2 ** 20
 
@@ -377,27 +377,34 @@ class TestKnotsSetTheChoices:
             np.testing.assert_array_equal(table.t, 2.0 ** k * ref.t + 0.25)
             assert table.s.tobytes() == ref.s.tobytes()
 
-    @pytest.mark.parametrize("count", [2, 5, _BLOCK, _BLOCK + 1, _BLOCK + 2, 4 ** 7 + 1])
     @pytest.mark.parametrize("a, b", [
-        (0.0, 1.0), (-0.0, 1.0), (0.3, 1.3), (0.0, 5.0), (-2.5, 0.0),
-        # the step underflows to 0 or to a subnormal
-        (0.0, 1e-320), (1e-310, 3e-310), (5e-324, 1.5e-323),
-        # the width overflows: linspace starts at nan
-        (-1e308, 1e308),
+        (0.0, 1.0), (-0.0, 1.0), (0.3, 1.3), (0.0, 5.0), (-2.5, 0.0), (0.2, 0.9),
+        (-1e5, 3.7), (1e-300, 3e-300),
     ])
-    def test_blocked_linspace_test_is_array_equal(self, a, b, count):
-        # the blocked test behind the staircase's snap, against the whole
-        # linspace it replaced
-        with np.errstate(all="ignore"):
-            grid = np.linspace(a, b, count)
-            nudged = []
-            for i in {0, 1, count // 2, count - 2, count - 1}:
-                x = grid.copy()
-                x[i] = np.nextafter(x[i], math.inf)
-                nudged.append(x)
-            for x in [grid, *nudged]:
-                want = np.array_equal(x, np.linspace(x[0], x[-1], len(x)))
-                assert sc._is_linspace(x) == want
+    def test_linspace_knots_at_the_stride_are_the_snapped_grid(self, a, b):
+        # so a curve with linspace knots snaps as it did when the knots were
+        # tested against linspace: k * (d 4^-g) and (k 4^(L-g)) * (d 4^-L)
+        # are one real number rounded once
+        for level in range(1, 8):
+            knots = np.linspace(a, b, 4 ** level + 1)
+            for g in range(1, level + 1):
+                grid = np.linspace(a, b, 4 ** g + 1)
+                assert grid.tobytes() == knots[::4 ** (level - g)].tobytes()
+
+    def test_only_the_knots_at_the_stride_set_the_grid(self):
+        # Koch-7 with every knot between the multiples of 4 moved a quarter
+        # cell: the default 4^6-cell grid reads only the unmoved ones, so
+        # the table is Koch-6's
+        koch = build_koch(7)
+        knots = koch.knots.copy()
+        knots[np.arange(len(knots)) % 4 != 0] += 0.25 * 4.0 ** -7
+        table = build_staircase(build_polyline(knots, koch.vertices, koch.alpha))
+        ref = build_staircase(build_koch(6))
+        assert len(table.t) == 4 ** 6 + 1
+        assert table.t.tobytes() == ref.t.tobytes()
+        assert table.s.tobytes() == ref.s.tobytes()
+        # knots off the lattice at every stride keep the uniform grid
+        assert len(build_staircase(lognormal_walk(2, 4096, 2)).t) == 1025
 
 
 def _koch_shape(level):
