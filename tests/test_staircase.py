@@ -391,6 +391,43 @@ class TestKnotsSetTheChoices:
                 grid = np.linspace(a, b, 4 ** g + 1)
                 assert grid.tobytes() == knots[::4 ** (level - g)].tobytes()
 
+    @pytest.mark.parametrize("level", range(1, 8))
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 1.0), (-0.0, 1.0), (0.3, 1.3), (0.0, 5.0), (-2.5, 0.0), (0.2, 0.9),
+        (-1e5, 3.7), (1e-300, 3e-300),
+    ])
+    def test_a_nudged_knot_moves_the_grid_only_where_the_grid_reads_it(
+            self, a, b, level):
+        # linspace knots snap, and every point of the snapped grid is a
+        # knot; a knot moved one ulp at the grid's stride gives the uniform
+        # grid, and one moved between the stride's knots leaves the snap
+        knots = np.linspace(a, b, 4 ** level + 1)
+        vertices = build_koch(level).vertices
+        for grid_size in (None, 4, 4 ** level):
+            g = sc._snapped_level(level, grid_size)
+            s = 4 ** (level - g)
+            snapped = np.linspace(a, b, 4 ** g + 1)
+            uniform = np.linspace(a, b, (grid_size or 1024) + 1)
+            grid = sc._staircase_grid(build_polyline(knots, vertices, 1.0), grid_size)
+            assert grid.tobytes() == snapped.tobytes()
+            assert np.isin(grid, knots).all()
+            for i in {1, s, len(knots) // 2, len(knots) - 2}:
+                nudged = knots.copy()
+                nudged[i] = np.nextafter(nudged[i], math.inf)
+                grid = sc._staircase_grid(build_polyline(nudged, vertices, 1.0),
+                                          grid_size)
+                want = snapped if i % s else uniform
+                assert grid.tobytes() == want.tobytes()
+
+    def test_subnormal_linspace_knots_keep_the_uniform_grid(self):
+        # a subnormal step d 4^-L is rounded, so the strided knots are not
+        # the 4^g linspace and the snapped grid would miss them
+        knots = np.linspace(1e-310, 3e-310, 4 ** 7 + 1)
+        koch = build_koch(7)
+        table = build_staircase(build_polyline(knots, koch.vertices, koch.alpha))
+        assert table.t.tobytes() == np.linspace(1e-310, 3e-310, 1025).tobytes()
+        assert not np.isin(np.linspace(1e-310, 3e-310, 4 ** 6 + 1), knots).all()
+
     def test_only_the_knots_at_the_stride_set_the_grid(self):
         # Koch-7 with every knot between the multiples of 4 moved a quarter
         # cell: the default 4^6-cell grid reads only the unmoved ones, so
